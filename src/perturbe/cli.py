@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from perturbe._util import canonical_json, sha256_file, sha256_text
 from perturbe.embedding import MeanVectorEncoder, PrecomputedEncoder, load_vectors
 from perturbe.errors import CheckerError, ConfigError, DataError, PerturbeError
 from perturbe.postag import FileTagger, LexiconTagger
-from perturbe.preprocess import load_patterns, load_stopwords
+from perturbe.preprocess import load_stopwords
 
 
 class _Parser(argparse.ArgumentParser):
@@ -41,12 +42,16 @@ def _parse_floats(text: str) -> list[float]:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+_COMMENT = re.compile(r"(?:^|\s)#")
+
+
 def read_config(path: str | Path) -> dict[str, str]:
-    """Flat key = value lines; '#' starts a comment."""
+    """Flat key = value lines. '#' starts a comment at the start of a line or
+    after whitespace, so a value such as ``runs#3/corpus.jsonl`` keeps its '#'."""
     config: dict[str, str] = {}
     text = Path(path).read_text("utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.split("#", 1)[0].strip()
+        line = _COMMENT.split(line, maxsplit=1)[0].strip()
         if not line:
             continue
         key, sep, value = line.partition("=")

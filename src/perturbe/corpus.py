@@ -49,13 +49,14 @@ class Corpus:
 
     samples: list[Sample]
     name: str = ""
+    _by_id: dict[str, Sample] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        seen: set[str] = set()
+        self._by_id = {}
         for s in self.samples:
-            if s.id in seen:
+            if s.id in self._by_id:
                 raise DataError(f"duplicate sample id {s.id!r} in corpus {self.name!r}")
-            seen.add(s.id)
+            self._by_id[s.id] = s
 
     def __len__(self) -> int:
         return len(self.samples)
@@ -67,10 +68,7 @@ class Corpus:
         return [s.id for s in self.samples]
 
     def by_id(self, sample_id: str) -> Sample:
-        for s in self.samples:
-            if s.id == sample_id:
-                return s
-        raise KeyError(sample_id)
+        return self._by_id[sample_id]
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,16 @@
 """Word-vector store: file loading, cosine similarity, exact top-k neighbor
 search, and the sentence encoders used by the semantic gate.
 
-Neighbor search is a deterministic linear scan in 64-bit floats with
-lexicographic tie-breaking; at counter-fitted-vector scale (~65k words) this
-is fast enough and reproducible everywhere.
+Neighbor search is exact and deterministic. One matrix-vector product in
+64-bit floats gives every cosine as ``(M @ q) / (norms * |q|)``; rows are not
+pre-normalized, because dividing first moves similarities by about 1e-16 and
+can flip a comparison that sits exactly on a gate threshold. A partial
+selection (``np.partition``) finds the k-th largest similarity, and only the
+candidates at or above it are sorted by (similarity descending, word), so
+ties that straddle the k-th place still break lexicographically. Each store
+memoizes its answers per (resolved word, k): a corpus asks about the same few
+intent words over and over, so the memo is bounded by the words that occur
+in intents.
 """
 
 from __future__ import annotations
@@ -28,7 +35,7 @@ class Neighbor:
 
 
 class VectorStore:
-    """Immutable word -> vector map with a cached matrix for scans."""
+    """Immutable word -> vector map with a cached matrix for neighbor search."""
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         if not vectors:
@@ -41,10 +48,14 @@ class VectorStore:
         self.dimension = dims.pop()
         self._vectors = {w: np.asarray(v, dtype=np.float64) for w, v in vectors.items()}
         self._words = list(self._vectors)
+        self._rows = {w: i for i, w in enumerate(self._words)}
         self._matrix = np.vstack([self._vectors[w] for w in self._words])
         norms = np.linalg.norm(self._matrix, axis=1)
         norms[norms == 0.0] = np.nan  # zero vectors never win a similarity scan
         self._norms = norms
+        # (resolved word, k) -> neighbors. Racing threads only recompute the
+        # same value, so no lock is needed.
+        self._neighbor_memo: dict[tuple[str, int], tuple[Neighbor, ...]] = {}
 
     def __len__(self) -> int:
         return len(self._vectors)
@@ -134,26 +145,38 @@ def cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 def top_k_neighbors(word: str, k: int, store: VectorStore) -> list[Neighbor]:
     """The k most-similar distinct words (query excluded), cosine descending,
-    ties broken lexicographically."""
+    ties broken lexicographically. Zero vectors are never neighbors."""
     if k < 1:
         raise DataError(f"k must be >= 1, got {k}")
     key = store.resolve(word)
     if key is None:
         raise DataError(f"query word not in vector store: {word!r}")
+    neighbors = store._neighbor_memo.get((key, k))
+    if neighbors is None:
+        neighbors = _rank_neighbors(word, key, k, store)
+        store._neighbor_memo[(key, k)] = neighbors
+    return list(neighbors)
+
+
+def _rank_neighbors(word: str, key: str, k: int, store: VectorStore) -> tuple[Neighbor, ...]:
     query = store._vectors[key]
     query_norm = float(np.linalg.norm(query))
     if query_norm == 0.0:
         raise DataError(f"query word has a zero vector: {word!r}")
     sims = store._matrix @ query / (store._norms * query_norm)
+    valid = ~np.isnan(sims)
+    valid[store._rows[key]] = False
+    candidates = np.flatnonzero(valid)
+    if len(candidates) > k:
+        candidate_sims = sims[candidates]
+        cut = len(candidates) - k
+        kth = np.partition(candidate_sims, cut)[cut]
+        candidates = candidates[candidate_sims >= kth]
     ranked = sorted(
-        (
-            Neighbor(w, float(s))
-            for w, s in zip(store._words, sims)
-            if w != key and not np.isnan(s)
-        ),
+        (Neighbor(store._words[i], float(sims[i])) for i in candidates),
         key=lambda nb: (-nb.similarity, nb.word),
     )
-    return ranked[:k]
+    return tuple(ranked[:k])
 
 
 def sentence_embedding(tokens: list[str], store: VectorStore) -> np.ndarray:

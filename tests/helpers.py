@@ -9,6 +9,9 @@ Two vector stores are constructed with controlled geometry:
   shared component plus its own axis; synonyms are built from their base
   word's direction with a target cosine, traps get large norms so that
   unconstrained substitution visibly damages sentence embeddings.
+
+reference_top_k_neighbors() is the plain full-sort neighbor search that the
+partial-selection path in perturbe.embedding must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +22,8 @@ from pathlib import Path
 import numpy as np
 
 from perturbe.corpus import Corpus, Sample
-from perturbe.embedding import VectorStore
+from perturbe.embedding import Neighbor, VectorStore
+from perturbe.errors import DataError
 from perturbe.vocab import Vocabulary
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -150,3 +154,26 @@ def load_demo_corpus() -> Corpus:
                 obj = json.loads(line)
                 samples.append(Sample(obj["id"], obj["intent"], obj["snippet"]))
     return Corpus(samples, name="demo")
+
+
+def reference_top_k_neighbors(word: str, k: int, store: VectorStore) -> list[Neighbor]:
+    """Full sort of every valid store word by (-similarity, word), no memo."""
+    if k < 1:
+        raise DataError(f"k must be >= 1, got {k}")
+    key = store.resolve(word)
+    if key is None:
+        raise DataError(f"query word not in vector store: {word!r}")
+    query = store._vectors[key]
+    query_norm = float(np.linalg.norm(query))
+    if query_norm == 0.0:
+        raise DataError(f"query word has a zero vector: {word!r}")
+    sims = store._matrix @ query / (store._norms * query_norm)
+    ranked = sorted(
+        (
+            Neighbor(w, float(s))
+            for w, s in zip(store._words, sims)
+            if w != key and not np.isnan(s)
+        ),
+        key=lambda nb: (-nb.similarity, nb.word),
+    )
+    return ranked[:k]

@@ -197,6 +197,16 @@ class TestMatrix:
         config.write_text("# comment\nkey = value\nspaced.key = a b c  # trailing\n")
         assert read_config(config) == {"key": "value", "spaced.key": "a b c"}
 
+    def test_config_hash_inside_value_is_kept(self, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("corpus = runs#3/corpus.jsonl\n  # indented comment\n")
+        assert read_config(config) == {"corpus": "runs#3/corpus.jsonl"}
+
+    def test_config_trailing_comment_after_hash_path(self, tmp_path):
+        config = tmp_path / "c.cfg"
+        config.write_text("corpus = runs#3/corpus.jsonl # the third run\n")
+        assert read_config(config) == {"corpus": "runs#3/corpus.jsonl"}
+
     def test_matrix_missing_key_exit_1(self, workdir, tmp_path):
         config = tmp_path / "broken.cfg"
         config.write_text("corpus = whatever\n")

@@ -127,6 +127,17 @@ class TestRoundTrip:
         assert len(load_corpus(path)) == 0
 
 
+class TestById:
+    def test_lookup(self):
+        corpus = make_corpus(50)
+        assert corpus.by_id("s00037") is corpus.samples[37]
+
+    def test_missing_id_raises_key_error(self):
+        corpus = make_corpus(3)
+        with pytest.raises(KeyError):
+            corpus.by_id("s99999")
+
+
 class TestSplit:
     def test_sizes_n10(self):
         corpus = make_corpus(10)

@@ -1,5 +1,7 @@
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -14,6 +16,8 @@ from perturbe.embedding import (
     top_k_neighbors,
 )
 from perturbe.errors import DataError, EncodingFailure
+
+import helpers
 
 
 def brute_force_cosine(a, b):
@@ -135,6 +139,114 @@ class TestTopK:
         upper = top_k_neighbors("Store", 3, golden_store)
         lower = top_k_neighbors("store", 3, golden_store)
         assert [n.word for n in upper] == [n.word for n in lower]
+
+
+def tricky_store(seed: int) -> VectorStore:
+    """Random words plus every shape that stresses tie-breaking: small-integer
+    vectors (many exact cosine ties), scaled copies of one vector, an exact
+    twin of it and zero vectors, inserted in shuffled order."""
+    rng = np.random.default_rng(seed)
+    dim = 6
+    vectors = {}
+    for i in range(30):
+        if i % 2:
+            vectors[f"w{i:03d}"] = rng.normal(size=dim)
+        else:
+            vectors[f"w{i:03d}"] = rng.integers(-2, 3, size=dim).astype(np.float64)
+    base = rng.normal(size=dim)
+    vectors["base"] = base
+    for name, scale in (("tie_a", 2.0), ("tie_b", 0.5), ("tie_c", 3.0), ("tie_d", 4.0)):
+        vectors[name] = scale * base
+    vectors["twin"] = base.copy()
+    vectors["zero1"] = np.zeros(dim)
+    vectors["zero2"] = np.zeros(dim)
+    order = rng.permutation(len(vectors))  # row order must not decide ties
+    words = list(vectors)
+    return VectorStore({words[i]: vectors[words[i]] for i in order})
+
+
+class TestTopKDifferential:
+    """The partial-selection path equals the full-sort reference exactly."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_equals_reference(self, seed):
+        store = tricky_store(seed)
+        size = len(store)
+        # Capitalized queries go through the lowercase fallback.
+        queries = [w for w in store.words() if not w.startswith("zero")] + ["Base", "TWIN"]
+        straddles = 0
+        for query in queries:
+            full = helpers.reference_top_k_neighbors(query, size, store)
+            for k in (1, 5, size - 1, size + 3):
+                expected = helpers.reference_top_k_neighbors(query, k, store)
+                assert top_k_neighbors(query, k, store) == expected, (seed, query, k)
+                if k < len(full) and full[k - 1].similarity == full[k].similarity:
+                    straddles += 1
+        assert straddles > 0  # some tie crossed the k-th place
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_scaled_copies_and_twin_tie_by_word(self, seed):
+        # Scaling by a power of two leaves the cosine bit-identical.
+        store = tricky_store(seed)
+        exact_ties = ["base", "tie_b", "tie_d", "twin"]
+        ranked = top_k_neighbors("tie_a", 5, store)
+        tied = [n for n in ranked if n.word in exact_ties]
+        assert [n.word for n in tied] == exact_ties
+        assert len({n.similarity for n in tied}) == 1
+        for k in (1, 2, 3):
+            assert top_k_neighbors("tie_a", k, store) == ranked[:k]
+
+    def test_zero_vectors_never_neighbors(self):
+        store = tricky_store(1)
+        words = [n.word for n in top_k_neighbors("w001", len(store) + 3, store)]
+        assert "zero1" not in words and "zero2" not in words
+        assert len(words) == len(store) - 3  # query and two zero vectors excluded
+
+
+class TestTopKMemo:
+    def test_repeated_call_returns_equal_list(self):
+        store = tricky_store(2)
+        first = top_k_neighbors("w005", 5, store)
+        assert top_k_neighbors("w005", 5, store) == first
+        assert top_k_neighbors("w005", 1, store) == first[:1]
+
+    def test_mutating_result_does_not_change_memo(self):
+        store = tricky_store(3)
+        first = top_k_neighbors("w005", 5, store)
+        expected = list(first)
+        first.clear()
+        assert top_k_neighbors("w005", 5, store) == expected
+
+    def test_case_variants_share_one_entry(self):
+        store = helpers.golden_store()
+        upper = top_k_neighbors("Store", 3, store)
+        lower = top_k_neighbors("store", 3, store)
+        assert upper == lower
+        assert list(store._neighbor_memo) == [("store", 3)]
+
+    def test_concurrent_queries_agree_with_reference(self):
+        store = tricky_store(5)
+        queries = [w for w in store.words() if not w.startswith("zero")] * 8
+        expected = [helpers.reference_top_k_neighbors(q, 5, store) for q in queries]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                futures = [pool.submit(top_k_neighbors, q, 5, store) for q in queries]
+                results = [f.result(timeout=30) for f in futures]
+        finally:
+            sys.setswitchinterval(interval)
+        assert results == expected
+        assert set(store._neighbor_memo) == {(q, 5) for q in queries}
+
+    def test_errors_are_not_memoized(self):
+        store = tricky_store(4)
+        for _ in range(2):
+            with pytest.raises(DataError):
+                top_k_neighbors("zero1", 3, store)
+            with pytest.raises(DataError):
+                top_k_neighbors("missing", 3, store)
+        assert store._neighbor_memo == {}
 
 
 class TestSentenceEmbedding:
