@@ -37,7 +37,7 @@ def stable_seed(seed: int, *parts: str) -> int:
 
 def per_sample_rng(seed: int, sample_id: str) -> random.Random:
     """RNG seeded independently per sample so results do not depend on
-    iteration order or worker count."""
+    iteration order."""
     return random.Random(stable_seed(seed, sample_id))
 
 

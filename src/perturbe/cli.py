@@ -162,7 +162,6 @@ def _cmd_perturb(args) -> int:
         store,
         tagger=_load_tagger(args),
         stoplist=stoplist,
-        workers=args.workers,
     )
     out = Path(args.out)
     perturb_mod.write_records(result.records, out)
@@ -242,7 +241,6 @@ def _cmd_matrix(args) -> int:
             raise ConfigError(f"matrix config missing {key!r}")
     seed = int(config["seed"])
     out_dir = Path(args.out_dir or config["out_dir"])
-    workers = args.workers
 
     corpus = corpus_mod.load_corpus(config["corpus"], format=config.get("format", "jsonl"))
     ratios_raw = config.get("split.ratios", "0.8,0.1,0.1")
@@ -312,8 +310,7 @@ def _cmd_matrix(args) -> int:
         gathered: list[perturb_mod.PerturbationRecord] = []
         for kind in kind_list:
             result = perturb_mod.perturb_corpus(
-                part, kind, cfg, vocabulary, store, tagger=tagger, stoplist=stoplist,
-                workers=workers,
+                part, kind, cfg, vocabulary, store, tagger=tagger, stoplist=stoplist
             )
             scored = semgate_mod.score_records(result.records, encoder)
             passed, _ = semgate_mod.gate(scored, gate_cfg)
@@ -492,7 +489,6 @@ def build_parser() -> _Parser:
     p.add_argument("--stopwords")
     p.add_argument("--tag-lexicon", dest="tag_lexicon")
     p.add_argument("--tags", help="external tag override file (JSONL id/tags)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--manifest")
     p.set_defaults(func=_cmd_perturb)
 
@@ -521,7 +517,9 @@ def build_parser() -> _Parser:
     p = sub.add_parser("matrix", help="materialize the full experiment matrix")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="ignored; accepted so older command lines still run"
+    )
     p.add_argument("--manifest")
     p.set_defaults(func=_cmd_matrix)
 

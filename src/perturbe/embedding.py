@@ -1,6 +1,24 @@
 """Word-vector store: file loading, cosine similarity, exact top-k neighbor
 search, and the sentence encoders used by the semantic gate.
 
+Loading parses every component in one call to numpy's C text reader
+(``np.loadtxt``, numpy >= 1.23). Lines stream through it one at a time: the
+loader keeps each word and its line number, never the text, so the file is
+not held in memory beside the matrix. ``#`` is an ordinary word, not a
+comment. Whenever the bulk parse cannot take the file (a float it rejects, a
+component count that changes or disagrees with the header, a word without
+components, no data at all), the file is parsed again line by line with
+``float()``. That exact path defines the format: it raises ``DataError`` with
+the ``path:lineno`` of the first bad line and accepts everything ``float()``
+accepts, such as ``1_0``. Where both parsers accept a file they give
+bit-identical values.
+
+A store holds one float64 matrix, one row per distinct word in order of first
+appearance (a repeated word keeps its first position and its last values).
+The loader adopts the parsed matrix without copying it; building a store from
+a dict stacks the vectors once. The matrix is read-only and per-word vectors
+are row views of it.
+
 Neighbor search is exact and deterministic. One matrix-vector product in
 64-bit floats gives every cosine as ``(M @ q) / (norms * |q|)``; rows are not
 pre-normalized, because dividing first moves similarities by about 1e-16 and
@@ -15,6 +33,7 @@ in intents.
 
 from __future__ import annotations
 
+import itertools
 import logging
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +54,7 @@ class Neighbor:
 
 
 class VectorStore:
-    """Immutable word -> vector map with a cached matrix for neighbor search."""
+    """Immutable word -> vector map over one float64 matrix, one row per word."""
 
     def __init__(self, vectors: dict[str, np.ndarray]):
         if not vectors:
@@ -45,12 +64,23 @@ class VectorStore:
             raise DataError(f"inconsistent vector dimensions: {sorted(dims)}")
         if any(not w for w in vectors):
             raise DataError("vector store contains an empty word")
-        self.dimension = dims.pop()
-        self._vectors = {w: np.asarray(v, dtype=np.float64) for w, v in vectors.items()}
-        self._words = list(self._vectors)
-        self._rows = {w: i for i, w in enumerate(self._words)}
-        self._matrix = np.vstack([self._vectors[w] for w in self._words])
-        norms = np.linalg.norm(self._matrix, axis=1)
+        matrix = np.vstack([np.asarray(v, dtype=np.float64) for v in vectors.values()])
+        self._adopt(list(vectors), matrix)
+
+    @classmethod
+    def _from_matrix(cls, words: list[str], matrix: np.ndarray) -> VectorStore:
+        """Take ownership of a (len(words), D) float64 matrix without copying."""
+        store = cls.__new__(cls)
+        store._adopt(words, matrix)
+        return store
+
+    def _adopt(self, words: list[str], matrix: np.ndarray) -> None:
+        matrix.flags.writeable = False  # rows handed out are views of it
+        self.dimension = matrix.shape[1]
+        self._words = words
+        self._rows = {w: i for i, w in enumerate(words)}
+        self._matrix = matrix
+        norms = np.linalg.norm(matrix, axis=1)
         norms[norms == 0.0] = np.nan  # zero vectors never win a similarity scan
         self._norms = norms
         # (resolved word, k) -> neighbors. Racing threads only recompute the
@@ -58,7 +88,7 @@ class VectorStore:
         self._neighbor_memo: dict[tuple[str, int], tuple[Neighbor, ...]] = {}
 
     def __len__(self) -> int:
-        return len(self._vectors)
+        return len(self._words)
 
     def __contains__(self, word: str) -> bool:
         return self.resolve(word) is not None
@@ -69,16 +99,17 @@ class VectorStore:
     def resolve(self, word: str) -> str | None:
         """Exact lookup first, then lowercase fallback: intents capitalize
         sentence-initial words while vector files are usually lowercase."""
-        if word in self._vectors:
+        if word in self._rows:
             return word
         lowered = word.lower()
-        if lowered in self._vectors:
+        if lowered in self._rows:
             return lowered
         return None
 
     def get(self, word: str) -> np.ndarray | None:
+        """The word's vector as a read-only row of the store's matrix."""
         key = self.resolve(word)
-        return None if key is None else self._vectors[key]
+        return None if key is None else self._matrix[self._rows[key]]
 
     def vector(self, word: str) -> np.ndarray:
         vec = self.get(word)
@@ -90,25 +121,96 @@ class VectorStore:
         return top_k_neighbors(word, k, self)
 
 
+class _NeedsExactParse(Exception):
+    """A line the bulk parser cannot take; the exact per-line parse decides."""
+
+
+class _DataRows:
+    """Iterates the component text of a vector file's data lines (the part
+    after the word), recording each line's word and number. The text itself
+    is not kept."""
+
+    def __init__(self, fh):
+        self._fh = fh
+        self.header: int | None = None
+        self.words: list[str] = []
+        self.linenos: list[int] = []
+
+    def __iter__(self):
+        for lineno, line in enumerate(self._fh, start=1):
+            if lineno == 1:
+                self.header = _header_dimension(line)
+                if self.header is not None:
+                    continue
+            parts = line.split(None, 1)
+            if not parts:
+                continue
+            if len(parts) == 1:
+                raise _NeedsExactParse  # a word with no components
+            self.words.append(parts[0])
+            self.linenos.append(lineno)
+            yield parts[1]
+
+
 def load_vectors(path: str | Path) -> VectorStore:
     """Parse a whitespace-delimited vector file: token then D floats per line,
     with an optional 'N D' header. Duplicate tokens: last one wins."""
     path = Path(path)
+    with open(path, "r", encoding="utf-8") as fh:
+        rows = _DataRows(fh)
+        data = iter(rows)
+        try:
+            # A file without data lines goes to the exact parse, which names
+            # the error, instead of making loadtxt warn about empty input.
+            first = next(data)
+            matrix = np.loadtxt(
+                itertools.chain([first], data), dtype=np.float64, comments=None, ndmin=2
+            )
+        except (StopIteration, ValueError, _NeedsExactParse):
+            matrix = None
+    if (
+        matrix is None
+        or matrix.shape[0] != len(rows.words)  # loadtxt dropped a line as blank
+        or (rows.header is not None and matrix.shape[1] != rows.header)
+    ):
+        return _load_vectors_exact(path)
+    slots: dict[str, int] = {}
+    for row, word in enumerate(rows.words):
+        if word in slots:
+            logger.warning("%s:%d: duplicate token %r, keeping last", path, rows.linenos[row], word)
+        slots[word] = row  # keeps the first position, points at the last row
+    if len(slots) < len(rows.words):
+        matrix = matrix[list(slots.values())]
+    return VectorStore._from_matrix(list(slots), matrix)
+
+
+def _header_dimension(line: str) -> int | None:
+    """D when the line is an 'N D' header of two integers, else None."""
+    fields = line.split()
+    if len(fields) == 2:
+        try:
+            int(fields[0])
+            return int(fields[1])
+        except ValueError:
+            pass
+    return None
+
+
+def _load_vectors_exact(path: Path) -> VectorStore:
+    """Line-by-line parse with float(): the reference the bulk path matches.
+    Used when the bulk parse fails, so malformed files get the same
+    path:lineno errors and what float() accepts (e.g. '1_0') still loads."""
     vectors: dict[str, np.ndarray] = {}
     dimension: int | None = None
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
+            if lineno == 1:
+                dimension = _header_dimension(line)
+                if dimension is not None:
+                    continue
             fields = line.split()
             if not fields:
                 continue
-            if lineno == 1 and len(fields) == 2:
-                try:
-                    int(fields[0]), int(fields[1])
-                except ValueError:
-                    pass
-                else:
-                    dimension = int(fields[1])
-                    continue
             word, values = fields[0], fields[1:]
             try:
                 vec = np.array([float(v) for v in values], dtype=np.float64)
@@ -159,7 +261,7 @@ def top_k_neighbors(word: str, k: int, store: VectorStore) -> list[Neighbor]:
 
 
 def _rank_neighbors(word: str, key: str, k: int, store: VectorStore) -> tuple[Neighbor, ...]:
-    query = store._vectors[key]
+    query = store._matrix[store._rows[key]]
     query_norm = float(np.linalg.norm(query))
     if query_norm == 0.0:
         raise DataError(f"query word has a zero vector: {word!r}")

@@ -11,7 +11,7 @@ Two families are implemented:
 
 Protected vocabulary words are never substitution candidates; punctuation
 is never touched. Corpus-level runs seed an RNG per sample so output does
-not depend on iteration order or worker count.
+not depend on iteration order.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import enum
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
@@ -293,12 +292,11 @@ def perturb_corpus(
     store: VectorStore | None,
     tagger: LexiconTagger | None = None,
     stoplist: set[str] | None = None,
-    workers: int = 1,
 ) -> CorpusPerturbation:
     """Perturb every sample of a corpus with one kind.
 
-    The per-sample RNG is derived from (cfg.seed, sample id), so records are
-    identical for any worker count or corpus ordering. The vector store is
+    The per-sample RNG is derived from (cfg.seed, sample id), so each
+    sample's record does not depend on corpus ordering. The vector store is
     only required for substitution kinds.
     """
     if kind.is_substitution and store is None:
@@ -328,14 +326,8 @@ def perturb_corpus(
         except NoEligibleWords as exc:
             return SkipEntry(sample_id=sample.id, kind=kind, reason=str(exc))
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(one, corpus.samples))
-    else:
-        outcomes = [one(s) for s in corpus.samples]
-
     result = CorpusPerturbation()
-    for outcome in outcomes:
+    for outcome in map(one, corpus.samples):
         if isinstance(outcome, PerturbationRecord):
             result.records.append(outcome)
         else:

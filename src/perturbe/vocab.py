@@ -122,18 +122,20 @@ def build_vocabulary(
         raise DataError("both frequency tables must be non-empty")
     if registers is None:
         registers = load_registers()
-    cg_folded = codegen.lowercased()
+    variants: dict[str, list[str]] = {}
+    for word in codegen.counts:
+        variants.setdefault(word.lower(), []).append(word)
     cmp_folded = comparison.lowercased()
-    cg_unique = len(cg_folded)
+    cg_unique = len(variants)
     cmp_unique = len(cmp_folded)
     structure: set[str] = set()
     names: set[str] = set()
-    for lowered, count in cg_folded.items():
-        ratio_cg = count / cg_unique
+    for lowered, observed in variants.items():
+        ratio_cg = sum(codegen.counts[w] for w in observed) / cg_unique
         ratio_cmp = cmp_folded.get(lowered, 0) / cmp_unique
         if ratio_cmp != 0.0 and ratio_cg < threshold * ratio_cmp:
             continue
-        for variant in (w for w in codegen.counts if w.lower() == lowered):
+        for variant in observed:
             if is_name_like(variant, registers):
                 names.add(variant)
             else:

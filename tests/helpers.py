@@ -10,13 +10,16 @@ Two vector stores are constructed with controlled geometry:
   word's direction with a target cosine, traps get large norms so that
   unconstrained substitution visibly damages sentence embeddings.
 
-reference_top_k_neighbors() is the plain full-sort neighbor search that the
-partial-selection path in perturbe.embedding must reproduce exactly.
+The reference_* functions are the plain implementations that the fast paths
+must reproduce exactly: reference_top_k_neighbors() the full-sort neighbor
+search, reference_load_vectors() the per-component float() loader, and
+reference_build_vocabulary() the variant-rescanning vocabulary builder.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +27,13 @@ import numpy as np
 from perturbe.corpus import Corpus, Sample
 from perturbe.embedding import Neighbor, VectorStore
 from perturbe.errors import DataError
-from perturbe.vocab import Vocabulary
+from perturbe.vocab import (
+    DEFAULT_RATIO_THRESHOLD,
+    FrequencyTable,
+    Vocabulary,
+    is_name_like,
+    load_registers,
+)
 
 DATA_DIR = Path(__file__).parent / "data"
 
@@ -163,7 +172,7 @@ def reference_top_k_neighbors(word: str, k: int, store: VectorStore) -> list[Nei
     key = store.resolve(word)
     if key is None:
         raise DataError(f"query word not in vector store: {word!r}")
-    query = store._vectors[key]
+    query = store._matrix[store._rows[key]]
     query_norm = float(np.linalg.norm(query))
     if query_norm == 0.0:
         raise DataError(f"query word has a zero vector: {word!r}")
@@ -177,3 +186,76 @@ def reference_top_k_neighbors(word: str, k: int, store: VectorStore) -> list[Nei
         key=lambda nb: (-nb.similarity, nb.word),
     )
     return ranked[:k]
+
+
+def reference_load_vectors(path: str | Path) -> VectorStore:
+    """One float() per component, one array per row, then a stacked store.
+    Logs through perturbe.embedding's logger, as the loader does."""
+    logger = logging.getLogger("perturbe.embedding")
+    path = Path(path)
+    vectors: dict[str, np.ndarray] = {}
+    dimension: int | None = None
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields:
+                continue
+            if lineno == 1 and len(fields) == 2:
+                try:
+                    int(fields[0]), int(fields[1])
+                except ValueError:
+                    pass
+                else:
+                    dimension = int(fields[1])
+                    continue
+            word, values = fields[0], fields[1:]
+            try:
+                vec = np.array([float(v) for v in values], dtype=np.float64)
+            except ValueError as exc:
+                raise DataError(f"{path}:{lineno}: unparseable float") from exc
+            if dimension is None:
+                if len(vec) == 0:
+                    raise DataError(f"{path}:{lineno}: no vector components")
+                dimension = len(vec)
+            elif len(vec) != dimension:
+                raise DataError(
+                    f"{path}:{lineno}: expected {dimension} components, got {len(vec)}"
+                )
+            if word in vectors:
+                logger.warning("%s:%d: duplicate token %r, keeping last", path, lineno, word)
+            vectors[word] = vec
+    if not vectors:
+        raise DataError(f"{path}: no vectors loaded")
+    return VectorStore(vectors)
+
+
+def reference_build_vocabulary(
+    codegen: FrequencyTable,
+    comparison: FrequencyTable,
+    threshold: float = DEFAULT_RATIO_THRESHOLD,
+    registers: set[str] | None = None,
+) -> Vocabulary:
+    """Ratio test on lowercase-folded counts; rescans every codegen word for
+    the case variants of each included word."""
+    if not codegen.counts or not comparison.counts:
+        raise DataError("both frequency tables must be non-empty")
+    if registers is None:
+        registers = load_registers()
+    cg_folded = codegen.lowercased()
+    cmp_folded = comparison.lowercased()
+    cg_unique = len(cg_folded)
+    cmp_unique = len(cmp_folded)
+    structure: set[str] = set()
+    names: set[str] = set()
+    for lowered, count in cg_folded.items():
+        ratio_cg = count / cg_unique
+        ratio_cmp = cmp_folded.get(lowered, 0) / cmp_unique
+        if ratio_cmp != 0.0 and ratio_cg < threshold * ratio_cmp:
+            continue
+        for variant in (w for w in codegen.counts if w.lower() == lowered):
+            if is_name_like(variant, registers):
+                names.add(variant)
+            else:
+                structure.add(variant.lower())
+    structure -= names
+    return Vocabulary(structure_words=structure, name_words=names, ratio_threshold=threshold)

@@ -287,16 +287,23 @@ class TestCriterion6OmissionRates:
 
 
 class TestCriterion7Determinism:
-    def test_matrix_digest_stable_across_workers(self, tmp_path, demo_corpus):
+    def test_matrix_digest_stable_across_input_order(self, tmp_path, demo_corpus):
         started = time.perf_counter()
-        fixture = Corpus(demo_corpus.samples[:100], name="fixture100")
-        corpus_path = tmp_path / "fixture.jsonl"
-        save_corpus(fixture, corpus_path)
-        vectors_path = tmp_path / "vectors.txt"
-        helpers.write_vector_file(helpers.demo_vectors(), vectors_path)
+        samples = list(demo_corpus.samples[:100])
+        vectors = helpers.demo_vectors()
+        rng = random.Random(7)
 
-        digests = []
-        for workers, out_name in ((1, "run_a"), (8, "run_b")):
+        outputs = []
+        for out_name in ("run_a", "run_b"):
+            if out_name == "run_b":  # same lines and rows, shuffled
+                rng.shuffle(samples)
+                words = list(vectors)
+                rng.shuffle(words)
+                vectors = {w: vectors[w] for w in words}
+            corpus_path = tmp_path / f"{out_name}.jsonl"
+            save_corpus(Corpus(samples, name="fixture100"), corpus_path)
+            vectors_path = tmp_path / f"{out_name}.vectors.txt"
+            helpers.write_vector_file(vectors, vectors_path)
             config = tmp_path / f"exp_{out_name}.cfg"
             config.write_text(
                 "\n".join(
@@ -311,14 +318,21 @@ class TestCriterion7Determinism:
                 )
                 + "\n"
             )
-            assert cli_main(["matrix", "--config", str(config), "--workers", str(workers)]) == 0
-            manifest = json.loads((tmp_path / out_name / "manifest.json").read_text())
-            digests.append(manifest["digest"])
+            assert cli_main(["matrix", "--config", str(config)]) == 0
+            out = tmp_path / out_name
+            manifest = json.loads((out / "manifest.json").read_text())
+            records = {
+                name: (out / f"records_{name}.jsonl").read_bytes() for name in ("train", "val", "test")
+            }
+            outputs.append((manifest["digest"], records, (out / "vocab.json").read_bytes()))
 
-        assert digests[0] == digests[1]
+        for suffix in (".jsonl", ".vectors.txt"):
+            assert (tmp_path / f"run_a{suffix}").read_bytes() != (tmp_path / f"run_b{suffix}").read_bytes()
+        assert all(outputs[0][1].values())
+        assert outputs[0] == outputs[1]
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"matrix determinism check took {elapsed:.2f}s"
-        announce(7, "matrix manifest digest identical across worker counts")
+        announce(7, "matrix digest and records identical for shuffled corpus and vector rows")
 
 
 class TestCriterion8SyntaxChecker:

@@ -61,6 +61,175 @@ class TestLoadVectors:
         assert any("duplicate" in r.message for r in caplog.records)
 
 
+def _load_outcome(loader, path, caplog):
+    """(store or None, DataError message or None, warning messages)."""
+    caplog.clear()
+    store = error = None
+    with caplog.at_level("WARNING", logger="perturbe.embedding"):
+        try:
+            store = loader(path)
+        except DataError as exc:
+            error = str(exc)
+    return store, error, [r.getMessage() for r in caplog.records]
+
+
+def assert_loads_like_reference(path, caplog):
+    ref_store, ref_error, ref_warnings = _load_outcome(helpers.reference_load_vectors, path, caplog)
+    store, error, warnings = _load_outcome(load_vectors, path, caplog)
+    assert error == ref_error
+    assert warnings == ref_warnings
+    if ref_store is not None:
+        assert store.words() == ref_store.words()
+        assert store.dimension == ref_store.dimension
+        assert store._matrix.dtype == np.float64
+        assert store._matrix.tobytes() == ref_store._matrix.tobytes()
+    return store, error, warnings
+
+
+def _format_component(rng, x):
+    style = rng.randrange(5)
+    if style == 0:
+        return repr(float(x))
+    if style == 1:
+        return f"{x:.6f}"
+    if style == 2:
+        return f"{x:.3e}"
+    if style == 3:
+        return f"{x:g}"
+    return str(int(x * 10))
+
+
+def seeded_vector_text(seed, header):
+    """Random words, some repeated, and components in mixed float formats,
+    joined by runs of spaces and tabs, with blank and whitespace-only lines
+    in between."""
+    rng = random.Random(seed)
+    dim = rng.randint(1, 12)
+    count = rng.randint(1, 40)
+    words = [
+        "#" if rng.random() < 0.1 else f"w{rng.randrange(count + 5)}" for _ in range(count)
+    ]
+    lines = [f"{count} {dim}"] if header else []
+    for word in words:
+        seps = [rng.choice([" ", "  ", "\t", " \t "]) for _ in range(dim)]
+        comps = [_format_component(rng, rng.gauss(0, 3)) for _ in range(dim)]
+        body = "".join(sep + comp for sep, comp in zip(seps, comps))
+        lines.append(rng.choice(["", " ", "\t"]) + word + body + rng.choice(["", " ", "\t "]))
+        if rng.random() < 0.15:
+            lines.append(rng.choice(["", "   ", "\t"]))
+    return "\n".join(lines) + rng.choice(["", "\n"])
+
+
+class TestLoadVectorsDifferential:
+    """The bulk loader gives the reference loader's store, errors and warnings."""
+
+    @pytest.mark.parametrize("header", [False, True])
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_files(self, tmp_path, caplog, seed, header):
+        path = tmp_path / "v.txt"
+        path.write_text(seeded_vector_text(seed, header), "utf-8")
+        store, error, _ = assert_loads_like_reference(path, caplog)
+        assert error is None and len(store) > 0
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            pytest.param("# 1 2\nhash#tag 3 4\n#x 5 6\n", id="hash-words"),
+            pytest.param("a 1 2\n# 3 4  # 5\n", id="hash-after-word-is-data"),
+            pytest.param("a nan -nan\nb inf -inf\nc 1e400 -1e400\n", id="nan-inf"),
+            pytest.param("a 5e-324 2.2250738585072014e-308\nb 1. -0.0\n", id="subnormal-and-signed-zero"),
+            pytest.param("a 1_0 2\nb 3 4\n", id="underscore-digits"),
+            pytest.param("a \u0663 1\nb 2 3\n", id="non-ascii-digit"),
+            pytest.param("a \xa01.5 2\n", id="nbsp-padded"),
+            pytest.param("a 1 2\nb 3 4\na 5 6\nc 7 8\nb 9 10\n", id="duplicates"),
+            pytest.param("only 0.25 -0.5 1e-3\n", id="single-line"),
+            pytest.param("only 0.25", id="single-line-no-newline"),
+            pytest.param("a 1 0\r\nb 0 1\r\n", id="crlf"),
+            pytest.param("\n\n  \na 1 2\n\n", id="leading-blank-lines"),
+            pytest.param("1 3\n", id="header-only"),
+            pytest.param("", id="empty"),
+            pytest.param("\n  \n", id="blank-only"),
+            pytest.param("2 3\na 1 2 3\nb 4 5 6\n", id="header"),
+            pytest.param("2 3.5\na 1 2\n", id="non-integer-header-is-a-word"),
+            pytest.param("3 7\n", id="two-integer-line-is-a-header"),
+            pytest.param("word\nb 1 2\n", id="word-only-first-line"),
+            pytest.param("a 1 2\nword\nb 1 2\n", id="word-only-later-line"),
+            pytest.param("2 0\nx\ny\n", id="zero-dimension-header"),
+            pytest.param("a 1 2 3\nb 1 2 3\nc 1 2\nd 1 2 3\n", id="short-row-at-line-3"),
+            pytest.param("a 1 2\nb 1 2\nc 1 2 3\n", id="long-row-at-line-3"),
+            pytest.param("2 3\na 1 2 3\nb 1 2\n", id="short-row-after-header"),
+            pytest.param("2 3\na 1 2\nb 1 2\n", id="every-row-misses-header-dimension"),
+            pytest.param("a 1 2\nb 1 x\nc 1 2\n", id="unparseable-float"),
+            pytest.param("a 1 2\nb 1,5 2\n", id="comma-decimal"),
+            pytest.param("a 1 2\na 1\n", id="duplicate-with-wrong-count"),
+        ],
+    )
+    def test_edge_cases(self, tmp_path, caplog, text):
+        path = tmp_path / "v.txt"
+        path.write_bytes(text.encode("utf-8"))
+        assert_loads_like_reference(path, caplog)
+
+    def test_errors_name_the_line(self, tmp_path, caplog):
+        path = tmp_path / "v.txt"
+        path.write_text("2 3\na 1 2 3\n\nb 1 2\n")
+        _, error, _ = assert_loads_like_reference(path, caplog)
+        assert error == f"{path}:4: expected 3 components, got 2"
+
+    def test_duplicate_keeps_first_position_and_last_value(self, tmp_path, caplog):
+        path = tmp_path / "v.txt"
+        path.write_text("a 1 2\nb 3 4\na 5 6\n")
+        store, _, warnings = assert_loads_like_reference(path, caplog)
+        assert store.words() == ["a", "b"]
+        assert list(store.vector("a")) == [5.0, 6.0]
+        assert warnings == [f"{path}:3: duplicate token 'a', keeping last"]
+
+    def test_well_formed_files_take_the_bulk_path(self, tmp_path, monkeypatch):
+        def no_exact_parse(path):
+            raise AssertionError("fell back to the exact parse")
+
+        monkeypatch.setattr("perturbe.embedding._load_vectors_exact", no_exact_parse)
+        path = tmp_path / "v.txt"
+        for seed in range(4):
+            for header in (False, True):
+                path.write_text(seeded_vector_text(seed, header), "utf-8")
+                assert len(load_vectors(path)) > 0
+        path.write_text("# 1 2\na nan inf\na 3 4\n")
+        assert load_vectors(path).words() == ["#", "a"]
+
+    def test_demo_vector_file(self, tmp_path, caplog):
+        path = tmp_path / "v.txt"
+        helpers.write_vector_file(helpers.demo_vectors(), path, header=True)
+        assert_loads_like_reference(path, caplog)
+
+
+class TestStoreMatrix:
+    def test_vectors_are_read_only_rows_of_the_matrix(self, tmp_path):
+        path = tmp_path / "v.txt"
+        path.write_text("a 1 2\nb 3 4\nc 5 6\n")
+        store = load_vectors(path)
+        for row, word in enumerate(store.words()):
+            vec = store.vector(word)
+            assert np.array_equal(vec, store._matrix[row])
+            assert np.shares_memory(vec, store._matrix)
+            with pytest.raises(ValueError):
+                vec[0] = 0.0
+        assert np.array_equal(store.vector("B"), store._matrix[1])  # lowercase fallback
+
+    def test_dict_store_copies_its_input(self):
+        source = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
+        store = VectorStore(source)
+        source["a"][0] = 9.0
+        assert list(store.vector("a")) == [1.0, 0.0]
+        with pytest.raises(ValueError):
+            store.vector("a")[1] = 9.0
+
+    def test_get_missing_word(self):
+        store = VectorStore({"a": np.array([1.0])})
+        assert store.get("zzz") is None
+        with pytest.raises(DataError):
+            store.vector("zzz")
+
+
 class TestCosine:
     def test_self_similarity(self):
         assert cosine(np.array([3.0, 4.0]), np.array([3.0, 4.0])) == 1.0

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from perturbe.corpus import Corpus, Sample
-from perturbe.embedding import cosine
+from perturbe.embedding import cosine, load_vectors
 from perturbe.errors import NoEligibleWords
 from perturbe.perturb import (
     OmissionCategory,
@@ -19,6 +19,8 @@ from perturbe.perturb import (
 )
 from perturbe.postag import LexiconTagger, PosTag
 from perturbe.preprocess import tokenize
+
+import helpers
 
 STORE_INTENT = "Store the shellcode pointer in the ESI register."
 STORE_INTENT_BARE = "Store the shellcode pointer in the ESI register"
@@ -262,19 +264,33 @@ class TestPerturbCorpus:
             r.changed_positions for r in runs[1].records
         ]
 
-    def test_worker_count_irrelevant(self, demo_corpus, demo_vocab, demo_store, tagger):
+    def test_corpus_and_vector_row_order_irrelevant(
+        self, tmp_path, demo_corpus, demo_vocab, tagger
+    ):
+        vectors = helpers.demo_vectors()
+        words = list(vectors)
+        random.Random(5).shuffle(words)
+        in_order, shuffled_rows = tmp_path / "a.txt", tmp_path / "b.txt"
+        helpers.write_vector_file(vectors, in_order)
+        helpers.write_vector_file({w: vectors[w] for w in words}, shuffled_rows)
+        samples = list(demo_corpus.samples)
+        random.Random(6).shuffle(samples)
         cfg = SubstitutionConfig(seed=9)
-        serial = perturb_corpus(
-            demo_corpus, PerturbKind.SUBST_CONSTRAINED, cfg, demo_vocab, demo_store,
-            tagger=tagger, workers=1,
+        base = perturb_corpus(
+            demo_corpus, PerturbKind.SUBST_CONSTRAINED, cfg, demo_vocab,
+            load_vectors(in_order), tagger=tagger,
         )
-        parallel = perturb_corpus(
-            demo_corpus, PerturbKind.SUBST_CONSTRAINED, cfg, demo_vocab, demo_store,
-            tagger=tagger, workers=8,
+        moved = perturb_corpus(
+            Corpus(samples, name="shuffled"), PerturbKind.SUBST_CONSTRAINED, cfg, demo_vocab,
+            load_vectors(shuffled_rows), tagger=tagger,
         )
-        assert [(r.sample_id, r.perturbed_intent) for r in serial.records] == [
-            (r.sample_id, r.perturbed_intent) for r in parallel.records
-        ]
+        assert len(base.records) > 20
+
+        def by_id(entries):
+            return sorted(entries, key=lambda e: e.sample_id)
+
+        assert by_id(base.records) == by_id(moved.records)
+        assert by_id(base.skipped) == by_id(moved.skipped)
 
     def test_corpus_order_irrelevant(self, demo_corpus, demo_vocab, demo_store, tagger):
         cfg = SubstitutionConfig(seed=13)

@@ -1,4 +1,5 @@
 import os
+import random
 
 import pytest
 
@@ -15,6 +16,8 @@ from perturbe.vocab import (
     load_vocabulary,
     save_vocabulary,
 )
+
+import helpers
 
 REAL_DATASET = os.environ.get("PERTURBE_DATASET")
 
@@ -97,6 +100,55 @@ class TestBuildVocabulary:
     def test_empty_table_rejected(self):
         with pytest.raises(DataError):
             build_vocabulary(FrequencyTable({}), FrequencyTable({"a": 1}))
+
+
+class TestBuildVocabularyDifferential:
+    """One grouping pass gives the reference's vocabulary exactly."""
+
+    def test_case_variants(self):
+        codegen = FrequencyTable(
+            {
+                "EAX": 30, "eax": 12, "Eax": 3, "Stack": 4, "stack": 20, "STACK": 1,
+                "Move": 2, "move": 9, "register": 40, "Register": 5, "esi": 7, "ESI": 8,
+                "_loop": 3, "Label1": 2, "label1": 1, "walk": 1, "Walk": 1,
+            }
+        )
+        comparison = FrequencyTable({"move": 40, "walk": 60, "stack": 1, "Tree": 3})
+        for threshold in (0.5, 5.0, 50.0, 500.0):
+            got = build_vocabulary(codegen, comparison, threshold, registers={"eax", "esi"})
+            expected = helpers.reference_build_vocabulary(
+                codegen, comparison, threshold, registers={"eax", "esi"}
+            )
+            assert got == expected, threshold
+        got = build_vocabulary(codegen, comparison, 5.0, registers={"eax", "esi"})
+        assert {"EAX", "eax", "Eax"} <= got.name_words
+        assert "stack" in got.structure_words and "STACK" in got.name_words
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_seeded_case_variant_tables(self, seed):
+        rng = random.Random(seed)
+        stems = ["stack", "eax", "push", "label", "x1", "reg", "walk", "tree", "byte", "ebp"]
+
+        def variants():
+            stem = rng.choice(stems)
+            return "".join(c.upper() if rng.random() < 0.4 else c for c in stem)
+
+        codegen = FrequencyTable({variants(): rng.randint(1, 50) for _ in range(60)})
+        comparison = FrequencyTable({variants(): rng.randint(1, 50) for _ in range(20)})
+        for threshold in (0.1, 1.0, 10.0):
+            assert build_vocabulary(
+                codegen, comparison, threshold, registers={"eax", "ebp"}
+            ) == helpers.reference_build_vocabulary(
+                codegen, comparison, threshold, registers={"eax", "ebp"}
+            )
+
+    def test_demo_corpus(self, demo_corpus, stopwords, demo_vocab):
+        from importlib import resources
+
+        codegen = count_frequencies((s.intent for s in demo_corpus), stopwords)
+        text = resources.files("perturbe.data").joinpath("comparison_corpus.txt").read_text("utf-8")
+        comparison = count_frequencies(text.splitlines(), stopwords)
+        assert demo_vocab == helpers.reference_build_vocabulary(codegen, comparison)
 
 
 class TestNamePredicate:
