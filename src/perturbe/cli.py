@@ -342,6 +342,7 @@ def _cmd_evaluate(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     result: dict = {"model": args.model, "n": len(preds.entries)}
+    outputs: list[Path] = []
 
     if args.checker or args.auto_checker:
         if args.checker:
@@ -356,7 +357,9 @@ def _cmd_evaluate(args) -> int:
         syn_report = metrics_mod.syntactic_accuracy(preds, checker)
         result["syn"] = syn_report.accuracy
         result["syn_cohorts"] = metrics_mod.cohort_breakdown(syn_report.verdicts, references)
-        with open(out_dir / "syn_verdicts.jsonl", "w", encoding="utf-8") as fh:
+        verdicts_path = out_dir / "syn_verdicts.jsonl"
+        outputs.append(verdicts_path)
+        with open(verdicts_path, "w", encoding="utf-8") as fh:
             for sid in sorted(syn_report.verdicts):
                 fh.write(
                     json.dumps(
@@ -373,7 +376,9 @@ def _cmd_evaluate(args) -> int:
         labels = metrics_mod.load_labels(args.labels)
     else:
         labels = metrics_mod.exact_match_labels(preds, references)
-        metrics_mod.save_labels(labels, out_dir / "exact_match_labels.jsonl")
+        labels_path = out_dir / "exact_match_labels.jsonl"
+        outputs.append(labels_path)
+        metrics_mod.save_labels(labels, labels_path)
     result["sem"] = metrics_mod.semantic_accuracy(labels)
     result["sem_provenance"] = labels.provenance
     result["sem_cohorts"] = metrics_mod.cohort_breakdown(labels.entries, references)
@@ -386,7 +391,7 @@ def _cmd_evaluate(args) -> int:
     metrics_path = out_dir / "metrics.json"
     metrics_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", "utf-8")
     manifest = Path(args.manifest) if args.manifest else out_dir / "run_manifest.json"
-    _write_run_manifest(manifest, "evaluate", None, vars(args), [metrics_path])
+    _write_run_manifest(manifest, "evaluate", None, vars(args), [metrics_path, *outputs])
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 

@@ -46,6 +46,8 @@ from perturbe.preprocess import tokenize
 
 logger = logging.getLogger(__name__)
 
+_NORM_BLOCK_ROWS = 4096
+
 
 @dataclass(frozen=True)
 class Neighbor:
@@ -80,7 +82,12 @@ class VectorStore:
         self._words = words
         self._rows = {w: i for i, w in enumerate(words)}
         self._matrix = matrix
-        norms = np.linalg.norm(matrix, axis=1)
+        # Blocks of rows bound the squared temporary; each row is reduced on
+        # its own, so the norms equal one full-matrix call bit for bit.
+        norms = np.empty(len(words), dtype=np.float64)
+        for start in range(0, len(words), _NORM_BLOCK_ROWS):
+            stop = start + _NORM_BLOCK_ROWS
+            norms[start:stop] = np.linalg.norm(matrix[start:stop], axis=1)
         norms[norms == 0.0] = np.nan  # zero vectors never win a similarity scan
         self._norms = norms
         # (resolved word, k) -> neighbors. Racing threads only recompute the
@@ -283,7 +290,10 @@ def _rank_neighbors(word: str, key: str, k: int, store: VectorStore) -> tuple[Ne
 
 def sentence_embedding(tokens: list[str], store: VectorStore) -> np.ndarray:
     """L2-normalized mean of the in-vocabulary token vectors (bag of words)."""
-    found = [store.get(t) for t in tokens]
+    return _normalized_mean([store.get(t) for t in tokens], tokens)
+
+
+def _normalized_mean(found: list[np.ndarray | None], tokens: list[str]) -> np.ndarray:
     vecs = [v for v in found if v is not None]
     if not vecs:
         raise EncodingFailure(f"no token has a vector: {tokens!r}")
@@ -308,8 +318,9 @@ class MeanVectorEncoder:
 
     def encode(self, text: str, key: str | None = None) -> np.ndarray:
         tokens = tokenize(text).tokens
-        self.oov_skipped += sum(1 for t in tokens if t not in self.store)
-        return sentence_embedding(tokens, self.store)
+        found = [self.store.get(t) for t in tokens]
+        self.oov_skipped += sum(1 for v in found if v is None)
+        return _normalized_mean(found, tokens)
 
 
 class PrecomputedEncoder:

@@ -5,11 +5,29 @@ divergence between corpora, and descriptive statistics.
 Semantic correctness is a human judgment consumed as a label file; the
 exact-match proxy here is a clearly-labeled automatic lower bound, never a
 silent substitute.
+
+Syntactic accuracy runs the checker once per snippet, each wrapped in its
+scaffold, in a temporary file. A diagnostic is the checker's last stderr
+line with that file's path replaced by ``snippet<suffix>`` (``snippet.s``
+for GNU as), so verdict files are byte-identical across runs. When the
+checker is GNU ``as`` (argv0's basename is ``as``) with ``GAS_SCAFFOLD``,
+passing snippets are first proven in bulk: every snippet made only of
+letters, digits, ``_ , + - * [ ] ( )``, blanks and newlines goes into one
+file under a single scaffold header. These characters cannot spell a label,
+a symbol assignment, a directive, a comment, a string or a statement
+separator, so no snippet in the file can change how another assembles, and
+an exit status of 0 proves every one of them passes. On failure the snippets
+that the ``snippet.s:<line>: Error:`` lines point at are dropped and the
+rest are assembled once more. A second failure, a timeout or a stderr line
+that names no snippet proves nothing. Every snippet not proven this way gets
+the standalone check, so each failing verdict and each diagnostic comes from
+a standalone run. NASM is never batched.
 """
 
 from __future__ import annotations
 
 import csv
+import os
 import re
 import shlex
 import shutil
@@ -37,6 +55,9 @@ GAS_SCAFFOLD = ".intel_syntax noprefix\n.text\n.globl _start\n_start:\n{code}\n"
 
 _MARKER_RE = re.compile(r"\s*" + re.escape(NEWLINE_MARKER) + r"\s*")
 
+# Snippets made only of these characters may share one GNU as source file.
+_BATCHABLE_RE = re.compile(r"[A-Za-z0-9_,+\-*\[\]() \t\n]*")
+
 
 @dataclass
 class PredictionSet:
@@ -44,7 +65,6 @@ class PredictionSet:
 
     entries: dict[str, str]
     model_name: str = ""
-    cell: str = ""
 
 
 @dataclass
@@ -110,17 +130,107 @@ def detect_checker(timeout: float = DEFAULT_CHECK_TIMEOUT, workers: int = 4) -> 
     return None
 
 
+def _snippet_code(snippet: str) -> str:
+    """Expand the two-character line separator into real lines."""
+    return _MARKER_RE.sub("\n", snippet).strip()
+
+
 def snippet_to_source(snippet: str, scaffold: str) -> str:
     """Expand the two-character line separator and wrap in the scaffold."""
-    code = _MARKER_RE.sub("\n", snippet).strip()
-    return scaffold.format(code=code)
+    return scaffold.format(code=_snippet_code(snippet))
+
+
+def _assemble(source: str, checker: CheckerConfig) -> tuple[int | None, str]:
+    """Run the checker on one source file. Returns the exit status (None on
+    timeout) and stderr with the file's path replaced by ``snippet<suffix>``."""
+    with tempfile.NamedTemporaryFile(
+        "w", suffix=checker.file_suffix, delete=False, encoding="utf-8"
+    ) as handle:
+        handle.write(source)
+        path = handle.name
+    try:
+        proc = subprocess.run(
+            shlex.split(checker.template.format(file=path)),
+            capture_output=True,
+            timeout=checker.timeout,
+            text=True,
+        )
+        return proc.returncode, proc.stderr.replace(path, "snippet" + checker.file_suffix)
+    except subprocess.TimeoutExpired:
+        return None, ""
+    finally:
+        Path(path).unlink(missing_ok=True)
+
+
+def _check_standalone(prediction: str, checker: CheckerConfig) -> tuple[bool, str]:
+    """The reference check: one checker run on the scaffolded snippet."""
+    if not prediction.strip():
+        return False, "empty prediction"
+    code, stderr = _assemble(snippet_to_source(prediction, checker.scaffold), checker)
+    if code is None:
+        return False, f"checker timed out after {checker.timeout}s"
+    if code == 0:
+        return True, ""
+    return False, stderr.strip().splitlines()[-1] if stderr.strip() else "nonzero exit"
+
+
+def _batch_failures(
+    batch: list[tuple[str, str]], checker: CheckerConfig
+) -> set[str] | None:
+    """Assemble every (id, code) pair in one file under the scaffold header.
+    Returns the ids that the error lines point at (empty when the file
+    assembles), or None when the run proves nothing: a timeout, or a failure
+    with a stderr line that names no snippet."""
+    header, _, footer = checker.scaffold.partition("{code}")
+    owner: list[str] = []  # owner[i]: the id whose code is on line i + first_line
+    for sample_id, code in batch:
+        owner.extend([sample_id] * (code.count("\n") + 1))
+    first_line = header.count("\n") + 1
+    status, stderr = _assemble(header + "\n".join(code for _, code in batch) + footer, checker)
+    if status == 0:
+        return set()
+    if status is None:
+        return None
+    name = re.escape("snippet" + checker.file_suffix)
+    message = re.compile(rf"{name}: Assembler messages:|{name}:(\d+): (Error|Warning): .*")
+    failed: set[str] = set()
+    for line in stderr.splitlines():
+        match = message.fullmatch(line)
+        if match is None:
+            return None
+        if match.group(2) == "Error":
+            index = int(match.group(1)) - first_line
+            if not 0 <= index < len(owner):
+                return None
+            failed.add(owner[index])
+    return failed or None
+
+
+def _prove_in_batch(preds: PredictionSet, checker: CheckerConfig) -> set[str]:
+    """Ids of the snippets that a batched GNU as run proves to pass."""
+    batch = []
+    for sample_id, prediction in sorted(preds.entries.items()):
+        code = _snippet_code(prediction)
+        if prediction.strip() and _BATCHABLE_RE.fullmatch(code):
+            batch.append((sample_id, code))
+    for _ in range(2):
+        if len(batch) < 2:
+            return set()
+        failed = _batch_failures(batch, checker)
+        if failed is None:
+            return set()
+        if not failed:
+            return {sample_id for sample_id, _ in batch}
+        batch = [item for item in batch if item[0] not in failed]
+    return set()
 
 
 def syntactic_accuracy(preds: PredictionSet, checker: CheckerConfig) -> SyntaxReport:
     """Fraction of predictions the external checker accepts (exit 0).
 
     Empty predictions count as incorrect without invoking the checker;
-    timeouts count as incorrect with a diagnostic.
+    timeouts count as incorrect with a diagnostic. Snippets a batched GNU as
+    run proves (see the module docstring) skip their standalone run.
     """
     argv0 = shlex.split(checker.template)[0]
     if shutil.which(argv0) is None:
@@ -128,40 +238,23 @@ def syntactic_accuracy(preds: PredictionSet, checker: CheckerConfig) -> SyntaxRe
     if not preds.entries:
         raise DataError("empty prediction set")
 
-    def check(item: tuple[str, str]) -> tuple[str, bool, str]:
-        sample_id, prediction = item
-        if not prediction.strip():
-            return sample_id, False, "empty prediction"
-        source = snippet_to_source(prediction, checker.scaffold)
-        with tempfile.NamedTemporaryFile(
-            "w", suffix=checker.file_suffix, delete=False, encoding="utf-8"
-        ) as handle:
-            handle.write(source)
-            path = handle.name
-        try:
-            proc = subprocess.run(
-                shlex.split(checker.template.format(file=path)),
-                capture_output=True,
-                timeout=checker.timeout,
-                text=True,
-            )
-            if proc.returncode == 0:
-                return sample_id, True, ""
-            return sample_id, False, proc.stderr.strip().splitlines()[-1] if proc.stderr else "nonzero exit"
-        except subprocess.TimeoutExpired:
-            return sample_id, False, f"checker timed out after {checker.timeout}s"
-        finally:
-            Path(path).unlink(missing_ok=True)
+    proven = set()
+    if os.path.basename(argv0) == "as" and checker.scaffold == GAS_SCAFFOLD:
+        proven = _prove_in_batch(preds, checker)
+    items = [item for item in sorted(preds.entries.items()) if item[0] not in proven]
 
-    items = sorted(preds.entries.items())
+    def check(item: tuple[str, str]) -> tuple[str, bool, str]:
+        return (item[0], *_check_standalone(item[1], checker))
+
     if checker.workers > 1:
         with ThreadPoolExecutor(max_workers=checker.workers) as pool:
             results = list(pool.map(check, items))
     else:
         results = [check(item) for item in items]
+    results.extend((sample_id, True, "") for sample_id in proven)
 
     report = SyntaxReport(accuracy=0.0)
-    for sample_id, ok, diagnostic in results:
+    for sample_id, ok, diagnostic in sorted(results):
         report.verdicts[sample_id] = ok
         if diagnostic:
             report.diagnostics[sample_id] = diagnostic
@@ -332,13 +425,13 @@ def cohort_breakdown(
     return out
 
 
-def load_predictions(path: str | Path, model_name: str = "", cell: str = "") -> PredictionSet:
+def load_predictions(path: str | Path, model_name: str = "") -> PredictionSet:
     entries: dict[str, str] = {}
     for lineno, record in read_jsonl(path):
         if "id" not in record or "prediction" not in record:
             raise DataError(f"{path}:{lineno}: expected id and prediction fields")
         entries[str(record["id"])] = str(record["prediction"])
-    return PredictionSet(entries=entries, model_name=model_name, cell=cell)
+    return PredictionSet(entries=entries, model_name=model_name)
 
 
 def load_labels(path: str | Path) -> SemLabelSet:

@@ -279,6 +279,31 @@ class TestEvaluate:
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert metrics["syn"] == 1.0
 
+    def test_evaluate_outputs_are_byte_identical_across_runs(self, workdir, tmp_path):
+        # The checker's message names its temporary input file.
+        script = tmp_path / "pathcheck"
+        script.write_text("#!/bin/sh\necho \"$1:5: Error: no such instruction\" >&2\nexit 1\n")
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        preds_path = tmp_path / "preds.jsonl"
+        preds_path.write_text(
+            "".join(json.dumps({"id": f"d{i:04d}", "prediction": "nop"}) + "\n" for i in range(3))
+        )
+        manifests = []
+        for name in ("a", "b"):
+            assert run(
+                "evaluate", "--preds", preds_path, "--refs", workdir / "corpus.jsonl",
+                "--checker", f"{script} {{file}}", "--out-dir", tmp_path / name,
+            ) == 0
+            manifests.append(json.loads((tmp_path / name / "run_manifest.json").read_text()))
+        verdicts = (tmp_path / "a" / "syn_verdicts.jsonl").read_bytes()
+        assert verdicts == (tmp_path / "b" / "syn_verdicts.jsonl").read_bytes()
+        assert json.loads(verdicts.splitlines()[0])["diagnostic"] == (
+            "snippet.s:5: Error: no such instruction"
+        )
+        outputs = manifests[0]["outputs"]
+        assert set(outputs) == {"metrics.json", "syn_verdicts.jsonl", "exact_match_labels.jsonl"}
+        assert outputs == manifests[1]["outputs"]
+
 
 class TestStats:
     def test_stats_output(self, workdir, tmp_path, capsys):

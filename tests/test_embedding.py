@@ -16,6 +16,7 @@ from perturbe.embedding import (
     top_k_neighbors,
 )
 from perturbe.errors import DataError, EncodingFailure
+from perturbe.preprocess import tokenize
 
 import helpers
 
@@ -222,6 +223,16 @@ class TestStoreMatrix:
         assert list(store.vector("a")) == [1.0, 0.0]
         with pytest.raises(ValueError):
             store.vector("a")[1] = 9.0
+
+    def test_row_norms_match_one_full_call(self):
+        rng = np.random.default_rng(5)
+        rows = 3 * 4096 + 123  # several norm blocks and a partial one
+        matrix = rng.standard_normal((rows, 37)) * rng.choice([1e-3, 1.0, 1e3], size=(rows, 1))
+        matrix[[0, 4095, 4096, 8191, rows - 1]] = 0.0
+        expected = np.linalg.norm(matrix, axis=1)
+        expected[expected == 0.0] = np.nan
+        store = VectorStore._from_matrix([f"w{i}" for i in range(rows)], matrix)
+        assert store._norms.tobytes() == expected.tobytes()
 
     def test_get_missing_word(self):
         store = VectorStore({"a": np.array([1.0])})
@@ -454,6 +465,27 @@ class TestEncoders:
         encoder = MeanVectorEncoder(demo_store)
         encoder.encode("Store the unknownword in EAX")
         assert encoder.oov_skipped >= 2  # "the" and "unknownword" and "in"
+
+    def test_mean_encoder_matches_sentence_embedding(self):
+        rng = random.Random(17)
+        vectors = np.random.default_rng(17).standard_normal((60, 16))
+        store = VectorStore({f"w{i}": vectors[i] for i in range(60)})
+        encoder = MeanVectorEncoder(store)
+        oov = 0
+        for _ in range(200):
+            words = [rng.choice([f"w{rng.randrange(60)}", f"W{rng.randrange(60)}", "zzz"])
+                     for _ in range(rng.randint(1, 12))]
+            text = " ".join(words)
+            tokens = tokenize(text).tokens
+            oov += sum(1 for t in tokens if t not in store)
+            try:
+                expected = sentence_embedding(tokens, store).tobytes()
+            except EncodingFailure:
+                with pytest.raises(EncodingFailure):
+                    encoder.encode(text)
+            else:
+                assert encoder.encode(text).tobytes() == expected
+        assert encoder.oov_skipped == oov > 0
 
     def test_precomputed_encoder(self, tmp_path):
         path = tmp_path / "emb.jsonl"

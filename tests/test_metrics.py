@@ -1,14 +1,19 @@
 import math
 import os
 import random
+import shutil
 import stat
+import subprocess
 
 import numpy as np
 import pytest
 
 from perturbe.corpus import Corpus, Sample
 from perturbe.errors import CheckerError, ConfigError, DataError
+from perturbe import metrics
 from perturbe.metrics import (
+    GAS_SCAFFOLD,
+    NASM_SCAFFOLD,
     CheckerConfig,
     CellMetrics,
     PredictionSet,
@@ -29,6 +34,7 @@ from perturbe.metrics import (
 from perturbe.perturb import OmissionCategory
 
 HAVE_ASSEMBLER = detect_checker() is not None
+GNU_AS = shutil.which("as")
 
 
 def brute_force_rob(before, after):
@@ -261,6 +267,195 @@ class TestSyntaxChecker:
         got = syntactic_accuracy(preds, checker)
         assert got.verdicts == {"a": True, "b": False}
         assert got.accuracy == 0.5
+
+
+def gas_checker(argv0, workers=1, timeout=10.0):
+    return CheckerConfig(
+        template=f"{argv0} --32 {{file}} -o /dev/null",
+        scaffold=GAS_SCAFFOLD,
+        timeout=timeout,
+        workers=workers,
+    )
+
+
+@pytest.fixture
+def checker_runs(monkeypatch):
+    """Records the argv of every checker process syntactic_accuracy starts."""
+    calls = []
+    real_run = subprocess.run
+
+    def run(argv, **kwargs):
+        calls.append(argv)
+        return real_run(argv, **kwargs)
+
+    monkeypatch.setattr(metrics.subprocess, "run", run)
+    return calls
+
+
+def _mutant(snippet):
+    """The first mnemonic gets a suffix no assembler knows."""
+    mnemonic, sep, rest = snippet.partition(" ")
+    return f"{mnemonic}zz{sep}{rest}"
+
+
+def seeded_mix(seed, corpus):
+    """Valid snippets, zz mutants (some on a later line of a multi-line
+    snippet), empty predictions and multi-line snippets in random order."""
+    rng = random.Random(seed)
+    single = [s.snippet for s in corpus if not s.multi_line]
+    multi = [s.snippet for s in corpus if s.multi_line]
+    entries = {}
+    for i in range(40):
+        roll = rng.random()
+        if roll < 0.35:
+            text = rng.choice(single)
+        elif roll < 0.6:
+            text = rng.choice(multi)
+        elif roll < 0.75:
+            text = _mutant(rng.choice(single))
+        elif roll < 0.85:
+            lines = rng.choice(multi).split(" \\n ")
+            lines[-1] = _mutant(lines[-1])
+            text = " \\n ".join(lines)
+        else:
+            text = rng.choice(["", "   ", " \\n "])
+        entries[f"p{rng.randrange(10**6):06d}"] = text
+    return PredictionSet(entries)
+
+
+@pytest.mark.skipif(GNU_AS is None, reason="GNU as not installed")
+class TestBatchedGnuAs:
+    """Batched proofs against the standalone-only path: the same assembler
+    under another name, which is never batched."""
+
+    @pytest.fixture
+    def standalone(self, tmp_path):
+        link = tmp_path / "gas"
+        link.symlink_to(GNU_AS)
+        return gas_checker(link)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_seeded_mix_matches_standalone(self, seed, demo_corpus, standalone, checker_runs):
+        preds = seeded_mix(seed, demo_corpus)
+        expected = syntactic_accuracy(preds, standalone)
+        checker_runs.clear()
+        got = syntactic_accuracy(preds, gas_checker("as", workers=2))
+        assert got == expected
+        failing = [sid for sid, ok in expected.verdicts.items() if not ok and preds.entries[sid].strip()]
+        assert failing and any(expected.verdicts.values())
+        # One batch fails on the mutants, the second proves the rest, and
+        # only the mutants are assembled one by one.
+        assert len(checker_runs) == 2 + len(failing)
+        assert all("snippet.s:" in expected.diagnostics[sid] for sid in failing)
+
+    def test_all_valid_needs_one_run(self, demo_corpus, checker_runs):
+        preds = PredictionSet({s.id: s.snippet for s in demo_corpus})
+        got = syntactic_accuracy(preds, gas_checker("as", workers=2))
+        assert got.accuracy == 1.0 and got.diagnostics == {}
+        assert len(checker_runs) == 1
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            {"a": ".macro m \\n nop \\n .endm", "b": "m"},
+            {"a": "jmp 1f", "b": "1: nop"},
+            {"a": ".att_syntax", "b": "mov eax, 1", "c": "movl %eax, %ebx"},
+            {"a": "x: nop", "b": "x: nop"},
+            {"a": "rep", "b": "lock", "c": "cs", "d": "data16"},
+            {"a": "lock", "b": "mov eax, ebx"},
+            {"a": "rep"},
+        ],
+    )
+    def test_adversarial_neighbors_match_standalone(self, entries, standalone):
+        fillers = {"y1": "push eax", "y2": "xor ecx, ecx \\n inc ecx", "z": "pop ebx"}
+        preds = PredictionSet({**entries, **fillers})
+        assert syntactic_accuracy(preds, gas_checker("as")) == syntactic_accuracy(preds, standalone)
+
+
+FAKE_AS = """\
+#!/bin/sh
+log=$(dirname "$0")/log
+lines=$(wc -l < "$1")
+echo $((lines - 4)) >> "$log"
+if [ "$lines" -gt 5 ]; then
+    case MODE in
+        timeout) exec sleep 5 ;;
+        garbage) echo garbage >&2; exit 1 ;;
+        header) echo "$1:2: Error: junk" >&2; exit 1 ;;
+        last) echo "$1:$lines: Error: junk" >&2; exit 1 ;;
+        warn) echo "$1:5: Warning: harmless" >&2 ;;
+    esac
+fi
+errors=$(grep -n zz "$1" | cut -d: -f1)
+[ -z "$errors" ] && exit 0
+echo "$1: Assembler messages:" >&2
+for n in $errors; do echo "$1:$n: Error: no such instruction" >&2; done
+exit 1
+"""
+
+
+class TestBatchedFakeAs:
+    """A scripted stand-in for GNU as, installed under the name ``as`` (batched)
+    and ``gas`` (never batched); its log records how many code lines each
+    run saw."""
+
+    PREDS = PredictionSet(
+        {"a": "nop", "b": "pushzz eax", "c": "push eax", "d": "", "e": "pop ebx"}
+    )
+
+    def fake(self, tmp_path, name, mode, timeout=10.0):
+        folder = tmp_path / name
+        folder.mkdir()
+        script = folder / name
+        script.write_text(FAKE_AS.replace("MODE", mode))
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        checker = CheckerConfig(
+            template=f"{script} {{file}}", scaffold=GAS_SCAFFOLD, timeout=timeout, workers=1
+        )
+        return checker, folder / "log"
+
+    def run_both(self, tmp_path, mode, timeout=10.0):
+        batched, log = self.fake(tmp_path, "as", mode, timeout)
+        standalone, reference_log = self.fake(tmp_path, "gas", mode, timeout)
+        got = syntactic_accuracy(self.PREDS, batched)
+        assert got == syntactic_accuracy(self.PREDS, standalone)
+        assert reference_log.read_text().split() == ["1"] * 4
+        assert got.verdicts == {"a": True, "b": False, "c": True, "d": False, "e": True}
+        assert got.diagnostics["b"] == "snippet.s:5: Error: no such instruction"
+        return log.read_text().split()
+
+    def test_batch_proves_the_rest(self, tmp_path):
+        assert self.run_both(tmp_path, "plain") == ["4", "3", "1"]
+
+    def test_warnings_drop_nothing(self, tmp_path):
+        assert self.run_both(tmp_path, "warn") == ["4", "3", "1"]
+
+    def test_timeout_falls_back(self, tmp_path):
+        assert self.run_both(tmp_path, "timeout", timeout=0.5) == ["4"] + ["1"] * 4
+
+    @pytest.mark.parametrize("mode", ["garbage", "header"])
+    def test_unattributed_stderr_falls_back(self, tmp_path, mode):
+        assert self.run_both(tmp_path, mode) == ["4"] + ["1"] * 4
+
+    def test_second_failure_is_the_last_batch(self, tmp_path):
+        assert self.run_both(tmp_path, "last") == ["4", "3"] + ["1"] * 4
+
+    def test_nasm_scaffold_is_never_batched(self, tmp_path):
+        checker, log = self.fake(tmp_path, "as", "plain")
+        checker = CheckerConfig(template=checker.template, scaffold=NASM_SCAFFOLD, workers=1)
+        syntactic_accuracy(self.PREDS, checker)
+        assert len(log.read_text().split()) == 4
+
+    def test_other_checkers_are_never_batched(self, tmp_path):
+        log = tmp_path / "log"
+        script = tmp_path / "fakecheck"
+        script.write_text(f"#!/bin/sh\necho run >> {log}\ngrep -q GOOD \"$1\"\n")
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        checker = CheckerConfig(template=f"{script} {{file}}", scaffold=GAS_SCAFFOLD, workers=2)
+        preds = PredictionSet({"a": "GOOD code", "b": "BAD code", "c": "GOOD", "d": ""})
+        got = syntactic_accuracy(preds, checker)
+        assert got.verdicts == {"a": True, "b": False, "c": True, "d": False}
+        assert log.read_text().split() == ["run"] * 3
 
 
 class TestReport:
