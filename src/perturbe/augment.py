@@ -45,7 +45,6 @@ class AugmentPlan:
     ratio_p: float
     kind: PerturbKind | KindFamily
     seed: int = 0
-    apply_to_validation: bool = True
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.ratio_p <= 1.0):
@@ -193,10 +192,7 @@ def build_matrix(
                 p = train_p
             plan_kind = family if family is not None else KindFamily.SUBSTITUTION
             plan = AugmentPlan(
-                ratio_p=p,
-                kind=plan_kind,
-                seed=stable_seed(seed, cell_id, split_name),
-                apply_to_validation=apply_to_validation,
+                ratio_p=p, kind=plan_kind, seed=stable_seed(seed, cell_id, split_name)
             )
             materialized = augment_split(split, records_by_split.get(split_name, []), plan)
             target = cell_dir / f"{split_name}.jsonl"

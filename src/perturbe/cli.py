@@ -188,7 +188,7 @@ def _cmd_gate(args) -> int:
         encoder = MeanVectorEncoder(load_vectors(args.vectors))
     else:
         raise ConfigError("gate needs --vectors (default encoder) or --embeddings")
-    cfg = semgate_mod.GateConfig(threshold=args.threshold, encoder=encoder.name)
+    cfg = semgate_mod.GateConfig(threshold=args.threshold)
     scored = semgate_mod.score_records(records, encoder)
     passed, failed = semgate_mod.gate(scored, cfg)
     records_path = Path(args.records)
@@ -307,16 +307,17 @@ def _cmd_matrix(args) -> int:
 
     records_by_split: dict[str, list[perturb_mod.PerturbationRecord]] = {}
     for split_name, part in splits.items():
-        gathered: list[perturb_mod.PerturbationRecord] = []
+        # One gate pass per split, records in kind order: the kinds of a
+        # sample share one encode of its original, and gate keeps the order.
+        records: list[perturb_mod.PerturbationRecord] = []
         for kind in kind_list:
             result = perturb_mod.perturb_corpus(
                 part, kind, cfg, vocabulary, store, tagger=tagger, stoplist=stoplist
             )
-            scored = semgate_mod.score_records(result.records, encoder)
-            passed, _ = semgate_mod.gate(scored, gate_cfg)
-            gathered.extend(passed)
-        records_by_split[split_name] = gathered
-        perturb_mod.write_records(gathered, out_dir / f"records_{split_name}.jsonl")
+            records.extend(result.records)
+        passed, _ = semgate_mod.gate(semgate_mod.score_records(records, encoder), gate_cfg)
+        records_by_split[split_name] = passed
+        perturb_mod.write_records(passed, out_dir / f"records_{split_name}.jsonl")
 
     apply_to_validation = config.get("apply_to_validation", "true").lower() != "false"
     cells, digest = augment_mod.build_matrix(

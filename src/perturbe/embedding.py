@@ -29,6 +29,11 @@ ties that straddle the k-th place still break lexicographically. Each store
 memoizes its answers per (resolved word, k): a corpus asks about the same few
 intent words over and over, so the memo is bounded by the words that occur
 in intents.
+
+The default sentence encoder resolves each token to a row once, gathers the
+rows and reduces them in one call. The semantic gate encodes each original
+intent once per ``score_records`` call, however many kinds perturbed it, so
+the encoder's out-of-vocabulary count covers only the encodes performed.
 """
 
 from __future__ import annotations
@@ -113,10 +118,15 @@ class VectorStore:
             return lowered
         return None
 
+    def row_index(self, word: str) -> int | None:
+        """The word's row in the store's matrix, with resolve()'s fallback."""
+        row = self._rows.get(word)
+        return self._rows.get(word.lower()) if row is None else row
+
     def get(self, word: str) -> np.ndarray | None:
         """The word's vector as a read-only row of the store's matrix."""
-        key = self.resolve(word)
-        return None if key is None else self._matrix[self._rows[key]]
+        row = self.row_index(word)
+        return None if row is None else self._matrix[row]
 
     def vector(self, word: str) -> np.ndarray:
         vec = self.get(word)
@@ -288,26 +298,15 @@ def _rank_neighbors(word: str, key: str, k: int, store: VectorStore) -> tuple[Ne
     return tuple(ranked[:k])
 
 
-def sentence_embedding(tokens: list[str], store: VectorStore) -> np.ndarray:
-    """L2-normalized mean of the in-vocabulary token vectors (bag of words)."""
-    return _normalized_mean([store.get(t) for t in tokens], tokens)
-
-
-def _normalized_mean(found: list[np.ndarray | None], tokens: list[str]) -> np.ndarray:
-    vecs = [v for v in found if v is not None]
-    if not vecs:
-        raise EncodingFailure(f"no token has a vector: {tokens!r}")
-    mean = np.mean(vecs, axis=0)
-    norm = float(np.linalg.norm(mean))
-    if norm == 0.0:
-        raise EncodingFailure("token vectors cancel out to the zero vector")
-    return mean / norm
-
-
 class MeanVectorEncoder:
-    """Default sentence encoder: normalized mean of word vectors.
+    """Default sentence encoder: L2-normalized mean of the in-vocabulary token
+    vectors (bag of words).
 
-    Tracks skipped out-of-vocabulary tokens as a diagnostic.
+    Each token is resolved once; the mean is one reduction over the gathered
+    rows, bit-identical to ``np.mean`` over the list of row vectors.
+    ``oov_skipped`` counts the out-of-vocabulary tokens of every encode
+    performed, as a diagnostic; ``semgate.score_records`` encodes each
+    original intent once per call, so a shared original counts once.
     """
 
     name = "mean-of-word-vectors"
@@ -318,9 +317,15 @@ class MeanVectorEncoder:
 
     def encode(self, text: str, key: str | None = None) -> np.ndarray:
         tokens = tokenize(text).tokens
-        found = [self.store.get(t) for t in tokens]
-        self.oov_skipped += sum(1 for v in found if v is None)
-        return _normalized_mean(found, tokens)
+        rows = [row for row in map(self.store.row_index, tokens) if row is not None]
+        self.oov_skipped += len(tokens) - len(rows)
+        if not rows:
+            raise EncodingFailure(f"no token has a vector: {tokens!r}")
+        mean = np.add.reduce(self.store._matrix[rows], axis=0) / len(rows)
+        norm = float(np.linalg.norm(mean))
+        if norm == 0.0:
+            raise EncodingFailure("token vectors cancel out to the zero vector")
+        return mean / norm
 
 
 class PrecomputedEncoder:

@@ -16,7 +16,7 @@ from pathlib import Path
 
 from perturbe._util import read_jsonl
 from perturbe.errors import DataError
-from perturbe.vocab import Vocabulary, is_name_like, load_registers
+from perturbe.vocab import is_name_like, load_registers
 
 logger = logging.getLogger(__name__)
 
@@ -77,31 +77,34 @@ def load_tag_lexicon(path: str | Path | None = None) -> tuple[dict[str, PosTag],
 
 
 class LexiconTagger:
-    """Deterministic tagger over an immutable lexicon; safe to share."""
+    """Deterministic tagger over an immutable lexicon; safe to share.
 
-    def __init__(
-        self,
-        lexicon_path: str | Path | None = None,
-        registers: set[str] | None = None,
-        vocabulary: Vocabulary | None = None,
-    ):
+    Context-free tags are memoized per word. Racing threads only recompute
+    the same value, so no lock is needed.
+    """
+
+    def __init__(self, lexicon_path: str | Path | None = None, registers: set[str] | None = None):
         self.primary, self.verb_capable = load_tag_lexicon(lexicon_path)
         self.registers = registers if registers is not None else load_registers()
-        self.vocabulary = vocabulary
+        self._lexical_memo: dict[str, PosTag] = {}
 
     def _pattern_tag(self, token: str) -> PosTag | None:
         if _NUMBER_RE.fullmatch(token):
             return PosTag.NUM
         if _PUNCT_RE.fullmatch(token):
             return PosTag.OTHER
-        if self.vocabulary is not None and token in self.vocabulary.name_words:
-            return PosTag.SYM
         if is_name_like(token, self.registers):
             return PosTag.SYM
         return None
 
     def lexical_tag(self, word: str) -> PosTag:
         """Context-free tag, used for substitution candidates."""
+        tag = self._lexical_memo.get(word)
+        if tag is None:
+            tag = self._lexical_memo[word] = self._rule_tag(word)
+        return tag
+
+    def _rule_tag(self, word: str) -> PosTag:
         pattern = self._pattern_tag(word)
         if pattern is not None:
             return pattern

@@ -58,9 +58,6 @@ class TokenizedIntent:
         if any(not t for t in self.tokens):
             raise DataError(f"intent {self.source_id!r}: empty token")
 
-    def text(self) -> str:
-        return detokenize(self.tokens)
-
 
 @dataclass
 class StandardizationMap:

@@ -6,6 +6,13 @@ Scores are cosine similarities between sentence embeddings, clipped to
 strictly greater than the threshold. Records whose intents cannot be
 encoded (every token out-of-vocabulary) are marked with NaN and always land
 in the failed partition: an unverifiable perturbation is not used.
+
+``score_records`` encodes each original intent once per call, however many
+kinds perturbed it: records are grouped by sample id and original text, and
+an original that cannot be encoded gives NaN for its whole group. Each
+perturbed intent is encoded once. The scalar ``cosine`` is kept per record,
+because ``similarity`` is serialized and a changed last bit could flip the
+strict ``> threshold`` comparison.
 """
 
 from __future__ import annotations
@@ -16,18 +23,18 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
+import numpy as np
+
 from perturbe.embedding import cosine
 from perturbe.errors import ConfigError, DataError, EncodingFailure
 from perturbe.perturb import GATE_FAIL, GATE_PASS, PerturbationRecord
 
 DEFAULT_THRESHOLD = 0.80
-SWEEP_THRESHOLDS = (0.70, 0.80, 0.90)
 
 
 @dataclass(frozen=True)
 class GateConfig:
     threshold: float = DEFAULT_THRESHOLD
-    encoder: str = "mean-of-word-vectors"
 
     def __post_init__(self) -> None:
         if not (0.0 <= self.threshold <= 1.0):
@@ -36,12 +43,43 @@ class GateConfig:
 
 def score(record: PerturbationRecord, encoder) -> PerturbationRecord:
     """Fill in record.similarity; the gate verdict stays unevaluated."""
+    return _score_against(record, encoder, _encode_original(record, encoder))
+
+
+def score_records(records: Sequence[PerturbationRecord], encoder) -> list[PerturbationRecord]:
+    """Score every record, in place and in order. Records that share a sample
+    id and original intent (the kinds of one sample) share one encode of the
+    original, or its failure: NaN for each of them."""
+    groups: dict[tuple[str, str], list[PerturbationRecord]] = {}
+    for record in records:
+        groups.setdefault((record.sample_id, record.original_intent), []).append(record)
+    for group in groups.values():
+        # One group at a time, so only one original embedding is alive.
+        original = _encode_original(group[0], encoder)
+        for record in group:
+            _score_against(record, encoder, original)
+    return list(records)
+
+
+def _encode_original(record: PerturbationRecord, encoder) -> np.ndarray | None:
     try:
-        original = encoder.encode(record.original_intent, key=record.sample_id)
-        perturbed = encoder.encode(
-            record.perturbed_intent, key=f"{record.sample_id}#{record.kind.value}"
-        )
+        return encoder.encode(record.original_intent, key=record.sample_id)
     except EncodingFailure:
+        return None
+
+
+def _score_against(
+    record: PerturbationRecord, encoder, original: np.ndarray | None
+) -> PerturbationRecord:
+    perturbed = None
+    if original is not None:
+        try:
+            perturbed = encoder.encode(
+                record.perturbed_intent, key=f"{record.sample_id}#{record.kind.value}"
+            )
+        except EncodingFailure:
+            pass
+    if perturbed is None:
         record.similarity = math.nan
         record.raw_similarity = math.nan
         return record
@@ -49,10 +87,6 @@ def score(record: PerturbationRecord, encoder) -> PerturbationRecord:
     record.raw_similarity = raw
     record.similarity = min(1.0, max(0.0, raw))
     return record
-
-
-def score_records(records: Sequence[PerturbationRecord], encoder) -> list[PerturbationRecord]:
-    return [score(r, encoder) for r in records]
 
 
 def gate(

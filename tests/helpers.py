@@ -12,8 +12,11 @@ Two vector stores are constructed with controlled geometry:
 
 The reference_* functions are the plain implementations that the fast paths
 must reproduce exactly: reference_top_k_neighbors() the full-sort neighbor
-search, reference_load_vectors() the per-component float() loader, and
-reference_build_vocabulary() the variant-rescanning vocabulary builder.
+search, reference_load_vectors() the per-component float() loader,
+reference_build_vocabulary() the variant-rescanning vocabulary builder,
+reference_sentence_embedding() the np.mean sentence encoder,
+reference_lexical_tag() the unmemoized context-free tagger, and
+reference_gated_records() the matrix's per-kind perturb, score and gate loop.
 """
 
 from __future__ import annotations
@@ -26,7 +29,10 @@ import numpy as np
 
 from perturbe.corpus import Corpus, Sample
 from perturbe.embedding import Neighbor, VectorStore
-from perturbe.errors import DataError
+from perturbe.errors import DataError, EncodingFailure
+from perturbe.perturb import perturb_corpus
+from perturbe.postag import _NUMBER_RE, _PUNCT_RE, _SUFFIX_RULES, LexiconTagger, PosTag
+from perturbe.semgate import gate, score
 from perturbe.vocab import (
     DEFAULT_RATIO_THRESHOLD,
     FrequencyTable,
@@ -259,3 +265,50 @@ def reference_build_vocabulary(
                 structure.add(variant.lower())
     structure -= names
     return Vocabulary(structure_words=structure, name_words=names, ratio_threshold=threshold)
+
+
+def reference_sentence_embedding(tokens: list[str], store: VectorStore) -> np.ndarray:
+    """np.mean over the list of in-vocabulary token vectors, then normalized."""
+    vecs = [v for v in (store.get(t) for t in tokens) if v is not None]
+    if not vecs:
+        raise EncodingFailure(f"no token has a vector: {tokens!r}")
+    mean = np.mean(vecs, axis=0)
+    norm = float(np.linalg.norm(mean))
+    if norm == 0.0:
+        raise EncodingFailure("token vectors cancel out to the zero vector")
+    return mean / norm
+
+
+def reference_lexical_tag(tagger: LexiconTagger, word: str) -> PosTag:
+    """Name/number patterns, lexicon, suffix rules, NOUN; nothing memoized."""
+    if _NUMBER_RE.fullmatch(word):
+        return PosTag.NUM
+    if _PUNCT_RE.fullmatch(word):
+        return PosTag.OTHER
+    if is_name_like(word, tagger.registers):
+        return PosTag.SYM
+    lowered = word.lower()
+    if lowered in tagger.primary:
+        return tagger.primary[lowered]
+    for suffix, tag in _SUFFIX_RULES:
+        if len(lowered) > len(suffix) + 1 and lowered.endswith(suffix):
+            return tag
+    return PosTag.NOUN
+
+
+def reference_gated_records(
+    splits, kinds, cfg, vocabulary, store, tagger, stoplist, gate_cfg, encoder
+):
+    """Per split, per kind: perturb, score each record on its own, gate, and
+    keep the passing records in kind order."""
+    records_by_split = {}
+    for split_name, part in splits.items():
+        gathered = []
+        for kind in kinds:
+            result = perturb_corpus(
+                part, kind, cfg, vocabulary, store, tagger=tagger, stoplist=stoplist
+            )
+            passed, _ = gate([score(r, encoder) for r in result.records], gate_cfg)
+            gathered.extend(passed)
+        records_by_split[split_name] = gathered
+    return records_by_split

@@ -12,15 +12,20 @@ import math
 import os
 import random
 import statistics
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import helpers
+import perturbe
 from perturbe.augment import AugmentPlan, KindFamily, augment_split, vocab_growth
 from perturbe.cli import main as cli_main
 from perturbe.corpus import Corpus, Sample, SplitSpec, load_corpus, save_corpus, split_corpus
 from perturbe.embedding import MeanVectorEncoder, load_vectors
+from perturbe.errors import EncodingFailure
 from perturbe.metrics import (
     PredictionSet,
     RobInput,
@@ -41,10 +46,12 @@ from perturbe.perturb import (
     omit_words,
     perturb_corpus,
     substitute_words,
+    write_records,
 )
 from perturbe.postag import LexiconTagger
-from perturbe.preprocess import tokenize
+from perturbe.preprocess import load_stopwords, tokenize
 from perturbe.semgate import GateConfig, gate, score_records, threshold_sweep
+from perturbe.vocab import load_registers, load_vocabulary
 
 REAL_DATASET = os.environ.get("PERTURBE_DATASET")
 REAL_VECTORS = os.environ.get("PERTURBE_VECTORS")
@@ -286,6 +293,33 @@ class TestCriterion6OmissionRates:
         announce(6, "per-category omission rates within [10%, 20%]")
 
 
+# Omission-perturbable intents with no word in the demo vector store.
+UNENCODABLE = [
+    Sample("x-oov-1", "Frob the quux with 0x99.", "xor eax, eax"),
+    Sample("x-oov-2", "Zap each blorp by 0x77.", "inc ebx"),
+]
+SPLIT_NAMES = ("train", "val", "test")
+
+
+def _write_matrix_inputs(tmp_path, samples, seed, ratios="0,0.25,0.5,1.0"):
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(Corpus(samples, name="fixture"), corpus_path)
+    vectors_path = tmp_path / "vectors.txt"
+    helpers.write_vector_file(helpers.demo_vectors(), vectors_path)
+    config = tmp_path / "exp.cfg"
+    config.write_text(
+        f"corpus = {corpus_path}\nvectors = {vectors_path}\nout_dir = {tmp_path / 'out'}\n"
+        f"seed = {seed}\nkinds = substitution,omission\nratios = {ratios}\n"
+    )
+    return corpus_path, vectors_path, config
+
+
+def _matrix_outputs(out):
+    manifest = json.loads((out / "manifest.json").read_text())
+    records = {name: (out / f"records_{name}.jsonl").read_bytes() for name in SPLIT_NAMES}
+    return manifest["digest"], records, (out / "vocab.json").read_bytes()
+
+
 class TestCriterion7Determinism:
     def test_matrix_digest_stable_across_input_order(self, tmp_path, demo_corpus):
         started = time.perf_counter()
@@ -319,12 +353,7 @@ class TestCriterion7Determinism:
                 + "\n"
             )
             assert cli_main(["matrix", "--config", str(config)]) == 0
-            out = tmp_path / out_name
-            manifest = json.loads((out / "manifest.json").read_text())
-            records = {
-                name: (out / f"records_{name}.jsonl").read_bytes() for name in ("train", "val", "test")
-            }
-            outputs.append((manifest["digest"], records, (out / "vocab.json").read_bytes()))
+            outputs.append(_matrix_outputs(tmp_path / out_name))
 
         for suffix in (".jsonl", ".vectors.txt"):
             assert (tmp_path / f"run_a{suffix}").read_bytes() != (tmp_path / f"run_b{suffix}").read_bytes()
@@ -333,6 +362,73 @@ class TestCriterion7Determinism:
         elapsed = time.perf_counter() - started
         assert elapsed < 10.0, f"matrix determinism check took {elapsed:.2f}s"
         announce(7, "matrix digest and records identical for shuffled corpus and vector rows")
+
+    def test_matrix_records_match_per_kind_reference(self, tmp_path, demo_corpus):
+        corpus = Corpus(list(demo_corpus.samples) + UNENCODABLE, name="fixture")
+        # The uncovered samples must land in train: a fully perturbed test
+        # cell needs every test sample covered (ROADMAP 4a).
+        seed = next(
+            s for s in range(100)
+            if {x.id for x in UNENCODABLE} <= set(split_corpus(corpus, SplitSpec(seed=s))[0].ids())
+        )
+        corpus_path, vectors_path, config = _write_matrix_inputs(
+            tmp_path, corpus.samples, seed, ratios="0,0.5"
+        )
+        assert cli_main(["matrix", "--config", str(config)]) == 0
+        out = tmp_path / "out"
+
+        store = load_vectors(vectors_path)
+        train, val, test = split_corpus(load_corpus(corpus_path), SplitSpec(seed=seed))
+        kinds = [
+            PerturbKind.SUBST_CONSTRAINED,
+            PerturbKind.OMIT_ACTION,
+            PerturbKind.OMIT_STRUCTURE,
+            PerturbKind.OMIT_NAME,
+        ]
+        stoplist = load_stopwords()
+        vocabulary = load_vocabulary(out / "vocab.json")
+        tagger = LexiconTagger(registers=load_registers())
+        cfg = SubstitutionConfig(seed=seed)
+        expected = helpers.reference_gated_records(
+            {"train": train, "val": val, "test": test},
+            kinds, cfg, vocabulary, store, tagger, stoplist, GateConfig(), MeanVectorEncoder(store),
+        )
+        for name in SPLIT_NAMES:
+            write_records(expected[name], tmp_path / f"expected_{name}.jsonl")
+            assert (out / f"records_{name}.jsonl").read_bytes() == (
+                tmp_path / f"expected_{name}.jsonl"
+            ).read_bytes(), name
+
+        # The unencodable originals were perturbed, scored NaN, and gated out.
+        encoder = MeanVectorEncoder(store)
+        for sample in UNENCODABLE:
+            with pytest.raises(EncodingFailure):
+                encoder.encode(sample.intent)
+            single = Corpus([sample], name="one")
+            assert any(
+                perturb_corpus(single, kind, cfg, vocabulary, store, tagger=tagger).records
+                for kind in kinds
+            )
+        assert b"x-oov" not in (out / "records_train.jsonl").read_bytes()
+        announce(7, "one gate pass per split reproduces the per-kind records byte for byte")
+
+    def test_matrix_outputs_independent_of_hash_seed(self, tmp_path, demo_corpus):
+        _, _, config = _write_matrix_inputs(tmp_path, list(demo_corpus.samples), seed=41)
+        src = str(Path(perturbe.__file__).resolve().parents[1])
+        outputs = []
+        for hash_seed in ("0", "1"):
+            out = tmp_path / f"out_{hash_seed}"
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            subprocess.run(
+                [sys.executable, "-m", "perturbe.cli", "matrix", "--config", str(config),
+                 "--out-dir", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            outputs.append(_matrix_outputs(out))
+        assert all(outputs[0][1].values())
+        assert outputs[0] == outputs[1]
+        announce(7, "matrix records, vocabulary and digest independent of PYTHONHASHSEED")
 
 
 class TestCriterion8SyntaxChecker:

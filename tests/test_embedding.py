@@ -12,7 +12,6 @@ from perturbe.embedding import (
     VectorStore,
     cosine,
     load_vectors,
-    sentence_embedding,
     top_k_neighbors,
 )
 from perturbe.errors import DataError, EncodingFailure
@@ -429,6 +428,10 @@ class TestTopKMemo:
         assert store._neighbor_memo == {}
 
 
+def sentence_embedding(tokens, store):
+    return MeanVectorEncoder(store).encode(" ".join(tokens))
+
+
 class TestSentenceEmbedding:
     def test_single_token_is_normalized_vector(self):
         store = VectorStore({"a": np.array([3.0, 4.0]), "b": np.array([0.0, 1.0])})
@@ -479,13 +482,30 @@ class TestEncoders:
             tokens = tokenize(text).tokens
             oov += sum(1 for t in tokens if t not in store)
             try:
-                expected = sentence_embedding(tokens, store).tobytes()
+                expected = helpers.reference_sentence_embedding(tokens, store).tobytes()
             except EncodingFailure:
                 with pytest.raises(EncodingFailure):
                     encoder.encode(text)
             else:
                 assert encoder.encode(text).tobytes() == expected
         assert encoder.oov_skipped == oov > 0
+
+    def test_row_reduction_matches_np_mean_bit_for_bit(self):
+        # Wide rows, long texts and repeated words: the gathered-row reduction
+        # must give np.mean's bits, not just values within rounding.
+        rng = random.Random(23)
+        vectors = np.random.default_rng(23).standard_normal((400, 300)) * 3.0
+        store = VectorStore({f"w{i}": vectors[i] for i in range(400)})
+        encoder = MeanVectorEncoder(store)
+        for _ in range(600):
+            tokens = [f"w{rng.randrange(400)}" for _ in range(rng.randint(1, 40))]
+            expected = helpers.reference_sentence_embedding(tokens, store)
+            assert encoder.encode(" ".join(tokens)).tobytes() == expected.tobytes()
+
+    def test_cancelling_vectors_fail(self):
+        store = VectorStore({"a": np.array([1.0, 2.0]), "b": np.array([-1.0, -2.0])})
+        with pytest.raises(EncodingFailure):
+            MeanVectorEncoder(store).encode("a b")
 
     def test_precomputed_encoder(self, tmp_path):
         path = tmp_path / "emb.jsonl"

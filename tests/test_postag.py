@@ -1,9 +1,24 @@
 import json
+import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+import helpers
 from perturbe.errors import DataError
 from perturbe.postag import FileTagger, LexiconTagger, PosTag, load_tag_lexicon
+from perturbe.preprocess import tokenize
+
+# Case variants, names, numbers, punctuation, suffix words and unknowns.
+TRICKY_WORDS = [
+    "store", "Store", "STORE", "sToRe", "save", "Save", "stock", "zero", "Zero", "ZERO",
+    "eax", "EAX", "Eax", "esi", "ESI", "al", "AL", "_start_label", "_myfunc", "my_var",
+    "0x4", "0X4", "0xff", "0XFF", "0xzz", "10", "007", "1e3", "x86",
+    ",", ".", "...", "[", "]", "(", "-",
+    "frobbing", "Frobbing", "FROBBED", "frobly", "frobment", "frobtion", "frobsion",
+    "frobness", "ing", "ed", "ly", "bed", "sing", "blorp", "Blorp", "register", "Register",
+]
 
 
 class TestTagging:
@@ -46,10 +61,6 @@ class TestTagging:
         for token_tag in tags[1:]:
             assert token_tag in (PosTag.SYM, PosTag.NUM)
 
-    def test_name_word_from_vocabulary_is_sym(self, golden_vocab):
-        tagger = LexiconTagger(vocabulary=golden_vocab)
-        assert tagger.tag(["push", "ESI"])[1] is PosTag.SYM
-
     def test_imperative_rule_only_for_verb_capable(self, tagger):
         # "Stack" leads the sentence but is not verb-capable
         assert tagger.tag(["Stack", "the", "value"])[0] is PosTag.NOUN
@@ -77,6 +88,49 @@ class TestTagging:
     def test_lexical_tag_candidates(self, tagger):
         assert tagger.lexical_tag("save") is PosTag.VERB
         assert tagger.lexical_tag("stock") is PosTag.NOUN
+
+
+class TestLexicalMemo:
+    @staticmethod
+    def words(demo_corpus):
+        corpus_words = {t for s in demo_corpus for t in tokenize(s.intent).tokens}
+        return TRICKY_WORDS + sorted(corpus_words)
+
+    def test_matches_reference_twice(self, demo_corpus):
+        tagger = LexiconTagger()
+        words = self.words(demo_corpus)
+        for _ in range(2):  # the second pass is answered from the memo
+            for word in words:
+                assert tagger.lexical_tag(word) is helpers.reference_lexical_tag(tagger, word), word
+        assert set(tagger._lexical_memo) == set(words)
+
+    def test_memo_is_per_instance(self):
+        custom = LexiconTagger(registers={"blorp"})
+        default = LexiconTagger()
+        assert custom.lexical_tag("blorp") is PosTag.SYM
+        assert default.lexical_tag("blorp") is PosTag.NOUN
+        assert custom.lexical_tag("blorp") is PosTag.SYM
+
+    def test_shared_across_threads(self, demo_corpus):
+        tagger = LexiconTagger()
+        words = self.words(demo_corpus)
+        expected = {w: helpers.reference_lexical_tag(tagger, w) for w in words}
+
+        def run(seed):
+            order = list(words) * 3
+            random.Random(seed).shuffle(order)
+            return [(w, tagger.lexical_tag(w)) for w in order]
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(run, range(8)))
+        finally:
+            sys.setswitchinterval(interval)
+        for result in results:
+            assert all(tag is expected[w] for w, tag in result)
+        assert tagger._lexical_memo == expected
 
 
 class TestFileTagger:

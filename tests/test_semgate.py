@@ -1,14 +1,25 @@
+import json
 import math
 import random
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perturbe.embedding import MeanVectorEncoder, VectorStore
+from perturbe.embedding import MeanVectorEncoder, PrecomputedEncoder, VectorStore
 from perturbe.errors import ConfigError, DataError
-from perturbe.perturb import GATE_FAIL, GATE_PASS, PerturbationRecord, PerturbKind
+from perturbe.perturb import (
+    GATE_FAIL,
+    GATE_PASS,
+    PerturbationRecord,
+    PerturbKind,
+    SubstitutionConfig,
+    perturb_corpus,
+)
+from perturbe.preprocess import tokenize
 from perturbe.semgate import GateConfig, gate, score, score_records, threshold_sweep, write_sweep_csv
 
 
@@ -167,3 +178,123 @@ class TestScoreRecords:
         ]
         scored = score_records(records, encoder)
         assert all(r.similarity is not None for r in scored)
+
+
+class CountingEncoder:
+    """Records every (key, text) it is asked to encode."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = Counter()
+
+    def encode(self, text, key=None):
+        self.calls[(key, text)] += 1
+        return self.inner.encode(text, key=key)
+
+
+def bits(record):
+    return record.similarity.hex(), record.raw_similarity.hex()
+
+
+@pytest.fixture(scope="module")
+def mixed_records(demo_corpus, demo_store, demo_vocab, tagger, stopwords):
+    """Every kind's records over the demo corpus plus two unencodable
+    originals, shuffled so one sample's kinds are not adjacent."""
+    cfg = SubstitutionConfig(seed=3)
+    records = []
+    for kind in PerturbKind:
+        records.extend(
+            perturb_corpus(
+                demo_corpus, kind, cfg, demo_vocab, demo_store, tagger=tagger, stoplist=stopwords
+            ).records
+        )
+    for kind in (PerturbKind.OMIT_ACTION, PerturbKind.OMIT_NAME):
+        records.append(
+            PerturbationRecord("oov", kind, "Frob the quux 0x99", f"Frob the {kind.value}", [2])
+        )
+    records.append(PerturbationRecord("gone", PerturbKind.OMIT_NAME, "Push eax", "qq zz", [0, 1]))
+    random.Random(5).shuffle(records)
+    return records
+
+
+class TestScoreRecordsMemo:
+    def test_matches_per_record_score_bit_for_bit(self, mixed_records, demo_store):
+        batch = score_records([replace(r) for r in mixed_records], MeanVectorEncoder(demo_store))
+        single = [score(replace(r), MeanVectorEncoder(demo_store)) for r in mixed_records]
+        assert len({r.kind for r in batch}) == len(PerturbKind)
+        assert [bits(r) for r in batch] == [bits(r) for r in single]
+        assert sum(math.isnan(r.similarity) for r in batch) >= 3
+
+    def test_each_original_encoded_once(self, mixed_records, demo_store):
+        encoder = CountingEncoder(MeanVectorEncoder(demo_store))
+        score_records([replace(r) for r in mixed_records], encoder)
+        originals = {(r.sample_id, r.original_intent) for r in mixed_records}
+        for sample_id, text in originals:
+            assert encoder.calls[(sample_id, text)] == 1
+        assert all(n == 1 for n in encoder.calls.values())
+        perturbed = sum(1 for r in mixed_records if r.sample_id != "oov")
+        assert sum(encoder.calls.values()) == len(originals) + perturbed
+
+    def test_oov_counts_only_performed_encodes(self, mixed_records, demo_store):
+        encoder = MeanVectorEncoder(demo_store)
+        score_records([replace(r) for r in mixed_records], encoder)
+        seen, expected = set(), 0
+        for r in mixed_records:
+            if (r.sample_id, r.original_intent) not in seen:
+                seen.add((r.sample_id, r.original_intent))
+                expected += sum(1 for t in tokenize(r.original_intent).tokens if t not in demo_store)
+            if r.sample_id != "oov":
+                expected += sum(1 for t in tokenize(r.perturbed_intent).tokens if t not in demo_store)
+        assert encoder.oov_skipped == expected
+
+    def test_unencodable_original_is_nan_for_every_kind(self):
+        store = VectorStore({"push": np.array([1.0, 2.0]), "eax": np.array([0.5, 1.0])})
+        encoder = CountingEncoder(MeanVectorEncoder(store))
+        records = [
+            PerturbationRecord("s", kind, "frob the quux", f"frob {kind.value}", [1])
+            for kind in (PerturbKind.OMIT_ACTION, PerturbKind.OMIT_STRUCTURE, PerturbKind.OMIT_NAME)
+        ]
+        records.insert(1, make_record(sample_id="t", original="push eax", perturbed="push"))
+        scored = score_records(records, encoder)
+        assert [math.isnan(r.similarity) for r in scored] == [True, False, True, True]
+        assert all(math.isnan(r.raw_similarity) for r in scored if r.sample_id == "s")
+        assert encoder.calls[("s", "frob the quux")] == 1
+        assert not any(key.startswith("s#") for key, _ in encoder.calls)
+        passed, failed = gate(scored, GateConfig(threshold=0.0))
+        assert [r.sample_id for r in passed] == ["t"]
+        assert [r.sample_id for r in failed] == ["s", "s", "s"]
+
+    def test_same_id_with_another_original_is_encoded_again(self, golden_store):
+        encoder = CountingEncoder(MeanVectorEncoder(golden_store))
+        records = [
+            make_record(sample_id="s", original="store value", perturbed="save value"),
+            make_record(sample_id="s", original="clear value", perturbed="save value"),
+        ]
+        batch = score_records([replace(r) for r in records], encoder)
+        single = [score(replace(r), MeanVectorEncoder(golden_store)) for r in records]
+        assert [bits(r) for r in batch] == [bits(r) for r in single]
+        assert batch[0].similarity != batch[1].similarity
+        assert encoder.calls[("s", "store value")] == encoder.calls[("s", "clear value")] == 1
+
+    def test_precomputed_keys_honoured(self, tmp_path):
+        rows = {
+            "s1": [1.0, 0.0],
+            "s1#omit-action": [1.0, 1.0],
+            "s1#omit-name": [0.0, 1.0],
+            "s2#omit-name": [1.0, 0.0],
+        }
+        path = tmp_path / "emb.jsonl"
+        path.write_text("".join(json.dumps({"id": k, "vec": v}) + "\n" for k, v in rows.items()))
+        encoder = CountingEncoder(PrecomputedEncoder(path))
+        records = [
+            PerturbationRecord(sid, kind, "same text", f"other {kind.value}", [1])
+            for sid in ("s1", "s2")
+            for kind in (PerturbKind.OMIT_ACTION, PerturbKind.OMIT_STRUCTURE, PerturbKind.OMIT_NAME)
+        ]
+        scored = score_records(records, encoder)
+        sims = [r.raw_similarity for r in scored]
+        assert sims[0] == pytest.approx(math.sqrt(0.5))
+        assert math.isnan(sims[1])  # no embedding for s1#omit-structure
+        assert sims[2] == 0.0
+        assert all(math.isnan(s) for s in sims[3:])  # s2's original has no embedding
+        assert encoder.calls[("s1", "same text")] == encoder.calls[("s2", "same text")] == 1
