@@ -73,10 +73,15 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
             yield lineno, obj
 
 
+# json.dumps(obj, ensure_ascii=False) builds an encoder with these settings on
+# every call; one shared encoder gives the same bytes.
+_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+
+
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
+    """One ``json.dumps(record, ensure_ascii=False)`` line per record."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            fh.write(json.dumps(rec, ensure_ascii=False))
-            fh.write("\n")
+            fh.write(_encode_line(rec) + "\n")

@@ -77,18 +77,35 @@ def augment_split(
 
     All records must have passed the gate. When the plan names a kind
     family, the variant used for each chosen sample is drawn uniformly among
-    the categories that have a passing record for it.
+    the categories that have a passing record for it. This is
+    ``_index_passed`` followed by ``_materialize``; ``build_matrix`` indexes
+    each split's records once per family and materializes every cell from
+    that index.
     """
-    wanted_kinds = plan.matching_kinds()
+    return _materialize(split, _index_passed(records, plan.matching_kinds()), plan)
+
+
+def _index_passed(
+    records: list[PerturbationRecord], kinds: set[PerturbKind]
+) -> dict[str, dict[str, PerturbationRecord]]:
+    """sample id -> kind value -> record, for the records of the given kinds.
+    Every record, of any kind, must have passed the gate."""
     by_id: dict[str, dict[str, PerturbationRecord]] = {}
     for record in records:
         if record.gate_pass != GATE_PASS:
             raise DataError(
                 f"record {record.sample_id!r} ({record.kind.value}) has not passed the gate"
             )
-        if record.kind in wanted_kinds:
+        if record.kind in kinds:
             by_id.setdefault(record.sample_id, {})[record.kind.value] = record
+    return by_id
 
+
+def _materialize(
+    split: Corpus, by_id: dict[str, dict[str, PerturbationRecord]], plan: AugmentPlan
+) -> Corpus:
+    """The split with round(p * N) seeded-chosen intents replaced from an
+    ``_index_passed`` index. Samples not chosen are kept as they are."""
     need = round_half_away(plan.ratio_p * len(split))
     split_ids = set(split.ids())
     covered = sorted(sid for sid in by_id if sid in split_ids)
@@ -109,16 +126,11 @@ def augment_split(
 
     out: list[Sample] = []
     for sample in split:
-        if sample.id in replacement:
-            out.append(
-                Sample(
-                    id=sample.id,
-                    intent=replacement[sample.id].perturbed_intent,
-                    snippet=sample.snippet,
-                )
-            )
+        record = replacement.get(sample.id)
+        if record is None:
+            out.append(sample)
         else:
-            out.append(Sample(id=sample.id, intent=sample.intent, snippet=sample.snippet))
+            out.append(Sample(id=sample.id, intent=record.perturbed_intent, snippet=sample.snippet))
     return Corpus(out, name=split.name)
 
 
@@ -168,13 +180,19 @@ def build_matrix(
     """Materialize every experiment cell under out_dir and write a manifest.
 
     Returns the cells and the manifest digest. Reruns with identical inputs
-    and seed produce byte-identical trees and digests.
+    and seed produce byte-identical trees and digests. Each split's records
+    are checked and indexed once per family, when a cell first needs them,
+    and every cell split is materialized from that index; the result equals
+    one ``augment_split`` call per cell split.
     """
     for name in ("train", "val", "test"):
         if name not in splits:
             raise ConfigError(f"missing split {name!r}")
     out_dir = Path(out_dir)
     cells: list[ExperimentCell] = []
+    # (split, family) -> index of that split's records of that family. The
+    # "none" cells index the substitution family, as augment_split would.
+    indexes: dict[tuple[str, KindFamily], dict[str, dict[str, PerturbationRecord]]] = {}
     for kind_label, train_p, test_p in _cell_inventory(kinds, ratios):
         cell_id = _cell_id(kind_label, train_p, test_p)
         cell_dir = out_dir / "cells" / cell_id
@@ -194,7 +212,11 @@ def build_matrix(
             plan = AugmentPlan(
                 ratio_p=p, kind=plan_kind, seed=stable_seed(seed, cell_id, split_name)
             )
-            materialized = augment_split(split, records_by_split.get(split_name, []), plan)
+            by_id = indexes.get((split_name, plan_kind))
+            if by_id is None:
+                by_id = _index_passed(records_by_split.get(split_name, []), plan.matching_kinds())
+                indexes[(split_name, plan_kind)] = by_id
+            materialized = _materialize(split, by_id, plan)
             target = cell_dir / f"{split_name}.jsonl"
             save_corpus(materialized, target)
             cell.paths[split_name] = str(target.relative_to(out_dir))

@@ -62,8 +62,18 @@ def read_config(path: str | Path) -> dict[str, str]:
 
 
 def _write_run_manifest(
-    manifest_path: Path, command: str, seed: int | None, config: dict, outputs: list[Path]
+    args,
+    default: Path,
+    command: str,
+    seed: int | None,
+    outputs: list[Path],
+    config: dict | None = None,
 ) -> None:
+    """Write the run manifest to ``--manifest``, or to ``default`` when that
+    option is unset. ``config`` defaults to the parsed arguments."""
+    manifest_path = Path(args.manifest) if args.manifest else default
+    if config is None:
+        config = vars(args)
     base = manifest_path.parent
     manifest = {
         "command": command,
@@ -90,8 +100,7 @@ def _cmd_ingest(args) -> int:
     corpus = corpus_mod.load_corpus(args.infile, format=args.format)
     out = Path(args.out)
     corpus_mod.save_corpus(corpus, out, format=args.out_format)
-    manifest = Path(args.manifest) if args.manifest else out.with_suffix(out.suffix + ".manifest.json")
-    _write_run_manifest(manifest, "ingest", None, vars(args), [out])
+    _write_run_manifest(args, out.with_suffix(out.suffix + ".manifest.json"), "ingest", None, [out])
     print(f"ingested {len(corpus)} samples -> {out}")
     return 0
 
@@ -111,8 +120,7 @@ def _cmd_split(args) -> int:
         target = out_dir / f"{name}.jsonl"
         corpus_mod.save_corpus(part, target)
         outputs.append(target)
-    manifest = Path(args.manifest) if args.manifest else out_dir / "run_manifest.json"
-    _write_run_manifest(manifest, "split", args.seed, vars(args), outputs)
+    _write_run_manifest(args, out_dir / "run_manifest.json", "split", args.seed, outputs)
     print(f"split {len(corpus)} -> train {len(train)}, val {len(val)}, test {len(test)}")
     return 0
 
@@ -136,8 +144,7 @@ def _cmd_build_vocab(args) -> int:
     )
     out = Path(args.out)
     vocab_mod.save_vocabulary(vocabulary, out)
-    manifest = Path(args.manifest) if args.manifest else out.with_suffix(".manifest.json")
-    _write_run_manifest(manifest, "build-vocab", None, vars(args), [out])
+    _write_run_manifest(args, out.with_suffix(".manifest.json"), "build-vocab", None, [out])
     print(
         f"vocabulary: {len(vocabulary.structure_words)} structure words, "
         f"{len(vocabulary.name_words)} name words -> {out}"
@@ -174,8 +181,9 @@ def _cmd_perturb(args) -> int:
                 )
             )
             fh.write("\n")
-    manifest = Path(args.manifest) if args.manifest else out.with_suffix(out.suffix + ".manifest.json")
-    _write_run_manifest(manifest, "perturb", args.seed, vars(args), [out, skips_path])
+    _write_run_manifest(
+        args, out.with_suffix(out.suffix + ".manifest.json"), "perturb", args.seed, [out, skips_path]
+    )
     print(f"perturbed {len(result.records)} samples ({len(result.skipped)} skipped) -> {out}")
     return 0
 
@@ -202,8 +210,9 @@ def _cmd_gate(args) -> int:
         sweep_path = Path(args.sweep_out) if args.sweep_out else records_path.with_suffix(".sweep.csv")
         semgate_mod.write_sweep_csv(scored, thresholds, sweep_path)
         outputs.append(sweep_path)
-    manifest = Path(args.manifest) if args.manifest else records_path.with_suffix(".gate.manifest.json")
-    _write_run_manifest(manifest, "gate", None, vars(args), outputs)
+    _write_run_manifest(
+        args, records_path.with_suffix(".gate.manifest.json"), "gate", None, outputs
+    )
     print(f"gate at {args.threshold}: {len(passed)} passed, {len(failed)} failed")
     return 0
 
@@ -228,8 +237,9 @@ def _cmd_augment(args) -> int:
     augmented = augment_mod.augment_split(split, records, plan)
     out = Path(args.out)
     corpus_mod.save_corpus(augmented, out)
-    manifest = Path(args.manifest) if args.manifest else out.with_suffix(out.suffix + ".manifest.json")
-    _write_run_manifest(manifest, "augment", args.seed, vars(args), [out])
+    _write_run_manifest(
+        args, out.with_suffix(out.suffix + ".manifest.json"), "augment", args.seed, [out]
+    )
     print(f"augmented {len(augmented)} samples at p={args.p} -> {out}")
     return 0
 
@@ -307,12 +317,21 @@ def _cmd_matrix(args) -> int:
 
     records_by_split: dict[str, list[perturb_mod.PerturbationRecord]] = {}
     for split_name, part in splits.items():
-        # One gate pass per split, records in kind order: the kinds of a
-        # sample share one encode of its original, and gate keeps the order.
+        # One analysis and one gate pass per split, records in kind order:
+        # the kinds of a sample share its tokens and tags and one encode of
+        # its original, and gate keeps the order.
+        analyses = perturb_mod.analyze_corpus(part, tagger)
         records: list[perturb_mod.PerturbationRecord] = []
         for kind in kind_list:
             result = perturb_mod.perturb_corpus(
-                part, kind, cfg, vocabulary, store, tagger=tagger, stoplist=stoplist
+                part,
+                kind,
+                cfg,
+                vocabulary,
+                store,
+                tagger=tagger,
+                stoplist=stoplist,
+                analyses=analyses,
             )
             records.extend(result.records)
         passed, _ = semgate_mod.gate(semgate_mod.score_records(records, encoder), gate_cfg)
@@ -331,8 +350,7 @@ def _cmd_matrix(args) -> int:
     )
     outputs = [out_dir / "manifest.json", out_dir / "vocab.json"]
     outputs.extend(out_dir / f"records_{name}.jsonl" for name in splits)
-    manifest = Path(args.manifest) if args.manifest else out_dir / "run_manifest.json"
-    _write_run_manifest(manifest, "matrix", seed, config, outputs)
+    _write_run_manifest(args, out_dir / "run_manifest.json", "matrix", seed, outputs, config)
     print(f"matrix: {len(cells)} cells -> {out_dir} (digest {digest[:12]}...)")
     return 0
 
@@ -391,8 +409,9 @@ def _cmd_evaluate(args) -> int:
 
     metrics_path = out_dir / "metrics.json"
     metrics_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", "utf-8")
-    manifest = Path(args.manifest) if args.manifest else out_dir / "run_manifest.json"
-    _write_run_manifest(manifest, "evaluate", None, vars(args), [metrics_path, *outputs])
+    _write_run_manifest(
+        args, out_dir / "run_manifest.json", "evaluate", None, [metrics_path, *outputs]
+    )
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
@@ -415,8 +434,9 @@ def _cmd_report(args) -> int:
             )
         )
     csv_path, summary_path = metrics_mod.report(cells, args.out_dir)
-    manifest = Path(args.manifest) if args.manifest else Path(args.out_dir) / "run_manifest.json"
-    _write_run_manifest(manifest, "report", None, vars(args), [csv_path, summary_path])
+    _write_run_manifest(
+        args, Path(args.out_dir) / "run_manifest.json", "report", None, [csv_path, summary_path]
+    )
     print(f"report -> {csv_path}, {summary_path}")
     return 0
 
@@ -445,8 +465,7 @@ def _cmd_stats(args) -> int:
     if args.out:
         out = Path(args.out)
         out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", "utf-8")
-        manifest = Path(args.manifest) if args.manifest else out.with_suffix(".manifest.json")
-        _write_run_manifest(manifest, "stats", None, vars(args), [out])
+        _write_run_manifest(args, out.with_suffix(".manifest.json"), "stats", None, [out])
     return 0
 
 

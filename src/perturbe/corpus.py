@@ -8,13 +8,12 @@ two-character sequence ``\\n`` (backslash + n), not a real newline.
 from __future__ import annotations
 
 import csv
-import json
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from perturbe._util import read_jsonl, round_half_away
+from perturbe._util import read_jsonl, round_half_away, write_jsonl
 from perturbe.errors import ConfigError, DataError
 
 # Two-character separator between instructions of a multi-line snippet,
@@ -127,19 +126,11 @@ def load_corpus(path: str | Path, format: str = "jsonl", name: str | None = None
 
 def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
     """Persist a corpus; load_corpus() round-trips (id, intent, snippet) exactly."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if format == "jsonl":
-        with open(path, "w", encoding="utf-8") as fh:
-            for s in corpus:
-                fh.write(
-                    json.dumps(
-                        {"id": s.id, "intent": s.intent, "snippet": s.snippet},
-                        ensure_ascii=False,
-                    )
-                )
-                fh.write("\n")
+        write_jsonl(path, ({"id": s.id, "intent": s.intent, "snippet": s.snippet} for s in corpus))
     elif format == "csv":
+        path = Path(path)
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["id", "intent", "snippet"])

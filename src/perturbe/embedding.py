@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import itertools
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -249,14 +250,22 @@ def _load_vectors_exact(path: Path) -> VectorStore:
     return VectorStore(vectors)
 
 
+def _norm(v: np.ndarray) -> float:
+    """``np.linalg.norm(v)`` for a float64 array without its dispatch: numpy
+    computes the 2-norm as ``sqrt(x.dot(x))`` over the flattened array, and
+    both square roots are correctly rounded, so the result is bit-identical."""
+    flat = v.ravel(order="K")
+    return math.sqrt(flat.dot(flat))
+
+
 def cosine(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine of the angle between two vectors, in 64-bit floats."""
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)
     if a.shape != b.shape:
         raise DataError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = float(np.linalg.norm(a))
-    norm_b = float(np.linalg.norm(b))
+    norm_a = _norm(a)
+    norm_b = _norm(b)
     if norm_a == 0.0 or norm_b == 0.0:
         raise DataError("cosine undefined for zero-norm vector")
     return float(np.dot(a, b) / (norm_a * norm_b))
@@ -302,11 +311,14 @@ class MeanVectorEncoder:
     """Default sentence encoder: L2-normalized mean of the in-vocabulary token
     vectors (bag of words).
 
-    Each token is resolved once; the mean is one reduction over the gathered
-    rows, bit-identical to ``np.mean`` over the list of row vectors.
-    ``oov_skipped`` counts the out-of-vocabulary tokens of every encode
-    performed, as a diagnostic; ``semgate.score_records`` encodes each
-    original intent once per call, so a shared original counts once.
+    Each token is resolved to a row once, exact word first and then its
+    lowercase form, as ``VectorStore.row_index`` does. The mean is one
+    reduction over the gathered rows, bit-identical to ``np.mean`` over the
+    list of row vectors, and its norm is ``sqrt(mean . mean)``, bit-identical
+    to ``np.linalg.norm``. ``oov_skipped`` counts the out-of-vocabulary
+    tokens of every encode performed, as a diagnostic;
+    ``semgate.score_records`` encodes each original intent once per call, so
+    a shared original counts once.
     """
 
     name = "mean-of-word-vectors"
@@ -317,12 +329,19 @@ class MeanVectorEncoder:
 
     def encode(self, text: str, key: str | None = None) -> np.ndarray:
         tokens = tokenize(text).tokens
-        rows = [row for row in map(self.store.row_index, tokens) if row is not None]
+        row_of = self.store._rows.get
+        rows = []
+        for token in tokens:  # VectorStore.row_index, inlined
+            row = row_of(token)
+            if row is None:
+                row = row_of(token.lower())
+            if row is not None:
+                rows.append(row)
         self.oov_skipped += len(tokens) - len(rows)
         if not rows:
             raise EncodingFailure(f"no token has a vector: {tokens!r}")
         mean = np.add.reduce(self.store._matrix[rows], axis=0) / len(rows)
-        norm = float(np.linalg.norm(mean))
+        norm = _norm(mean)
         if norm == 0.0:
             raise EncodingFailure("token vectors cancel out to the zero vector")
         return mean / norm

@@ -17,13 +17,12 @@ not depend on iteration order.
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
-from perturbe._util import per_sample_rng, read_jsonl, round_half_away
+from perturbe._util import per_sample_rng, read_jsonl, round_half_away, write_jsonl
 from perturbe.corpus import Corpus
 from perturbe.embedding import VectorStore
 from perturbe.errors import ConfigError, DataError, NoEligibleWords
@@ -54,11 +53,15 @@ class OmissionCategory(enum.Enum):
 
     @property
     def kind(self) -> PerturbKind:
-        return {
-            OmissionCategory.ACTION: PerturbKind.OMIT_ACTION,
-            OmissionCategory.STRUCTURE: PerturbKind.OMIT_STRUCTURE,
-            OmissionCategory.NAME: PerturbKind.OMIT_NAME,
-        }[self]
+        return _CATEGORY_TO_KIND[self]
+
+
+_KIND_TO_CATEGORY = {
+    PerturbKind.OMIT_ACTION: OmissionCategory.ACTION,
+    PerturbKind.OMIT_STRUCTURE: OmissionCategory.STRUCTURE,
+    PerturbKind.OMIT_NAME: OmissionCategory.NAME,
+}
+_CATEGORY_TO_KIND = {category: kind for kind, category in _KIND_TO_CATEGORY.items()}
 
 
 GATE_PASS = "pass"
@@ -277,11 +280,17 @@ def omit_words(
     )
 
 
-_KIND_TO_CATEGORY = {
-    PerturbKind.OMIT_ACTION: OmissionCategory.ACTION,
-    PerturbKind.OMIT_STRUCTURE: OmissionCategory.STRUCTURE,
-    PerturbKind.OMIT_NAME: OmissionCategory.NAME,
-}
+def analyze_corpus(
+    corpus: Corpus, tagger: LexiconTagger
+) -> list[tuple[TokenizedIntent, list[PosTag]]]:
+    """Tokenize and tag every intent: one (tokens, tags) pair per sample, in
+    corpus order. Neither depends on the perturbation kind, so one analysis
+    serves every kind."""
+    analyses = []
+    for sample in corpus.samples:
+        intent = tokenize(sample.intent, source_id=sample.id)
+        analyses.append((intent, tagger.tag(intent.tokens, sample_id=sample.id)))
+    return analyses
 
 
 def perturb_corpus(
@@ -292,12 +301,16 @@ def perturb_corpus(
     store: VectorStore | None,
     tagger: LexiconTagger | None = None,
     stoplist: set[str] | None = None,
+    analyses: list[tuple[TokenizedIntent, list[PosTag]]] | None = None,
 ) -> CorpusPerturbation:
     """Perturb every sample of a corpus with one kind.
 
     The per-sample RNG is derived from (cfg.seed, sample id), so each
     sample's record does not depend on corpus ordering. The vector store is
-    only required for substitution kinds.
+    only required for substitution kinds. ``analyses`` is the corpus's
+    ``analyze_corpus`` result; a caller that perturbs one corpus with several
+    kinds computes it once and passes it to each call. Without it, every
+    intent is tokenized and tagged here.
     """
     if kind.is_substitution and store is None:
         raise ConfigError(f"{kind.value} requires a vector store")
@@ -305,14 +318,18 @@ def perturb_corpus(
         tagger = LexiconTagger()
     if stoplist is None:
         stoplist = load_stopwords()
+    if analyses is None:
+        analyses = analyze_corpus(corpus, tagger)
+    elif len(analyses) != len(corpus):
+        raise DataError(f"{len(analyses)} analyses for {len(corpus)} samples")
     effective = replace(cfg, use_constraints=(kind is PerturbKind.SUBST_CONSTRAINED))
+    category = _KIND_TO_CATEGORY.get(kind)
 
-    def one(sample) -> PerturbationRecord | SkipEntry:
-        intent = tokenize(sample.intent, source_id=sample.id)
-        tags = tagger.tag(intent.tokens, sample_id=sample.id)
+    result = CorpusPerturbation()
+    for sample, (intent, tags) in zip(corpus.samples, analyses):
         try:
-            if kind.is_substitution:
-                return substitute_words(
+            if category is None:
+                record = substitute_words(
                     intent,
                     effective,
                     vocabulary,
@@ -322,16 +339,12 @@ def perturb_corpus(
                     stoplist=stoplist,
                     rng=per_sample_rng(cfg.seed, sample.id),
                 )
-            return omit_words(intent, _KIND_TO_CATEGORY[kind], vocabulary, tags)
+            else:
+                record = omit_words(intent, category, vocabulary, tags)
         except NoEligibleWords as exc:
-            return SkipEntry(sample_id=sample.id, kind=kind, reason=str(exc))
-
-    result = CorpusPerturbation()
-    for outcome in map(one, corpus.samples):
-        if isinstance(outcome, PerturbationRecord):
-            result.records.append(outcome)
-        else:
-            result.skipped.append(outcome)
+            result.skipped.append(SkipEntry(sample_id=sample.id, kind=kind, reason=str(exc)))
+            continue
+        result.records.append(record)
     return result
 
 
@@ -366,12 +379,7 @@ def record_from_dict(obj: dict, where: str = "") -> PerturbationRecord:
 
 
 def write_records(records: Iterable[PerturbationRecord], path: str | Path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
-        for record in records:
-            fh.write(json.dumps(record_to_dict(record), ensure_ascii=False))
-            fh.write("\n")
+    write_jsonl(path, map(record_to_dict, records))
 
 
 def read_records(path: str | Path) -> list[PerturbationRecord]:

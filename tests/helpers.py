@@ -15,22 +15,35 @@ must reproduce exactly: reference_top_k_neighbors() the full-sort neighbor
 search, reference_load_vectors() the per-component float() loader,
 reference_build_vocabulary() the variant-rescanning vocabulary builder,
 reference_sentence_embedding() the np.mean sentence encoder,
-reference_lexical_tag() the unmemoized context-free tagger, and
-reference_gated_records() the matrix's per-kind perturb, score and gate loop.
+reference_lexical_tag() the unmemoized context-free tagger,
+reference_gated_records() the matrix's per-kind perturb, score and gate loop,
+reference_cosine() the np.linalg.norm cosine, and reference_augment_split()
+with reference_build_matrix() the matrix builder that checks, indexes and
+rebuilds every sample for each of its cell splits.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import random
 from pathlib import Path
 
 import numpy as np
 
-from perturbe.corpus import Corpus, Sample
+from perturbe._util import round_half_away, sha256_file, stable_seed
+from perturbe.augment import (
+    AugmentPlan,
+    ExperimentCell,
+    KindFamily,
+    _cell_id,
+    _cell_inventory,
+    _manifest_digest,
+)
+from perturbe.corpus import Corpus, Sample, save_corpus
 from perturbe.embedding import Neighbor, VectorStore
 from perturbe.errors import DataError, EncodingFailure
-from perturbe.perturb import perturb_corpus
+from perturbe.perturb import GATE_PASS, perturb_corpus
 from perturbe.postag import _NUMBER_RE, _PUNCT_RE, _SUFFIX_RULES, LexiconTagger, PosTag
 from perturbe.semgate import gate, score
 from perturbe.vocab import (
@@ -312,3 +325,120 @@ def reference_gated_records(
             gathered.extend(passed)
         records_by_split[split_name] = gathered
     return records_by_split
+
+
+def reference_cosine(a: np.ndarray, b: np.ndarray) -> float:
+    """Cosine with both norms from np.linalg.norm."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    if a.shape != b.shape:
+        raise DataError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    norm_a = float(np.linalg.norm(a))
+    norm_b = float(np.linalg.norm(b))
+    if norm_a == 0.0 or norm_b == 0.0:
+        raise DataError("cosine undefined for zero-norm vector")
+    return float(np.dot(a, b) / (norm_a * norm_b))
+
+
+def reference_augment_split(split: Corpus, records, plan: AugmentPlan) -> Corpus:
+    """Check and index the records, choose round(p * N) samples, and rebuild
+    every sample of the split."""
+    wanted_kinds = plan.matching_kinds()
+    by_id = {}
+    for record in records:
+        if record.gate_pass != GATE_PASS:
+            raise DataError(
+                f"record {record.sample_id!r} ({record.kind.value}) has not passed the gate"
+            )
+        if record.kind in wanted_kinds:
+            by_id.setdefault(record.sample_id, {})[record.kind.value] = record
+
+    need = round_half_away(plan.ratio_p * len(split))
+    split_ids = set(split.ids())
+    covered = sorted(sid for sid in by_id if sid in split_ids)
+    if len(covered) < need:
+        raise DataError(
+            f"augmentation needs {need} perturbable samples but only "
+            f"{len(covered)} are covered by gate-passing records "
+            f"(short by {need - len(covered)})"
+        )
+
+    rng = random.Random(plan.seed)
+    chosen = set(rng.sample(covered, need))
+    replacement = {}
+    for sid in sorted(chosen):
+        candidates = by_id[sid]
+        kind_key = rng.choice(sorted(candidates))
+        replacement[sid] = candidates[kind_key]
+
+    out = []
+    for sample in split:
+        if sample.id in replacement:
+            out.append(
+                Sample(
+                    id=sample.id,
+                    intent=replacement[sample.id].perturbed_intent,
+                    snippet=sample.snippet,
+                )
+            )
+        else:
+            out.append(Sample(id=sample.id, intent=sample.intent, snippet=sample.snippet))
+    return Corpus(out, name=split.name)
+
+
+def reference_build_matrix(
+    splits, records_by_split, kinds, ratios, seed, out_dir, apply_to_validation=True
+):
+    """One reference_augment_split call per cell split, then the manifest."""
+    out_dir = Path(out_dir)
+    cells = []
+    for kind_label, train_p, test_p in _cell_inventory(kinds, ratios):
+        cell_id = _cell_id(kind_label, train_p, test_p)
+        cell_dir = out_dir / "cells" / cell_id
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        cell = ExperimentCell(
+            cell_id=cell_id, kind=kind_label, train_ratio_p=train_p, test_ratio_p=test_p
+        )
+        family = KindFamily(kind_label) if kind_label != "none" else None
+        for split_name, split in splits.items():
+            if family is None or (split_name == "val" and not apply_to_validation):
+                p = 0.0
+            elif split_name == "test":
+                p = test_p
+            else:
+                p = train_p
+            plan_kind = family if family is not None else KindFamily.SUBSTITUTION
+            plan = AugmentPlan(
+                ratio_p=p, kind=plan_kind, seed=stable_seed(seed, cell_id, split_name)
+            )
+            materialized = reference_augment_split(
+                split, records_by_split.get(split_name, []), plan
+            )
+            target = cell_dir / f"{split_name}.jsonl"
+            save_corpus(materialized, target)
+            cell.paths[split_name] = str(target.relative_to(out_dir))
+            cell.digests[split_name] = sha256_file(target)
+        cells.append(cell)
+
+    manifest = {
+        "seed": seed,
+        "kinds": [k.value for k in kinds],
+        "ratios": sorted(set(ratios)),
+        "cells": [
+            {
+                "id": c.cell_id,
+                "kind": c.kind,
+                "train_p": c.train_ratio_p,
+                "test_p": c.test_ratio_p,
+                "paths": c.paths,
+                "sha256": c.digests,
+            }
+            for c in cells
+        ],
+    }
+    digest = _manifest_digest(manifest)
+    manifest["digest"] = digest
+    (out_dir / "manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
+    )
+    return cells, digest

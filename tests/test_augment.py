@@ -1,9 +1,23 @@
+import dataclasses
+
 import pytest
 
+from perturbe._util import round_half_away
 from perturbe.augment import AugmentPlan, KindFamily, augment_split, build_matrix, vocab_growth
-from perturbe.corpus import Corpus, Sample
+from perturbe.corpus import Corpus, Sample, SplitSpec, split_corpus
+from perturbe.embedding import MeanVectorEncoder
 from perturbe.errors import DataError
-from perturbe.perturb import GATE_PASS, PerturbationRecord, PerturbKind
+from perturbe.perturb import (
+    GATE_FAIL,
+    GATE_PASS,
+    PerturbationRecord,
+    PerturbKind,
+    SubstitutionConfig,
+)
+from perturbe.postag import LexiconTagger
+from perturbe.semgate import GateConfig
+
+import helpers
 
 
 def make_corpus(n):
@@ -38,6 +52,14 @@ class TestAugmentSplit:
         changed = sum(1 for a, b in zip(corpus, out) if a.intent != b.intent)
         assert changed == 50
         assert len(out) == 100
+
+    def test_records_of_other_samples_are_ignored(self):
+        corpus = make_corpus(40)
+        half = Corpus(corpus.samples[::2], name="half")
+        out = augment_split(
+            half, full_coverage(corpus), AugmentPlan(ratio_p=1.0, kind=KindFamily.SUBSTITUTION, seed=4)
+        )
+        assert all(a.intent != b.intent for a, b in zip(half, out))
 
     def test_p_zero_is_identity(self):
         corpus = make_corpus(10)
@@ -199,3 +221,100 @@ class TestBuildMatrix:
             for split_name, rel in cell.paths.items():
                 assert (tmp_path / rel).exists()
         assert (tmp_path / "manifest.json").exists()
+
+
+DEMO_SPLIT_SEED = 3  # every family covers each demo test sample at this split
+
+
+@pytest.fixture(scope="module")
+def demo_matrix_inputs(demo_corpus, demo_store, demo_vocab, stopwords):
+    """Demo splits with gate-passing records of both families, as matrix makes them."""
+    train, val, test = split_corpus(demo_corpus, SplitSpec(seed=DEMO_SPLIT_SEED))
+    splits = {"train": train, "val": val, "test": test}
+    records = helpers.reference_gated_records(
+        splits,
+        list(PerturbKind),
+        SubstitutionConfig(seed=DEMO_SPLIT_SEED),
+        demo_vocab,
+        demo_store,
+        LexiconTagger(),
+        stopwords,
+        GateConfig(),
+        MeanVectorEncoder(demo_store),
+    )
+    return splits, records
+
+
+def _tree(root):
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestBuildMatrixDifferential:
+    """build_matrix indexes each split's records once per family; the cells
+    must equal one reference augment_split per cell split, byte for byte."""
+
+    KINDS = [KindFamily.SUBSTITUTION, KindFamily.OMISSION]
+
+    def _both(self, tmp_path, splits, records, ratios, **kwargs):
+        new = build_matrix(splits, records, self.KINDS, ratios, 11, tmp_path / "new", **kwargs)
+        ref = helpers.reference_build_matrix(
+            splits, records, self.KINDS, ratios, 11, tmp_path / "ref", **kwargs
+        )
+        return new, ref
+
+    @pytest.mark.parametrize("apply_to_validation", [True, False])
+    def test_demo_cells_and_digest_match_reference(
+        self, tmp_path, demo_matrix_inputs, apply_to_validation
+    ):
+        splits, records = demo_matrix_inputs
+        assert {r.kind.value for r in records["test"]} == {k.value for k in PerturbKind}
+        (cells, digest), (ref_cells, ref_digest) = self._both(
+            tmp_path, splits, records, [0.0, 0.25, 0.5, 1.0],
+            apply_to_validation=apply_to_validation,
+        )
+        assert digest == ref_digest
+        assert cells == ref_cells
+        new_tree, ref_tree = _tree(tmp_path / "new"), _tree(tmp_path / "ref")
+        assert len(new_tree) == 1 + 3 * len(cells)
+        assert new_tree == ref_tree
+
+    def test_split_without_records(self, tmp_path, demo_matrix_inputs):
+        splits, records = demo_matrix_inputs
+        no_val = {name: recs for name, recs in records.items() if name != "val"}
+        (cells, digest), (ref_cells, ref_digest) = self._both(
+            tmp_path, splits, no_val, [0.0, 1.0], apply_to_validation=False
+        )
+        assert (digest, cells) == (ref_digest, ref_cells)
+        assert _tree(tmp_path / "new") == _tree(tmp_path / "ref")
+
+    def test_uncovered_split_raises_the_same_error(self, tmp_path, demo_matrix_inputs):
+        splits, records = demo_matrix_inputs
+        no_val = {name: recs for name, recs in records.items() if name != "val"}
+        with pytest.raises(DataError) as new:
+            build_matrix(splits, no_val, self.KINDS, [0.5], 11, tmp_path / "new")
+        with pytest.raises(DataError) as ref:
+            helpers.reference_build_matrix(splits, no_val, self.KINDS, [0.5], 11, tmp_path / "ref")
+        assert str(new.value) == str(ref.value)
+        assert "augmentation needs" in str(new.value)
+
+    def test_ungated_record_raises_the_same_error(self, tmp_path, demo_matrix_inputs):
+        splits, records = demo_matrix_inputs
+        ungated = dataclasses.replace(records["test"][-1], gate_pass=GATE_FAIL)
+        broken = {**records, "test": records["test"][:-1] + [ungated]}
+        with pytest.raises(DataError) as new:
+            build_matrix(splits, broken, self.KINDS, [0.0, 0.5], 11, tmp_path / "new")
+        with pytest.raises(DataError) as ref:
+            helpers.reference_build_matrix(splits, broken, self.KINDS, [0.0, 0.5], 11, tmp_path / "ref")
+        assert str(new.value) == str(ref.value)
+        assert "has not passed the gate" in str(new.value)
+        assert _tree(tmp_path / "new") == _tree(tmp_path / "ref")
+
+    def test_unreplaced_samples_are_kept_as_given(self, demo_matrix_inputs):
+        splits, records = demo_matrix_inputs
+        train = splits["train"]
+        out = augment_split(train, records["train"], AugmentPlan(0.25, KindFamily.OMISSION, seed=5))
+        kept = [a is b for a, b in zip(out, train)]
+        assert kept.count(False) == round_half_away(0.25 * len(train))
+        for before, after, same in zip(train, out, kept):
+            assert (after.intent == before.intent) == same
+            assert after.snippet == before.snippet

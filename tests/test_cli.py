@@ -3,6 +3,7 @@ import stat
 
 import pytest
 
+from perturbe._util import sha256_file
 from perturbe.cli import main, read_config
 from perturbe.corpus import load_corpus
 
@@ -44,6 +45,17 @@ class TestIngestSplit:
         out = workdir / "normalized.jsonl"
         assert run("ingest", "--in", workdir / "corpus.jsonl", "--out", out) == 0
         assert len(load_corpus(out)) == 133
+
+    def test_manifest_option_overrides_default_path(self, workdir, tmp_path):
+        out = tmp_path / "normalized.jsonl"
+        custom = tmp_path / "elsewhere" / "custom.json"
+        assert run("ingest", "--in", workdir / "corpus.jsonl", "--out", out, "--manifest", custom) == 0
+        assert not (tmp_path / "normalized.jsonl.manifest.json").exists()
+        assert json.loads(custom.read_text())["outputs"] == {"normalized.jsonl": sha256_file(out)}
+        assert run("ingest", "--in", workdir / "corpus.jsonl", "--out", out) == 0
+        default = json.loads((tmp_path / "normalized.jsonl.manifest.json").read_text())
+        assert default["command"] == "ingest"
+        assert default["outputs"] == {"normalized.jsonl": sha256_file(out)}
 
     def test_ingest_duplicate_id_exit_2(self, workdir, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -191,6 +203,32 @@ class TestMatrix:
         for cell in manifest["cells"]:
             for rel in cell["paths"].values():
                 assert (tmp_path / "out" / rel).exists()
+
+    def test_matrix_tokenizes_and_tags_each_sample_once(self, workdir, tmp_path, monkeypatch):
+        from collections import Counter
+
+        from perturbe import perturb
+        from perturbe.postag import LexiconTagger
+
+        tagged, tokenized = Counter(), Counter()
+        original_tag, original_tokenize = LexiconTagger.tag, perturb.tokenize
+
+        def counting_tag(self, tokens, sample_id=""):
+            tagged[sample_id] += 1
+            return original_tag(self, tokens, sample_id=sample_id)
+
+        def counting_tokenize(text, source_id=""):
+            tokenized[source_id] += 1
+            return original_tokenize(text, source_id=source_id)
+
+        monkeypatch.setattr(LexiconTagger, "tag", counting_tag)
+        monkeypatch.setattr(perturb, "tokenize", counting_tokenize)
+        config = self.write_config(workdir, tmp_path / "out")
+        assert run("matrix", "--config", config) == 0
+        # Every sample sits in exactly one split, and all four kinds share it.
+        ids = load_corpus(workdir / "corpus.jsonl").ids()
+        assert tagged == Counter(ids)
+        assert tokenized == Counter(ids)
 
     def test_config_parsing(self, tmp_path):
         config = tmp_path / "c.cfg"

@@ -6,6 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 import pytest
 
+from perturbe import embedding
 from perturbe.embedding import (
     MeanVectorEncoder,
     PrecomputedEncoder,
@@ -461,6 +462,81 @@ class TestSentenceEmbedding:
         store = VectorStore({"a": np.array([1.0, 0.0])})
         with pytest.raises(EncodingFailure):
             sentence_embedding(["zzz", "yyy"], store)
+
+
+class TestNormDifferential:
+    """cosine and MeanVectorEncoder.encode take norms as sqrt(v . v); they must
+    equal np.linalg.norm bit for bit at every size and scale, strided views
+    included."""
+
+    SCALES = [1e-160, 1e-150, 1e-8, 1.0, 3.7, 1e8, 1e150, 1e155]
+
+    @pytest.fixture(autouse=True)
+    def _quiet_overflow(self):
+        # 1e155-scaled vectors overflow to inf in both implementations alike.
+        with np.errstate(over="ignore", invalid="ignore"):
+            yield
+
+    @staticmethod
+    def _bits(x):
+        return float(x).hex()
+
+    def test_norm_matches_linalg_norm(self):
+        rng = random.Random(31)
+        gen = np.random.default_rng(31)
+        for _ in range(2000):
+            v = gen.standard_normal(rng.randint(1, 301)) * rng.choice(self.SCALES)
+            for view in (v, v[::2], v[::-1]):
+                assert self._bits(embedding._norm(view)) == self._bits(np.linalg.norm(view))
+
+    def test_cosine_matches_reference(self):
+        rng = random.Random(37)
+        gen = np.random.default_rng(37)
+        checked = 0
+        for _ in range(1500):
+            size = rng.randint(1, 301)
+            a = gen.standard_normal(size) * rng.choice(self.SCALES)
+            b = gen.standard_normal(size) * rng.choice(self.SCALES)
+            try:
+                expected = helpers.reference_cosine(a, b)
+            except DataError:
+                with pytest.raises(DataError):
+                    cosine(a, b)
+                continue
+            assert self._bits(cosine(a, b)) == self._bits(expected)
+            checked += 1
+        columns = gen.standard_normal((50, 40)) * 1e-150  # non-contiguous columns
+        for j in range(39):
+            a, b = columns[:, j], columns[:, j + 1]
+            assert self._bits(cosine(a, b)) == self._bits(helpers.reference_cosine(a, b))
+        assert checked > 1400
+
+    def test_encode_matches_reference(self):
+        rng = random.Random(41)
+        gen = np.random.default_rng(41)
+        dim = 57
+        vectors = {f"w{i}": gen.standard_normal(dim) * rng.choice(self.SCALES) for i in range(80)}
+        # Capitalized words of their own: the exact form must win over the
+        # lowercase fallback, as in VectorStore.row_index.
+        vectors.update({f"W{i}": gen.standard_normal(dim) for i in range(0, 80, 3)})
+        store = VectorStore(vectors)
+        encoder = MeanVectorEncoder(store)
+        oov = 0
+        for _ in range(600):
+            words = [
+                rng.choice([f"w{rng.randrange(80)}", f"W{rng.randrange(80)}", "zzz"])
+                for _ in range(rng.randint(1, 30))
+            ]
+            tokens = tokenize(" ".join(words)).tokens
+            oov += sum(1 for t in tokens if store.row_index(t) is None)
+            try:
+                expected = helpers.reference_sentence_embedding(tokens, store)
+            except EncodingFailure:
+                with pytest.raises(EncodingFailure):
+                    encoder.encode(" ".join(words))
+                continue
+            assert encoder.encode(" ".join(words)).tobytes() == expected.tobytes()
+        assert encoder.oov_skipped == oov > 0
 
 
 class TestEncoders:

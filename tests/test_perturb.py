@@ -4,11 +4,12 @@ import pytest
 
 from perturbe.corpus import Corpus, Sample
 from perturbe.embedding import cosine, load_vectors
-from perturbe.errors import NoEligibleWords
+from perturbe.errors import DataError, NoEligibleWords
 from perturbe.perturb import (
     OmissionCategory,
     PerturbKind,
     SubstitutionConfig,
+    analyze_corpus,
     eligible_words,
     omit_words,
     omittable_words,
@@ -328,3 +329,38 @@ class TestPerturbCorpus:
         assert [(r.sample_id, r.kind, r.perturbed_intent) for r in loaded] == [
             (r.sample_id, r.kind, r.perturbed_intent) for r in result.records
         ]
+
+
+class TestAnalyzeCorpus:
+    def test_one_analysis_per_sample(self, demo_corpus, tagger):
+        analyses = analyze_corpus(demo_corpus, tagger)
+        assert len(analyses) == len(demo_corpus)
+        for sample, (intent, tags) in zip(demo_corpus, analyses):
+            assert intent == tokenize(sample.intent, source_id=sample.id)
+            assert tags == tagger.tag(intent.tokens, sample_id=sample.id)
+
+    @pytest.mark.parametrize("kind", list(PerturbKind))
+    def test_shared_analyses_give_the_same_records(
+        self, demo_corpus, demo_vocab, demo_store, tagger, kind
+    ):
+        corpus = Corpus(demo_corpus.samples + [Sample("x-skip", "Good luck, friend.", "nop")])
+        cfg = SubstitutionConfig(seed=9)
+        analyses = analyze_corpus(corpus, tagger)
+        shared = perturb_corpus(
+            corpus, kind, cfg, demo_vocab, demo_store, tagger=tagger, analyses=analyses
+        )
+        own = perturb_corpus(corpus, kind, cfg, demo_vocab, demo_store, tagger=tagger)
+        assert shared == own
+        assert shared.records and shared.skipped
+
+    def test_analyses_of_another_corpus_rejected(self, demo_corpus, demo_vocab, tagger):
+        analyses = analyze_corpus(Corpus(demo_corpus.samples[:3]), tagger)
+        with pytest.raises(DataError, match="3 analyses"):
+            perturb_corpus(
+                demo_corpus, PerturbKind.OMIT_NAME, SubstitutionConfig(), demo_vocab, None,
+                tagger=tagger, analyses=analyses,
+            )
+
+    def test_category_kind_round_trip(self):
+        kinds = [category.kind for category in OmissionCategory]
+        assert kinds == [PerturbKind.OMIT_ACTION, PerturbKind.OMIT_STRUCTURE, PerturbKind.OMIT_NAME]
