@@ -4,6 +4,13 @@ Every run requires an explicit seed and writes a run manifest (config
 digest, seed, output digests) so any two runs with the same config and seed
 produce byte-identical output trees.
 
+``matrix`` runs the subcommands' stage functions (``mine_vocabulary``,
+``perturb_split``, ``score_records`` and ``gate``), so chaining ``split``,
+``build-vocab`` on the full corpus, ``perturb`` for each kind in the order
+subst-constrained, omit-action, omit-structure, omit-name, and ``gate``
+reproduces its vocabulary and records byte for byte, for a config without
+a ``registers`` key. Its augmentation seeds are derived per cell and split.
+
 Exit codes: 0 success, 1 invalid configuration, 2 data error, 3 external
 checker failure.
 """
@@ -42,6 +49,13 @@ def _parse_floats(text: str) -> list[float]:
         raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
 
 
+def _split_spec(text: str, seed: int, option: str) -> corpus_mod.SplitSpec:
+    ratios = _parse_floats(text)
+    if len(ratios) != 3:
+        raise ConfigError(f"{option} needs three values, got {text!r}")
+    return corpus_mod.SplitSpec(*ratios, seed=seed)
+
+
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
@@ -72,8 +86,8 @@ def _write_run_manifest(
     """Write the run manifest to ``--manifest``, or to ``default`` when that
     option is unset. ``config`` defaults to the parsed arguments."""
     manifest_path = Path(args.manifest) if args.manifest else default
-    if config is None:
-        config = vars(args)
+    if config is None:  # the handler function's repr is a memory address
+        config = {k: v for k, v in vars(args).items() if k != "func"}
     base = manifest_path.parent
     manifest = {
         "command": command,
@@ -106,12 +120,7 @@ def _cmd_ingest(args) -> int:
 
 
 def _cmd_split(args) -> int:
-    ratios = _parse_floats(args.ratios)
-    if len(ratios) != 3:
-        raise ConfigError(f"--ratios needs three values, got {args.ratios!r}")
-    spec = corpus_mod.SplitSpec(
-        train_ratio=ratios[0], val_ratio=ratios[1], test_ratio=ratios[2], seed=args.seed
-    )
+    spec = _split_spec(args.ratios, args.seed, "--ratios")
     corpus = corpus_mod.load_corpus(args.infile, format=args.format)
     train, val, test = corpus_mod.split_corpus(corpus, spec)
     out_dir = Path(args.out_dir)
@@ -128,19 +137,12 @@ def _cmd_split(args) -> int:
 def _cmd_build_vocab(args) -> int:
     stoplist = load_stopwords(args.stopwords)
     corpus = corpus_mod.load_corpus(args.corpus)
-    codegen = vocab_mod.count_frequencies((s.intent for s in corpus), stoplist)
-    if args.comparison:
-        comparison_text = Path(args.comparison).read_text("utf-8")
-    else:
-        from importlib import resources
-
-        comparison_text = (
-            resources.files("perturbe.data").joinpath("comparison_corpus.txt").read_text("utf-8")
-        )
-    comparison = vocab_mod.count_frequencies(comparison_text.splitlines(), stoplist)
-    registers = vocab_mod.load_registers(args.registers)
-    vocabulary = vocab_mod.build_vocabulary(
-        codegen, comparison, threshold=args.threshold, registers=registers
+    vocabulary = vocab_mod.mine_vocabulary(
+        (s.intent for s in corpus),
+        stoplist,
+        comparison=args.comparison,
+        registers=vocab_mod.load_registers(args.registers),
+        threshold=args.threshold,
     )
     out = Path(args.out)
     vocab_mod.save_vocabulary(vocabulary, out)
@@ -161,14 +163,8 @@ def _cmd_perturb(args) -> int:
         ratio=args.ratio, k=args.k, tau=args.tau, seed=args.seed
     )
     stoplist = load_stopwords(args.stopwords)
-    result = perturb_mod.perturb_corpus(
-        corpus,
-        kind,
-        cfg,
-        vocabulary,
-        store,
-        tagger=_load_tagger(args),
-        stoplist=stoplist,
+    result = perturb_mod.perturb_split(
+        corpus, [kind], cfg, vocabulary, store, _load_tagger(args), stoplist
     )
     out = Path(args.out)
     perturb_mod.write_records(result.records, out)
@@ -244,6 +240,17 @@ def _cmd_augment(args) -> int:
     return 0
 
 
+# The perturbation kinds `matrix` runs for each family, in record order.
+_MATRIX_KINDS = {
+    augment_mod.KindFamily.SUBSTITUTION: (perturb_mod.PerturbKind.SUBST_CONSTRAINED,),
+    augment_mod.KindFamily.OMISSION: (
+        perturb_mod.PerturbKind.OMIT_ACTION,
+        perturb_mod.PerturbKind.OMIT_STRUCTURE,
+        perturb_mod.PerturbKind.OMIT_NAME,
+    ),
+}
+
+
 def _cmd_matrix(args) -> int:
     config = read_config(args.config)
     for key in ("corpus", "out_dir", "seed"):
@@ -253,36 +260,19 @@ def _cmd_matrix(args) -> int:
     out_dir = Path(args.out_dir or config["out_dir"])
 
     corpus = corpus_mod.load_corpus(config["corpus"], format=config.get("format", "jsonl"))
-    ratios_raw = config.get("split.ratios", "0.8,0.1,0.1")
-    split_ratios = _parse_floats(ratios_raw)
-    if len(split_ratios) != 3:
-        raise ConfigError(f"split.ratios needs three values, got {ratios_raw!r}")
-    spec = corpus_mod.SplitSpec(
-        train_ratio=split_ratios[0],
-        val_ratio=split_ratios[1],
-        test_ratio=split_ratios[2],
-        seed=seed,
-    )
+    spec = _split_spec(config.get("split.ratios", "0.8,0.1,0.1"), seed, "split.ratios")
     train, val, test = corpus_mod.split_corpus(corpus, spec)
     splits = {"train": train, "val": val, "test": test}
 
+    # The vocabulary is mined over the whole corpus, test split included.
     stoplist = load_stopwords(config.get("stopwords"))
-    codegen = vocab_mod.count_frequencies((s.intent for s in corpus), stoplist)
-    if "comparison" in config:
-        comparison_text = Path(config["comparison"]).read_text("utf-8")
-    else:
-        from importlib import resources
-
-        comparison_text = (
-            resources.files("perturbe.data").joinpath("comparison_corpus.txt").read_text("utf-8")
-        )
-    comparison = vocab_mod.count_frequencies(comparison_text.splitlines(), stoplist)
     registers = vocab_mod.load_registers(config.get("registers"))
-    vocabulary = vocab_mod.build_vocabulary(
-        codegen,
-        comparison,
-        threshold=float(config.get("vocab.threshold", vocab_mod.DEFAULT_RATIO_THRESHOLD)),
+    vocabulary = vocab_mod.mine_vocabulary(
+        (s.intent for s in corpus),
+        stoplist,
+        comparison=config.get("comparison"),
         registers=registers,
+        threshold=float(config.get("vocab.threshold", vocab_mod.DEFAULT_RATIO_THRESHOLD)),
     )
     vocab_mod.save_vocabulary(vocabulary, out_dir / "vocab.json")
 
@@ -292,19 +282,8 @@ def _cmd_matrix(args) -> int:
     tagger = LexiconTagger(lexicon_path=config.get("tag_lexicon"), registers=registers)
 
     kinds = [augment_mod.KindFamily(k.strip()) for k in config.get("kinds", "substitution,omission").split(",")]
+    kind_list = [k for family in _MATRIX_KINDS if family in kinds for k in _MATRIX_KINDS[family]]
     aug_ratios = _parse_floats(config.get("ratios", "0,0.25,0.5,1.0"))
-
-    kind_list: list[perturb_mod.PerturbKind] = []
-    if augment_mod.KindFamily.SUBSTITUTION in kinds:
-        kind_list.append(perturb_mod.PerturbKind.SUBST_CONSTRAINED)
-    if augment_mod.KindFamily.OMISSION in kinds:
-        kind_list.extend(
-            (
-                perturb_mod.PerturbKind.OMIT_ACTION,
-                perturb_mod.PerturbKind.OMIT_STRUCTURE,
-                perturb_mod.PerturbKind.OMIT_NAME,
-            )
-        )
 
     cfg = perturb_mod.SubstitutionConfig(
         ratio=float(config.get("subst.ratio", 0.10)),
@@ -317,23 +296,11 @@ def _cmd_matrix(args) -> int:
 
     records_by_split: dict[str, list[perturb_mod.PerturbationRecord]] = {}
     for split_name, part in splits.items():
-        # One analysis and one gate pass per split, records in kind order:
-        # the kinds of a sample share its tokens and tags and one encode of
-        # its original, and gate keeps the order.
-        analyses = perturb_mod.analyze_corpus(part, tagger)
-        records: list[perturb_mod.PerturbationRecord] = []
-        for kind in kind_list:
-            result = perturb_mod.perturb_corpus(
-                part,
-                kind,
-                cfg,
-                vocabulary,
-                store,
-                tagger=tagger,
-                stoplist=stoplist,
-                analyses=analyses,
-            )
-            records.extend(result.records)
+        # One gate pass per split, records in kind order: the kinds of a
+        # sample share one encode of its original, and gate keeps the order.
+        records = perturb_mod.perturb_split(
+            part, kind_list, cfg, vocabulary, store, tagger, stoplist
+        ).records
         passed, _ = semgate_mod.gate(semgate_mod.score_records(records, encoder), gate_cfg)
         records_by_split[split_name] = passed
         perturb_mod.write_records(passed, out_dir / f"records_{split_name}.jsonl")
@@ -464,6 +431,7 @@ def _cmd_stats(args) -> int:
     print(json.dumps(result, indent=2, sort_keys=True))
     if args.out:
         out = Path(args.out)
+        out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", "utf-8")
         _write_run_manifest(args, out.with_suffix(".manifest.json"), "stats", None, [out])
     return 0

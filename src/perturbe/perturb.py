@@ -308,9 +308,9 @@ def perturb_corpus(
     The per-sample RNG is derived from (cfg.seed, sample id), so each
     sample's record does not depend on corpus ordering. The vector store is
     only required for substitution kinds. ``analyses`` is the corpus's
-    ``analyze_corpus`` result; a caller that perturbs one corpus with several
-    kinds computes it once and passes it to each call. Without it, every
-    intent is tokenized and tagged here.
+    ``analyze_corpus`` result; ``perturb_split`` computes it once and passes
+    it to the call for each kind. Without it, every intent is tokenized and
+    tagged here.
     """
     if kind.is_substitution and store is None:
         raise ConfigError(f"{kind.value} requires a vector store")
@@ -345,6 +345,36 @@ def perturb_corpus(
             result.skipped.append(SkipEntry(sample_id=sample.id, kind=kind, reason=str(exc)))
             continue
         result.records.append(record)
+    return result
+
+
+def perturb_split(
+    corpus: Corpus,
+    kinds: Iterable[PerturbKind],
+    cfg: SubstitutionConfig,
+    vocabulary: Vocabulary,
+    store: VectorStore | None,
+    tagger: LexiconTagger,
+    stoplist: set[str],
+) -> CorpusPerturbation:
+    """Perturb one corpus with each kind in turn. Every intent is tokenized
+    and tagged once for all kinds; records and skips come in kind order, and
+    within a kind in corpus order."""
+    analyses = analyze_corpus(corpus, tagger)
+    result = CorpusPerturbation()
+    for kind in kinds:
+        part = perturb_corpus(
+            corpus,
+            kind,
+            cfg,
+            vocabulary,
+            store,
+            tagger=tagger,
+            stoplist=stoplist,
+            analyses=analyses,
+        )
+        result.records.extend(part.records)
+        result.skipped.extend(part.skipped)
     return result
 
 

@@ -1,13 +1,13 @@
-"""Intent preprocessing: tokenization, stopword lists, standardization.
+"""Intent preprocessing: tokenization, stopword lists, de-standardization.
 
 The tokenizer splits on whitespace and punctuation but keeps domain tokens
 whole: hex literals (0x4), bracketed operands ([esi]), and identifiers with
 underscores (_start_label). Case is preserved throughout; register mnemonics
 and labels are case-bearing.
 
-Standardization rewrites value-like tokens (immediates, label names,
-bracket groups) to var0, var1, ... placeholders and records the originals so
-predicted code can be de-standardized exactly.
+De-standardization replaces the var0, var1, ... placeholders of predicted
+code with the original value-like tokens (immediates, label names, bracket
+groups) recorded in a StandardizationMap.
 """
 
 from __future__ import annotations
@@ -37,12 +37,6 @@ _OPENING_PUNCT = {"(", "[", "{"}
 
 _PLACEHOLDER_RE = re.compile(r"var(\d+)")
 
-_IDENTIFIER_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-
-# Words that introduce a name: "jump to label formatting" standardizes
-# "formatting" even though it matches no character-class pattern.
-_NAME_INTRODUCERS = {"label", "function"}
-
 
 @dataclass
 class TokenizedIntent:
@@ -58,12 +52,9 @@ class TokenizedIntent:
 
 @dataclass
 class StandardizationMap:
-    """Ordered map var-index -> original token, built by standardize()."""
+    """Ordered map var-index -> original token, read by destandardize()."""
 
     entries: dict[int, str] = field(default_factory=dict)
-
-    def __len__(self) -> int:
-        return len(self.entries)
 
 
 def tokenize(text: str, source_id: str = "") -> TokenizedIntent:
@@ -96,56 +87,6 @@ def load_stopwords(path: str | Path | None = None) -> set[str]:
         if line and not line.startswith("#"):
             words.add(line.lower())
     return words
-
-
-def load_patterns(path: str | Path | None = None) -> dict[str, re.Pattern]:
-    """Standardizable-token patterns from name=regex lines. None -> defaults."""
-    if path is None:
-        text = resources.files("perturbe.data").joinpath("patterns.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    patterns: dict[str, re.Pattern] = {}
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        name, sep, expr = line.partition("=")
-        if not sep:
-            raise DataError(f"pattern file line {lineno}: expected name=regex")
-        try:
-            patterns[name.strip()] = re.compile(expr.strip())
-        except re.error as exc:
-            raise DataError(f"pattern file line {lineno}: bad regex: {exc}") from exc
-    return patterns
-
-
-def standardize(
-    intent: TokenizedIntent, patterns: dict[str, re.Pattern] | None = None
-) -> tuple[TokenizedIntent, StandardizationMap]:
-    """Replace value-like tokens left-to-right with var0, var1, ...
-
-    A token standardizes if it fully matches a configured pattern, or if it
-    is an identifier immediately preceded by a name-introducing word
-    ("label", "function").
-    """
-    if patterns is None:
-        patterns = load_patterns()
-    out: list[str] = []
-    mapping = StandardizationMap()
-    index = 0
-    prev = ""
-    for tok in intent.tokens:
-        is_value = any(p.fullmatch(tok) for p in patterns.values())
-        if not is_value and prev.lower() in _NAME_INTRODUCERS:
-            is_value = _IDENTIFIER_RE.fullmatch(tok) is not None
-        prev = tok
-        if is_value:
-            mapping.entries[index] = tok
-            out.append(f"var{index}")
-            index += 1
-        else:
-            out.append(tok)
-    return TokenizedIntent(tokens=out, source_id=intent.source_id), mapping
 
 
 def destandardize(code_text: str, mapping: StandardizationMap) -> str:

@@ -146,6 +146,24 @@ def build_vocabulary(
     return Vocabulary(structure_words=structure, name_words=names, ratio_threshold=threshold)
 
 
+def mine_vocabulary(
+    texts: Iterable[str],
+    stoplist: set[str],
+    comparison: str | Path | None = None,
+    registers: set[str] | None = None,
+    threshold: float = DEFAULT_RATIO_THRESHOLD,
+) -> Vocabulary:
+    """Count the corpus texts and a plain-text comparison corpus (one text
+    per line; unset -> shipped) and build the vocabulary from the two."""
+    codegen = count_frequencies(texts, stoplist)
+    if comparison:
+        text = Path(comparison).read_text("utf-8")
+    else:
+        text = resources.files("perturbe.data").joinpath("comparison_corpus.txt").read_text("utf-8")
+    comparison_table = count_frequencies(text.splitlines(), stoplist)
+    return build_vocabulary(codegen, comparison_table, threshold=threshold, registers=registers)
+
+
 def is_protected(word: str, vocabulary: Vocabulary) -> bool:
     """True when the word may not be substituted: structure words match
     case-insensitively, name words case-sensitively."""

@@ -2,7 +2,7 @@ import pytest
 
 from perturbe.postag import LexiconTagger
 from perturbe.preprocess import load_stopwords
-from perturbe.vocab import build_vocabulary, count_frequencies
+from perturbe.vocab import mine_vocabulary
 
 import helpers
 
@@ -39,9 +39,4 @@ def demo_store():
 
 @pytest.fixture(scope="session")
 def demo_vocab(demo_corpus, stopwords):
-    from importlib import resources
-
-    codegen = count_frequencies((s.intent for s in demo_corpus), stopwords)
-    text = resources.files("perturbe.data").joinpath("comparison_corpus.txt").read_text("utf-8")
-    comparison = count_frequencies(text.splitlines(), stopwords)
-    return build_vocabulary(codegen, comparison)
+    return mine_vocabulary((s.intent for s in demo_corpus), stopwords)

@@ -51,7 +51,7 @@ from perturbe.perturb import (
 from perturbe.postag import LexiconTagger
 from perturbe.preprocess import load_stopwords, tokenize
 from perturbe.semgate import GateConfig, gate, score_records, threshold_sweep
-from perturbe.vocab import load_registers, load_vocabulary
+from perturbe.vocab import load_registers, load_vocabulary, mine_vocabulary
 
 REAL_DATASET = os.environ.get("PERTURBE_DATASET")
 REAL_VECTORS = os.environ.get("PERTURBE_VECTORS")
@@ -231,16 +231,7 @@ class TestCriterion4AugmentationExactness:
 
 
 def _mined_vocabulary(corpus):
-    from importlib import resources
-
-    from perturbe.preprocess import load_stopwords
-    from perturbe.vocab import build_vocabulary, count_frequencies
-
-    stoplist = load_stopwords()
-    codegen = count_frequencies((s.intent for s in corpus), stoplist)
-    text = resources.files("perturbe.data").joinpath("comparison_corpus.txt").read_text("utf-8")
-    comparison = count_frequencies(text.splitlines(), stoplist)
-    return build_vocabulary(codegen, comparison)
+    return mine_vocabulary((s.intent for s in corpus), load_stopwords())
 
 
 class TestCriterion5GateProperties:
@@ -429,6 +420,38 @@ class TestCriterion7Determinism:
         assert all(outputs[0][1].values())
         assert outputs[0] == outputs[1]
         announce(7, "matrix records, vocabulary and digest independent of PYTHONHASHSEED")
+
+    def test_chained_subcommands_reproduce_matrix(self, tmp_path, demo_corpus):
+        seed = 11
+        corpus_path, vectors_path, config = _write_matrix_inputs(
+            tmp_path, list(demo_corpus.samples), seed
+        )
+        assert cli_main(["matrix", "--config", str(config)]) == 0
+        out, chain = tmp_path / "out", tmp_path / "chain"
+
+        splits = chain / "splits"
+        assert cli_main(["split", "--in", str(corpus_path), "--out-dir", str(splits),
+                         "--seed", str(seed)]) == 0
+        vocab_path = chain / "vocab.json"
+        assert cli_main(["build-vocab", "--corpus", str(corpus_path), "--out", str(vocab_path)]) == 0
+        kinds = ("subst-constrained", "omit-action", "omit-structure", "omit-name")
+        for name in SPLIT_NAMES:
+            passed = b""
+            for kind in kinds:
+                records = chain / f"{name}_{kind}.jsonl"
+                assert cli_main(["perturb", "--kind", kind, "--in", str(splits / f"{name}.jsonl"),
+                                 "--vocab", str(vocab_path), "--vectors", str(vectors_path),
+                                 "--out", str(records), "--seed", str(seed)]) == 0
+                assert cli_main(["gate", "--records", str(records), "--vectors", str(vectors_path),
+                                 "--threshold", "0.8"]) == 0
+                passed += records.with_suffix(".passed.jsonl").read_bytes()
+            matrix_records = (out / f"records_{name}.jsonl").read_bytes()
+            assert matrix_records
+            assert passed == matrix_records, name
+            cell_split = out / "cells" / "none_train000_test000" / f"{name}.jsonl"
+            assert (splits / f"{name}.jsonl").read_bytes() == cell_split.read_bytes(), name
+        assert vocab_path.read_bytes() == (out / "vocab.json").read_bytes()
+        announce(7, "split, build-vocab, perturb and gate chained reproduce matrix byte for byte")
 
 
 class TestCriterion8SyntaxChecker:

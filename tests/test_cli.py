@@ -1,8 +1,13 @@
 import json
+import os
 import stat
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import perturbe
 from perturbe._util import sha256_file
 from perturbe.cli import main, read_config
 from perturbe.corpus import load_corpus
@@ -56,6 +61,23 @@ class TestIngestSplit:
         default = json.loads((tmp_path / "normalized.jsonl.manifest.json").read_text())
         assert default["command"] == "ingest"
         assert default["outputs"] == {"normalized.jsonl": sha256_file(out)}
+
+    def test_run_manifest_identical_across_processes(self, workdir, tmp_path):
+        # The digested config must not hold anything process-specific, such
+        # as the repr of the handler function (a memory address).
+        src = str(Path(perturbe.__file__).resolve().parents[1])
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = tmp_path / "normalized.jsonl"
+        manifests = []
+        for _ in range(2):
+            subprocess.run(
+                [sys.executable, "-m", "perturbe.cli", "ingest",
+                 "--in", str(workdir / "corpus.jsonl"), "--out", str(out)],
+                env=env, check=True, capture_output=True, timeout=120,
+            )
+            manifests.append((tmp_path / "normalized.jsonl.manifest.json").read_bytes())
+        assert manifests[0] == manifests[1]
 
     def test_ingest_duplicate_id_exit_2(self, workdir, tmp_path):
         bad = tmp_path / "bad.jsonl"
@@ -354,3 +376,9 @@ class TestStats:
         assert payload["samples"] == 133
         assert payload["jsd"] == 0.0
         assert set(payload["omission_rates"]) == {"action", "structure", "name"}
+
+    def test_stats_out_creates_missing_directory(self, workdir, tmp_path):
+        out = tmp_path / "nodir" / "stats.json"
+        assert run("stats", "--corpus", workdir / "corpus.jsonl", "--out", out) == 0
+        assert json.loads(out.read_text())["samples"] == 133
+        assert (tmp_path / "nodir" / "stats.manifest.json").exists()

@@ -14,6 +14,7 @@ from perturbe.perturb import (
     omit_words,
     omittable_words,
     perturb_corpus,
+    perturb_split,
     read_records,
     substitute_words,
     write_records,
@@ -360,6 +361,21 @@ class TestAnalyzeCorpus:
                 demo_corpus, PerturbKind.OMIT_NAME, SubstitutionConfig(), demo_vocab, None,
                 tagger=tagger, analyses=analyses,
             )
+
+    def test_perturb_split_concatenates_kinds_in_order(
+        self, demo_corpus, demo_vocab, demo_store, tagger, stopwords
+    ):
+        corpus = Corpus(demo_corpus.samples + [Sample("x-skip", "Good luck, friend.", "nop")])
+        kinds = [PerturbKind.OMIT_NAME, PerturbKind.SUBST_CONSTRAINED, PerturbKind.OMIT_ACTION]
+        cfg = SubstitutionConfig(seed=9)
+        split = perturb_split(corpus, kinds, cfg, demo_vocab, demo_store, tagger, stopwords)
+        per_kind = [
+            perturb_corpus(corpus, kind, cfg, demo_vocab, demo_store, tagger=tagger)
+            for kind in kinds
+        ]
+        assert split.records == [r for part in per_kind for r in part.records]
+        assert split.skipped == [s for part in per_kind for s in part.skipped]
+        assert split.skipped
 
     def test_category_kind_round_trip(self):
         kinds = [category.kind for category in OmissionCategory]

@@ -7,9 +7,7 @@ from perturbe.preprocess import (
     StandardizationMap,
     destandardize,
     detokenize,
-    load_patterns,
     load_stopwords,
-    standardize,
     tokenize,
 )
 
@@ -81,44 +79,6 @@ class TestStopwords:
         path = tmp_path / "stop.txt"
         path.write_text("# comment\nfoo\nBAR\n")
         assert load_stopwords(path) == {"foo", "bar"}
-
-
-class TestStandardize:
-    def test_label_via_trailing_name_rule(self):
-        t = tokenize("jump to label formatting")
-        out, mapping = standardize(t)
-        assert out.tokens == ["jump", "to", "label", "var0"]
-        assert mapping.entries == {0: "formatting"}
-
-    def test_hex_pattern(self):
-        out, mapping = standardize(tokenize("copy 0x4 into BL"))
-        assert out.tokens == ["copy", "var0", "into", "BL"]
-        assert mapping.entries == {0: "0x4"}
-
-    def test_no_standardizable_tokens(self):
-        t = tokenize("push the stack")
-        out, mapping = standardize(t)
-        assert out.tokens == t.tokens
-        assert len(mapping) == 0
-
-    def test_left_to_right_indices(self):
-        out, mapping = standardize(tokenize("move 0x10 into [esi] at _loop"))
-        assert out.tokens == ["move", "var0", "into", "var1", "at", "var2"]
-        assert mapping.entries == {0: "0x10", 1: "[esi]", 2: "_loop"}
-
-    def test_inverse_on_rewritten_tokens(self):
-        t = tokenize("write 0xFF to [edi] near _exit_label")
-        out, mapping = standardize(t)
-        restored = destandardize(" ".join(out.tokens), mapping)
-        assert restored == " ".join(t.tokens)
-
-    def test_custom_pattern_file(self, tmp_path):
-        path = tmp_path / "patterns.txt"
-        path.write_text("upper=[A-Z]{4,}\n")
-        patterns = load_patterns(path)
-        out, mapping = standardize(tokenize("call WXYZ now"), patterns)
-        assert out.tokens == ["call", "var0", "now"]
-        assert mapping.entries == {0: "WXYZ"}
 
 
 class TestDestandardize:

@@ -14,6 +14,7 @@ from perturbe.vocab import (
     is_protected,
     load_registers,
     load_vocabulary,
+    mine_vocabulary,
     save_vocabulary,
 )
 
@@ -149,6 +150,24 @@ class TestBuildVocabularyDifferential:
         text = resources.files("perturbe.data").joinpath("comparison_corpus.txt").read_text("utf-8")
         comparison = count_frequencies(text.splitlines(), stopwords)
         assert demo_vocab == helpers.reference_build_vocabulary(codegen, comparison)
+
+
+class TestMineVocabulary:
+    def test_counts_both_corpora(self, tmp_path):
+        comparison = tmp_path / "comparison.txt"
+        comparison.write_text("walk the dog\npush the cart\n")
+        texts = ["push the EAX register", "push the stack"]
+        vocab = mine_vocabulary(
+            texts, {"the"}, comparison=comparison, registers={"eax"}, threshold=3.0
+        )
+        assert vocab == build_vocabulary(
+            count_frequencies(texts, {"the"}),
+            count_frequencies(["walk the dog", "push the cart"], {"the"}),
+            threshold=3.0,
+            registers={"eax"},
+        )
+        assert vocab.structure_words == {"register", "stack"}
+        assert vocab.name_words == {"EAX"}
 
 
 class TestNamePredicate:
