@@ -1,4 +1,4 @@
-"""Small shared helpers: rounding, seeding, hashing, JSONL I/O."""
+"""Small shared helpers: rounding, seeding, hashing, data-file and JSONL I/O."""
 
 from __future__ import annotations
 
@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+from importlib import resources
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -56,6 +57,20 @@ def sha256_text(text: str) -> str:
 def canonical_json(obj: Any) -> str:
     """Deterministic JSON encoding used for digests and manifests."""
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
+
+
+def read_data_lines(path: str | Path | None, shipped: str, raw: bool = False) -> list[str]:
+    """Lines of the file at ``path``, or of the shipped data file ``shipped``
+    when ``path`` is unset. Unless ``raw``, every line is stripped, and blank
+    lines and lines starting with '#' are dropped."""
+    if path:
+        text = Path(path).read_text("utf-8")
+    else:
+        text = resources.files("perturbe.data").joinpath(shipped).read_text("utf-8")
+    if raw:
+        return text.splitlines()
+    lines = (line.strip() for line in text.splitlines())
+    return [line for line in lines if line and not line.startswith("#")]
 
 
 def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:

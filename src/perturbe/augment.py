@@ -20,7 +20,7 @@ from perturbe._util import canonical_json, round_half_away, sha256_file, sha256_
 from perturbe.corpus import Corpus, Sample, save_corpus
 from perturbe.errors import ConfigError, DataError
 from perturbe.perturb import GATE_PASS, PerturbationRecord, PerturbKind
-from perturbe.preprocess import load_stopwords, tokenize
+from perturbe.vocab import count_frequencies
 
 
 class KindFamily(enum.Enum):
@@ -134,20 +134,13 @@ def _materialize(
     return Corpus(out, name=split.name)
 
 
-def vocab_growth(variants: list[Corpus], stoplist: set[str] | None = None) -> list[int]:
-    """Distinct non-stopword intent tokens per corpus variant."""
-    if stoplist is None:
-        stoplist = load_stopwords()
-    lowered_stop = {w.lower() for w in stoplist}
-    counts: list[int] = []
-    for corpus in variants:
-        seen: set[str] = set()
-        for sample in corpus:
-            seen.update(
-                t for t in tokenize(sample.intent).tokens if t.lower() not in lowered_stop
-            )
-        counts.append(len(seen))
-    return counts
+def vocab_growth(variants: list[Corpus], stoplist: set[str]) -> list[int]:
+    """Distinct non-stopword intent tokens per corpus variant (the stoplist
+    is lowercase)."""
+    return [
+        count_frequencies((s.intent for s in corpus), stoplist).unique_count
+        for corpus in variants
+    ]
 
 
 def _cell_inventory(

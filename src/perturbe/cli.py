@@ -11,8 +11,8 @@ subst-constrained, omit-action, omit-structure, omit-name, and ``gate``
 reproduces its vocabulary and records byte for byte, for a config without
 a ``registers`` key. Its augmentation seeds are derived per cell and split.
 
-Exit codes: 0 success, 1 invalid configuration, 2 data error, 3 external
-checker failure.
+Exit codes: 0 success, 1 invalid configuration, 2 data error (including
+any missing input file), 3 external checker failure.
 """
 
 from __future__ import annotations
@@ -140,8 +140,8 @@ def _cmd_build_vocab(args) -> int:
     vocabulary = vocab_mod.mine_vocabulary(
         (s.intent for s in corpus),
         stoplist,
+        vocab_mod.load_registers(args.registers),
         comparison=args.comparison,
-        registers=vocab_mod.load_registers(args.registers),
         threshold=args.threshold,
     )
     out = Path(args.out)
@@ -251,8 +251,21 @@ _MATRIX_KINDS = {
 }
 
 
+# Every key `matrix` reads from its config file; any other key is an error.
+_MATRIX_KEYS = frozenset(
+    {
+        "corpus", "format", "out_dir", "seed", "split.ratios", "stopwords", "registers",
+        "comparison", "vocab.threshold", "vectors", "tag_lexicon", "kinds", "ratios",
+        "subst.ratio", "subst.k", "subst.tau", "gate.threshold", "apply_to_validation",
+    }
+)
+
+
 def _cmd_matrix(args) -> int:
     config = read_config(args.config)
+    unknown = sorted(set(config) - _MATRIX_KEYS)
+    if unknown:
+        raise ConfigError(f"{args.config}: unknown matrix config key(s): {', '.join(unknown)}")
     for key in ("corpus", "out_dir", "seed"):
         if key not in config:
             raise ConfigError(f"matrix config missing {key!r}")
@@ -270,8 +283,8 @@ def _cmd_matrix(args) -> int:
     vocabulary = vocab_mod.mine_vocabulary(
         (s.intent for s in corpus),
         stoplist,
+        registers,
         comparison=config.get("comparison"),
-        registers=registers,
         threshold=float(config.get("vocab.threshold", vocab_mod.DEFAULT_RATIO_THRESHOLD)),
     )
     vocab_mod.save_vocabulary(vocabulary, out_dir / "vocab.json")
@@ -560,6 +573,9 @@ def main(argv: list[str] | None = None) -> int:
         return 1
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
+        return 2
+    except FileNotFoundError as exc:
+        print(f"data error: {exc.filename}: file not found", file=sys.stderr)
         return 2
     except CheckerError as exc:
         print(f"checker error: {exc}", file=sys.stderr)

@@ -102,8 +102,6 @@ def _record_to_sample(record: dict, row_index: int, where: str) -> Sample:
 def load_corpus(path: str | Path, format: str = "jsonl", name: str | None = None) -> Corpus:
     """Load a corpus from JSONL (canonical) or CSV (header: id,intent,snippet)."""
     path = Path(path)
-    if not path.exists():
-        raise DataError(f"corpus file not found: {path}")
     samples: list[Sample] = []
     if format == "jsonl":
         for row_index, (lineno, record) in enumerate(read_jsonl(path)):

@@ -1,7 +1,7 @@
 """Exception hierarchy shared across the pipeline.
 
-CLI exit codes map onto these: ConfigError -> 1, DataError -> 2,
-CheckerError -> 3.
+CLI exit codes map onto these: ConfigError -> 1, DataError -> 2 (as does a
+missing input file), CheckerError -> 3.
 """
 
 
@@ -10,7 +10,7 @@ class PerturbeError(Exception):
 
 
 class ConfigError(PerturbeError):
-    """Invalid configuration: bad ratios, missing files, malformed templates."""
+    """Invalid configuration: bad ratios, unknown keys, malformed templates."""
 
 
 class DataError(PerturbeError):

@@ -33,7 +33,6 @@ import shlex
 import shutil
 import subprocess
 import tempfile
-from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -43,9 +42,8 @@ import numpy as np
 from perturbe._util import read_jsonl, write_jsonl
 from perturbe.corpus import NEWLINE_MARKER, Corpus
 from perturbe.errors import CheckerError, ConfigError, DataError
-from perturbe.perturb import OmissionCategory, omittable_words
-from perturbe.preprocess import load_stopwords, tokenize
-from perturbe.vocab import Vocabulary
+from perturbe.perturb import OmissionCategory, analyze_corpus, omittable_words
+from perturbe.vocab import Vocabulary, count_frequencies
 
 DEFAULT_CHECK_TIMEOUT = 10.0
 
@@ -90,7 +88,8 @@ class RobInput:
 @dataclass(frozen=True)
 class CheckerConfig:
     """External syntax checker: a command template with a {file} placeholder
-    plus the scaffold the snippet is wrapped in."""
+    plus the scaffold the snippet is wrapped in. Standalone checks run on a
+    pool of ``workers`` threads (at least 1)."""
 
     template: str
     scaffold: str = NASM_SCAFFOLD
@@ -101,6 +100,8 @@ class CheckerConfig:
     def __post_init__(self) -> None:
         if "{file}" not in self.template:
             raise ConfigError("checker template must contain a {file} placeholder")
+        if self.workers < 1:
+            raise ConfigError(f"checker workers must be >= 1, got {self.workers}")
 
 
 @dataclass
@@ -246,11 +247,8 @@ def syntactic_accuracy(preds: PredictionSet, checker: CheckerConfig) -> SyntaxRe
     def check(item: tuple[str, str]) -> tuple[str, bool, str]:
         return (item[0], *_check_standalone(item[1], checker))
 
-    if checker.workers > 1:
-        with ThreadPoolExecutor(max_workers=checker.workers) as pool:
-            results = list(pool.map(check, items))
-    else:
-        results = [check(item) for item in items]
+    with ThreadPoolExecutor(max_workers=checker.workers) as pool:
+        results = list(pool.map(check, items))
     results.extend((sample_id, True, "") for sample_id in proven)
 
     report = SyntaxReport(accuracy=0.0)
@@ -296,15 +294,6 @@ def robust_accuracy(rob: RobInput) -> float | None:
     return still_correct / len(correct_before)
 
 
-def _intent_counts(corpus: Corpus, lowered_stop: set[str]) -> Counter:
-    counts: Counter = Counter()
-    for sample in corpus:
-        for token in tokenize(sample.intent).tokens:
-            if token.lower() not in lowered_stop:
-                counts[token] += 1
-    return counts
-
-
 def jsd_from_counts(counts_a: dict[str, int], counts_b: dict[str, int]) -> float:
     """Base-2 Jensen-Shannon divergence between two unigram distributions.
 
@@ -328,14 +317,15 @@ def jsd_from_counts(counts_a: dict[str, int], counts_b: dict[str, int]) -> float
     return float(0.5 * (term_a + term_b))
 
 
-def jsd(a: Corpus, b: Corpus, stoplist: set[str] | None = None) -> float:
-    """JSD between the non-stopword intent-token distributions of two corpora."""
+def jsd(a: Corpus, b: Corpus, stoplist: set[str]) -> float:
+    """JSD between the non-stopword intent-token distributions of two corpora
+    (the stoplist is lowercase)."""
     if len(a) == 0 or len(b) == 0:
         raise DataError("cannot compare empty corpora")
-    if stoplist is None:
-        stoplist = load_stopwords()
-    lowered_stop = {w.lower() for w in stoplist}
-    return jsd_from_counts(_intent_counts(a, lowered_stop), _intent_counts(b, lowered_stop))
+    return jsd_from_counts(
+        count_frequencies((s.intent for s in a), stoplist).counts,
+        count_frequencies((s.intent for s in b), stoplist).counts,
+    )
 
 
 def omission_rate_stats(
@@ -345,12 +335,10 @@ def omission_rate_stats(
     if len(corpus) == 0:
         raise DataError("empty corpus")
     totals = {category: 0.0 for category in OmissionCategory}
-    for sample in corpus:
-        tokens = tokenize(sample.intent, source_id=sample.id).tokens
-        tags = tagger.tag(tokens, sample_id=sample.id)
+    for intent, tags in analyze_corpus(corpus, tagger):
         for category in OmissionCategory:
-            indices = omittable_words(tokens, category, vocabulary, tags)
-            totals[category] += len(indices) / len(tokens)
+            indices = omittable_words(intent.tokens, category, vocabulary, tags)
+            totals[category] += len(indices) / len(intent.tokens)
     return {category: total / len(corpus) for category, total in totals.items()}
 
 

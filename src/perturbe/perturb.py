@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
@@ -27,7 +27,7 @@ from perturbe.corpus import Corpus
 from perturbe.embedding import VectorStore
 from perturbe.errors import ConfigError, DataError, NoEligibleWords
 from perturbe.postag import OPEN_CLASS_TAGS, LexiconTagger, PosTag
-from perturbe.preprocess import TokenizedIntent, detokenize, load_stopwords, tokenize
+from perturbe.preprocess import TokenizedIntent, detokenize, tokenize
 from perturbe.vocab import Vocabulary, is_protected
 
 DEFAULT_K_CONSTRAINED = 20
@@ -71,13 +71,13 @@ GATE_UNEVALUATED = "unevaluated"
 
 @dataclass
 class SubstitutionConfig:
-    """Knobs for word substitution. k defaults to 20 with constraints and 50
-    without, matching the two evaluation modes."""
+    """Knobs for word substitution. Unset k defaults to 20 for
+    subst-constrained and 50 for subst-unconstrained, matching the two
+    evaluation modes; tau applies to subst-constrained only."""
 
     ratio: float = 0.10
     k: int | None = None
     tau: float = 0.8
-    use_constraints: bool = True
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -89,12 +89,6 @@ class SubstitutionConfig:
             raise ConfigError(f"tau must be in [0, 1], got {self.tau}")
         if not (0 <= self.seed < 2**64):
             raise ConfigError("seed must fit in 64 unsigned bits")
-
-    @property
-    def effective_k(self) -> int:
-        if self.k is not None:
-            return self.k
-        return DEFAULT_K_CONSTRAINED if self.use_constraints else DEFAULT_K_UNCONSTRAINED
 
 
 @dataclass
@@ -143,20 +137,18 @@ def eligible_words(
     vocabulary: Vocabulary,
     tags: list[PosTag],
     store: VectorStore,
-    stoplist: set[str] | None = None,
+    stoplist: set[str],
 ) -> set[int]:
     """Indices a substitution may touch: open-class words that are not
-    stopwords, not protected vocabulary, and present in the vector store."""
+    stopwords (the stoplist is lowercase), not protected vocabulary, and
+    present in the vector store."""
     if len(tags) != len(tokens):
         raise DataError(f"{len(tags)} tags for {len(tokens)} tokens")
-    if stoplist is None:
-        stoplist = load_stopwords()
-    lowered_stop = {w.lower() for w in stoplist}
     out: set[int] = set()
     for i, (token, tag) in enumerate(zip(tokens, tags)):
         if tag not in OPEN_CLASS_TAGS:
             continue
-        if token.lower() in lowered_stop:
+        if token.lower() in stoplist:
             continue
         if is_protected(token, vocabulary):
             continue
@@ -169,39 +161,47 @@ def eligible_words(
 def _pick_replacement(
     token: str,
     tag: PosTag,
-    cfg: SubstitutionConfig,
+    constrained: bool,
+    k: int,
+    tau: float,
     store: VectorStore,
     tagger: LexiconTagger,
 ) -> str | None:
-    neighbors = store.top_k(token, cfg.effective_k)
-    if not cfg.use_constraints:
+    neighbors = store.top_k(token, k)
+    if not constrained:
         return neighbors[0].word if neighbors else None
     for nb in neighbors:
-        if nb.similarity >= cfg.tau and tagger.lexical_tag(nb.word) is tag:
+        if nb.similarity >= tau and tagger.lexical_tag(nb.word) is tag:
             return nb.word
     return None
 
 
 def substitute_words(
     intent: TokenizedIntent,
+    kind: PerturbKind,
     cfg: SubstitutionConfig,
     vocabulary: Vocabulary,
     tags: list[PosTag],
     store: VectorStore,
-    tagger: LexiconTagger | None = None,
-    stoplist: set[str] | None = None,
-    rng=None,
+    tagger: LexiconTagger,
+    stoplist: set[str],
 ) -> PerturbationRecord:
-    """Substitute a seeded sample of eligible words.
+    """Substitute a seeded sample of eligible words with one substitution
+    kind, which decides the neighbor constraints and the default k.
 
-    max(1, round(ratio * |eligible|)) indices are targeted; a sampled word
-    with no qualifying neighbor falls through to the next sampled index.
-    Raises NoEligibleWords when nothing is eligible or nothing qualifies.
+    max(1, round(ratio * |eligible|)) indices are targeted, in an order
+    shuffled by an RNG seeded from (cfg.seed, intent.source_id); a sampled
+    word with no qualifying neighbor falls through to the next sampled
+    index. The stoplist is lowercase. Raises NoEligibleWords when nothing
+    is eligible or nothing qualifies.
     """
-    if tagger is None:
-        tagger = LexiconTagger()
-    if rng is None:
-        rng = per_sample_rng(cfg.seed, intent.source_id)
+    if not kind.is_substitution:
+        raise ConfigError(f"{kind.value} is not a substitution kind")
+    constrained = kind is PerturbKind.SUBST_CONSTRAINED
+    k = cfg.k
+    if k is None:
+        k = DEFAULT_K_CONSTRAINED if constrained else DEFAULT_K_UNCONSTRAINED
+    rng = per_sample_rng(cfg.seed, intent.source_id)
     eligible = eligible_words(intent.tokens, vocabulary, tags, store, stoplist)
     if not eligible:
         raise NoEligibleWords(f"sample {intent.source_id!r}: no eligible words")
@@ -214,7 +214,7 @@ def substitute_words(
         if len(changed) == wanted:
             break
         token = intent.tokens[index]
-        candidate = _pick_replacement(token, tags[index], cfg, store, tagger)
+        candidate = _pick_replacement(token, tags[index], constrained, k, cfg.tau, store, tagger)
         if candidate is None:
             continue
         new_tokens[index] = _transfer_case(token, candidate)
@@ -223,7 +223,6 @@ def substitute_words(
         raise NoEligibleWords(
             f"sample {intent.source_id!r}: no eligible word has a qualifying neighbor"
         )
-    kind = PerturbKind.SUBST_CONSTRAINED if cfg.use_constraints else PerturbKind.SUBST_UNCONSTRAINED
     return PerturbationRecord(
         sample_id=intent.source_id,
         kind=kind,
@@ -299,30 +298,25 @@ def perturb_corpus(
     cfg: SubstitutionConfig,
     vocabulary: Vocabulary,
     store: VectorStore | None,
-    tagger: LexiconTagger | None = None,
-    stoplist: set[str] | None = None,
+    tagger: LexiconTagger,
+    stoplist: set[str],
     analyses: list[tuple[TokenizedIntent, list[PosTag]]] | None = None,
 ) -> CorpusPerturbation:
     """Perturb every sample of a corpus with one kind.
 
     The per-sample RNG is derived from (cfg.seed, sample id), so each
     sample's record does not depend on corpus ordering. The vector store is
-    only required for substitution kinds. ``analyses`` is the corpus's
-    ``analyze_corpus`` result; ``perturb_split`` computes it once and passes
-    it to the call for each kind. Without it, every intent is tokenized and
-    tagged here.
+    only required for substitution kinds; the stoplist is lowercase.
+    ``analyses`` is the corpus's ``analyze_corpus`` result; ``perturb_split``
+    computes it once and passes it to the call for each kind. Without it,
+    every intent is tokenized and tagged here.
     """
     if kind.is_substitution and store is None:
         raise ConfigError(f"{kind.value} requires a vector store")
-    if tagger is None:
-        tagger = LexiconTagger()
-    if stoplist is None:
-        stoplist = load_stopwords()
     if analyses is None:
         analyses = analyze_corpus(corpus, tagger)
     elif len(analyses) != len(corpus):
         raise DataError(f"{len(analyses)} analyses for {len(corpus)} samples")
-    effective = replace(cfg, use_constraints=(kind is PerturbKind.SUBST_CONSTRAINED))
     category = _KIND_TO_CATEGORY.get(kind)
 
     result = CorpusPerturbation()
@@ -330,14 +324,7 @@ def perturb_corpus(
         try:
             if category is None:
                 record = substitute_words(
-                    intent,
-                    effective,
-                    vocabulary,
-                    tags,
-                    store,
-                    tagger=tagger,
-                    stoplist=stoplist,
-                    rng=per_sample_rng(cfg.seed, sample.id),
+                    intent, kind, cfg, vocabulary, tags, store, tagger, stoplist
                 )
             else:
                 record = omit_words(intent, category, vocabulary, tags)

@@ -11,10 +11,9 @@ from __future__ import annotations
 import enum
 import logging
 import re
-from importlib import resources
 from pathlib import Path
 
-from perturbe._util import read_jsonl
+from perturbe._util import read_data_lines, read_jsonl
 from perturbe.errors import DataError
 from perturbe.vocab import is_name_like, load_registers
 
@@ -52,23 +51,17 @@ _SUFFIX_RULES: tuple[tuple[str, PosTag], ...] = (
 
 
 def load_tag_lexicon(path: str | Path | None = None) -> tuple[dict[str, PosTag], set[str]]:
-    """Parse word<TAB>tag lines. The first row per word gives its primary tag;
-    any VERB row marks the word verb-capable (for the imperative rule)."""
-    if path is None:
-        text = resources.files("perturbe.data").joinpath("tag_lexicon.tsv").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
+    """Parse word<TAB>tag lines; blank lines and '#' lines are skipped. Unset
+    -> shipped lexicon. The first row per word gives its primary tag; any
+    VERB row marks the word verb-capable (for the imperative rule)."""
     primary: dict[str, PosTag] = {}
     verb_capable: set[str] = set()
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
+    for line in read_data_lines(path, "tag_lexicon.tsv"):
         try:
             word, tag_name = line.split("\t")
             tag = PosTag[tag_name.strip()]
         except (ValueError, KeyError) as exc:
-            raise DataError(f"tag lexicon line {lineno}: expected word<TAB>tag") from exc
+            raise DataError(f"tag lexicon: expected word<TAB>tag, got {line!r}") from exc
         word = word.strip().lower()
         primary.setdefault(word, tag)
         if tag is PosTag.VERB:
@@ -133,8 +126,8 @@ class FileTagger:
     """Per-sample tag sequences from an external JSONL file, with a
     LexiconTagger fallback for samples the file does not cover."""
 
-    def __init__(self, path: str | Path, fallback: LexiconTagger | None = None):
-        self.fallback = fallback if fallback is not None else LexiconTagger()
+    def __init__(self, path: str | Path, fallback: LexiconTagger):
+        self.fallback = fallback
         self.overrides: dict[str, list[PosTag]] = {}
         for lineno, record in read_jsonl(path):
             if "id" not in record or "tags" not in record:

@@ -1,22 +1,18 @@
-"""Intent preprocessing: tokenization, stopword lists, de-standardization.
+"""Intent preprocessing: tokenization and stopword lists.
 
 The tokenizer splits on whitespace and punctuation but keeps domain tokens
 whole: hex literals (0x4), bracketed operands ([esi]), and identifiers with
 underscores (_start_label). Case is preserved throughout; register mnemonics
 and labels are case-bearing.
-
-De-standardization replaces the var0, var1, ... placeholders of predicted
-code with the original value-like tokens (immediates, label names, bracket
-groups) recorded in a StandardizationMap.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from importlib import resources
+from dataclasses import dataclass
 from pathlib import Path
 
+from perturbe._util import read_data_lines
 from perturbe.errors import DataError
 
 # Order matters: bracket groups and hex literals must win over the
@@ -35,8 +31,6 @@ _TOKEN_RE = re.compile(
 _CLOSING_PUNCT = {".", ",", ";", ":", "!", "?", ")", "]", "}"}
 _OPENING_PUNCT = {"(", "[", "{"}
 
-_PLACEHOLDER_RE = re.compile(r"var(\d+)")
-
 
 @dataclass
 class TokenizedIntent:
@@ -48,13 +42,6 @@ class TokenizedIntent:
     def __post_init__(self) -> None:
         if any(not t for t in self.tokens):
             raise DataError(f"intent {self.source_id!r}: empty token")
-
-
-@dataclass
-class StandardizationMap:
-    """Ordered map var-index -> original token, read by destandardize()."""
-
-    entries: dict[int, str] = field(default_factory=dict)
 
 
 def tokenize(text: str, source_id: str = "") -> TokenizedIntent:
@@ -76,27 +63,7 @@ def detokenize(tokens: list[str]) -> str:
 
 
 def load_stopwords(path: str | Path | None = None) -> set[str]:
-    """One token per line, UTF-8; '#' lines are comments. None -> shipped list."""
-    if path is None:
-        text = resources.files("perturbe.data").joinpath("stopwords.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    words = set()
-    for line in text.splitlines():
-        line = line.strip()
-        if line and not line.startswith("#"):
-            words.add(line.lower())
-    return words
-
-
-def destandardize(code_text: str, mapping: StandardizationMap) -> str:
-    """Replace var# placeholders with their originals; collapses extra spaces."""
-
-    def _sub(match: re.Match) -> str:
-        index = int(match.group(1))
-        if index not in mapping.entries:
-            raise DataError(f"unknown placeholder var{index}")
-        return mapping.entries[index]
-
-    restored = _PLACEHOLDER_RE.sub(_sub, code_text)
-    return re.sub(r"[ \t]+", " ", restored).strip()
+    """One token per line, UTF-8; blank lines and '#' lines are skipped.
+    Unset -> shipped list. Words are lowercased: every function that takes a
+    stoplist expects a lowercase set and lowercases the token it looks up."""
+    return {line.lower() for line in read_data_lines(path, "stopwords.txt")}

@@ -15,12 +15,12 @@ import json
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from importlib import resources
 from pathlib import Path
 from typing import Iterable
 
+from perturbe._util import read_data_lines
 from perturbe.errors import DataError
-from perturbe.preprocess import load_stopwords, tokenize
+from perturbe.preprocess import tokenize
 
 DEFAULT_RATIO_THRESHOLD = 50.0
 
@@ -61,32 +61,21 @@ class Vocabulary:
 
 
 def load_registers(path: str | Path | None = None) -> set[str]:
-    """Register mnemonic list, lowercase. None -> shipped IA-32 list."""
-    if path is None:
-        text = resources.files("perturbe.data").joinpath("registers.txt").read_text("utf-8")
-    else:
-        text = Path(path).read_text("utf-8")
-    return {
-        line.strip().lower()
-        for line in text.splitlines()
-        if line.strip() and not line.startswith("#")
-    }
+    """Register mnemonic list, one per line, lowercased; blank lines and '#'
+    lines are skipped. Unset -> shipped IA-32 list."""
+    return {line.lower() for line in read_data_lines(path, "registers.txt")}
 
 
-def count_frequencies(
-    texts: Iterable[str], stoplist: set[str] | None = None
-) -> FrequencyTable:
-    """Count tokens across a stream of texts, excluding stopwords.
+def count_frequencies(texts: Iterable[str], stoplist: set[str]) -> FrequencyTable:
+    """Count tokens across a stream of texts, excluding stopwords (the
+    stoplist is lowercase; tokens are compared lowercased).
 
     Case is preserved so the vocabulary can keep observed name variants.
     """
-    if stoplist is None:
-        stoplist = load_stopwords()
-    lowered_stop = {w.lower() for w in stoplist}
     counts: Counter = Counter()
     for text in texts:
         for token in tokenize(text).tokens:
-            if token.lower() in lowered_stop:
+            if token.lower() in stoplist:
                 continue
             counts[token] += 1
     return FrequencyTable(counts=dict(counts))
@@ -111,17 +100,17 @@ def build_vocabulary(
     codegen: FrequencyTable,
     comparison: FrequencyTable,
     threshold: float = DEFAULT_RATIO_THRESHOLD,
-    registers: set[str] | None = None,
+    *,
+    registers: set[str],
 ) -> Vocabulary:
     """Apply the frequency-ratio test and partition the included words.
 
     The ratio test is case-insensitive (counts are folded to lowercase);
-    the partition then classifies every observed case variant.
+    the partition then classifies every observed case variant, with
+    ``registers`` (lowercase mnemonics) marking name-related words.
     """
     if not codegen.counts or not comparison.counts:
         raise DataError("both frequency tables must be non-empty")
-    if registers is None:
-        registers = load_registers()
     variants: dict[str, list[str]] = {}
     for word in codegen.counts:
         variants.setdefault(word.lower(), []).append(word)
@@ -149,18 +138,16 @@ def build_vocabulary(
 def mine_vocabulary(
     texts: Iterable[str],
     stoplist: set[str],
+    registers: set[str],
     comparison: str | Path | None = None,
-    registers: set[str] | None = None,
     threshold: float = DEFAULT_RATIO_THRESHOLD,
 ) -> Vocabulary:
     """Count the corpus texts and a plain-text comparison corpus (one text
-    per line; unset -> shipped) and build the vocabulary from the two."""
+    per line; unset -> shipped) without the (lowercase) stopwords, and build
+    the vocabulary from the two with the given register list."""
     codegen = count_frequencies(texts, stoplist)
-    if comparison:
-        text = Path(comparison).read_text("utf-8")
-    else:
-        text = resources.files("perturbe.data").joinpath("comparison_corpus.txt").read_text("utf-8")
-    comparison_table = count_frequencies(text.splitlines(), stoplist)
+    comparison_lines = read_data_lines(comparison, "comparison_corpus.txt", raw=True)
+    comparison_table = count_frequencies(comparison_lines, stoplist)
     return build_vocabulary(codegen, comparison_table, threshold=threshold, registers=registers)
 
 

@@ -2,7 +2,7 @@ import pytest
 
 from perturbe.postag import LexiconTagger
 from perturbe.preprocess import load_stopwords
-from perturbe.vocab import mine_vocabulary
+from perturbe.vocab import load_registers, mine_vocabulary
 
 import helpers
 
@@ -39,4 +39,4 @@ def demo_store():
 
 @pytest.fixture(scope="session")
 def demo_vocab(demo_corpus, stopwords):
-    return mine_vocabulary((s.intent for s in demo_corpus), stopwords)
+    return mine_vocabulary((s.intent for s in demo_corpus), stopwords, load_registers())

@@ -17,9 +17,12 @@ reference_build_vocabulary() the variant-rescanning vocabulary builder,
 reference_sentence_embedding() the np.mean sentence encoder,
 reference_lexical_tag() the unmemoized context-free tagger,
 reference_gated_records() the matrix's per-kind perturb, score and gate loop,
-reference_cosine() the np.linalg.norm cosine, and reference_augment_split()
+reference_cosine() the np.linalg.norm cosine, reference_augment_split()
 with reference_build_matrix() the matrix builder that checks, indexes and
-rebuilds every sample for each of its cell splits.
+rebuilds every sample for each of its cell splits, reference_jsd() and
+reference_vocab_growth() the per-corpus token loops, reference_omission_rates()
+the tokenize-and-tag loop, and reference_substitute_words() the substitution
+driven by a use_constraints flag and a caller-supplied RNG.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from __future__ import annotations
 import json
 import logging
 import random
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -42,16 +46,28 @@ from perturbe.augment import (
 )
 from perturbe.corpus import Corpus, Sample, save_corpus
 from perturbe.embedding import Neighbor, VectorStore
-from perturbe.errors import DataError, EncodingFailure
-from perturbe.perturb import GATE_PASS, perturb_corpus
+from perturbe.errors import DataError, EncodingFailure, NoEligibleWords
+from perturbe.metrics import jsd_from_counts
+from perturbe.perturb import (
+    DEFAULT_K_CONSTRAINED,
+    DEFAULT_K_UNCONSTRAINED,
+    GATE_PASS,
+    OmissionCategory,
+    PerturbationRecord,
+    PerturbKind,
+    _transfer_case,
+    eligible_words,
+    omittable_words,
+    perturb_corpus,
+)
 from perturbe.postag import _NUMBER_RE, _PUNCT_RE, _SUFFIX_RULES, LexiconTagger, PosTag
+from perturbe.preprocess import detokenize, tokenize
 from perturbe.semgate import gate, score
 from perturbe.vocab import (
     DEFAULT_RATIO_THRESHOLD,
     FrequencyTable,
     Vocabulary,
     is_name_like,
-    load_registers,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -184,6 +200,25 @@ def load_demo_corpus() -> Corpus:
     return Corpus(samples, name="demo")
 
 
+def seeded_corpora(corpus: Corpus, seed: int, count: int) -> list[Corpus]:
+    """``count`` seeded samplings of ``corpus``, each intent kept as it is,
+    uppercased or title-cased, so stopwords and names occur in several cases."""
+    rng = random.Random(seed)
+    out = []
+    for i in range(count):
+        picked = rng.sample(corpus.samples, rng.randint(1, 40))
+        out.append(
+            Corpus(
+                [
+                    Sample(s.id, rng.choice((str, str.upper, str.title))(s.intent), s.snippet)
+                    for s in picked
+                ],
+                name=f"seeded{i}",
+            )
+        )
+    return out
+
+
 def reference_top_k_neighbors(word: str, k: int, store: VectorStore) -> list[Neighbor]:
     """Full sort of every valid store word by (-similarity, word), no memo."""
     if k < 1:
@@ -252,14 +287,13 @@ def reference_build_vocabulary(
     codegen: FrequencyTable,
     comparison: FrequencyTable,
     threshold: float = DEFAULT_RATIO_THRESHOLD,
-    registers: set[str] | None = None,
+    *,
+    registers: set[str],
 ) -> Vocabulary:
     """Ratio test on lowercase-folded counts; rescans every codegen word for
     the case variants of each included word."""
     if not codegen.counts or not comparison.counts:
         raise DataError("both frequency tables must be non-empty")
-    if registers is None:
-        registers = load_registers()
     cg_folded = codegen.lowercased()
     cmp_folded = comparison.lowercased()
     cg_unique = len(cg_folded)
@@ -318,9 +352,7 @@ def reference_gated_records(
     for split_name, part in splits.items():
         gathered = []
         for kind in kinds:
-            result = perturb_corpus(
-                part, kind, cfg, vocabulary, store, tagger=tagger, stoplist=stoplist
-            )
+            result = perturb_corpus(part, kind, cfg, vocabulary, store, tagger, stoplist)
             passed, _ = gate([score(r, encoder) for r in result.records], gate_cfg)
             gathered.extend(passed)
         records_by_split[split_name] = gathered
@@ -442,3 +474,93 @@ def reference_build_matrix(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
     )
     return cells, digest
+
+
+def _reference_intent_counts(corpus: Corpus, stoplist: set[str]) -> Counter:
+    lowered_stop = {w.lower() for w in stoplist}
+    counts: Counter = Counter()
+    for sample in corpus:
+        for token in tokenize(sample.intent).tokens:
+            if token.lower() not in lowered_stop:
+                counts[token] += 1
+    return counts
+
+
+def reference_jsd(a: Corpus, b: Corpus, stoplist: set[str]) -> float:
+    """JSD over token counts gathered by a loop of its own."""
+    return jsd_from_counts(
+        _reference_intent_counts(a, stoplist), _reference_intent_counts(b, stoplist)
+    )
+
+
+def reference_vocab_growth(variants: list[Corpus], stoplist: set[str]) -> list[int]:
+    """Distinct non-stopword tokens per variant, collected into a set."""
+    lowered_stop = {w.lower() for w in stoplist}
+    counts = []
+    for corpus in variants:
+        seen = set()
+        for sample in corpus:
+            seen.update(
+                t for t in tokenize(sample.intent).tokens if t.lower() not in lowered_stop
+            )
+        counts.append(len(seen))
+    return counts
+
+
+def reference_omission_rates(corpus: Corpus, vocabulary: Vocabulary, tagger) -> dict:
+    """Tokenize and tag each sample here, then average each category's share."""
+    totals = {category: 0.0 for category in OmissionCategory}
+    for sample in corpus:
+        tokens = tokenize(sample.intent, source_id=sample.id).tokens
+        tags = tagger.tag(tokens, sample_id=sample.id)
+        for category in OmissionCategory:
+            indices = omittable_words(tokens, category, vocabulary, tags)
+            totals[category] += len(indices) / len(tokens)
+    return {category: total / len(corpus) for category, total in totals.items()}
+
+
+def reference_substitute_words(
+    intent, cfg, use_constraints, vocabulary, tags, store, tagger, stoplist, rng
+) -> PerturbationRecord:
+    """Substitution whose constraints, default k and record kind follow a
+    use_constraints flag, shuffled by the given RNG."""
+    k = cfg.k
+    if k is None:
+        k = DEFAULT_K_CONSTRAINED if use_constraints else DEFAULT_K_UNCONSTRAINED
+    eligible = eligible_words(intent.tokens, vocabulary, tags, store, stoplist)
+    if not eligible:
+        raise NoEligibleWords(f"sample {intent.source_id!r}: no eligible words")
+    wanted = max(1, round_half_away(cfg.ratio * len(eligible)))
+    order = sorted(eligible)
+    rng.shuffle(order)
+    new_tokens = list(intent.tokens)
+    changed = []
+    for index in order:
+        if len(changed) == wanted:
+            break
+        token = intent.tokens[index]
+        neighbors = store.top_k(token, k)
+        candidate = None
+        if not use_constraints:
+            candidate = neighbors[0].word if neighbors else None
+        else:
+            for nb in neighbors:
+                if nb.similarity >= cfg.tau and tagger.lexical_tag(nb.word) is tags[index]:
+                    candidate = nb.word
+                    break
+        if candidate is None:
+            continue
+        new_tokens[index] = _transfer_case(token, candidate)
+        changed.append(index)
+    if not changed:
+        raise NoEligibleWords(
+            f"sample {intent.source_id!r}: no eligible word has a qualifying neighbor"
+        )
+    kind = PerturbKind.SUBST_CONSTRAINED if use_constraints else PerturbKind.SUBST_UNCONSTRAINED
+    return PerturbationRecord(
+        sample_id=intent.source_id,
+        kind=kind,
+        original_intent=detokenize(intent.tokens),
+        perturbed_intent=detokenize(new_tokens),
+        changed_positions=sorted(changed),
+    )

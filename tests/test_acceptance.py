@@ -62,7 +62,7 @@ def announce(number, label):
 
 
 class TestCriterion1GoldenExamples:
-    def test_golden_substitution_and_omission(self, golden_store, golden_vocab, tagger):
+    def test_golden_substitution_and_omission(self, golden_store, golden_vocab, tagger, stopwords):
         started = time.perf_counter()
 
         with_period = "Store the shellcode pointer in the ESI register."
@@ -70,21 +70,25 @@ class TestCriterion1GoldenExamples:
 
         constrained = substitute_words(
             tokenize(with_period, source_id="t1"),
-            SubstitutionConfig(seed=0, use_constraints=True),
+            PerturbKind.SUBST_CONSTRAINED,
+            SubstitutionConfig(seed=0),
             golden_vocab,
             tagger.tag(tokenize(with_period).tokens),
             golden_store,
-            tagger=tagger,
+            tagger,
+            stopwords,
         )
         assert constrained.perturbed_intent == "Save the shellcode pointer in the ESI register."
 
         unconstrained = substitute_words(
             tokenize(with_period, source_id="t1"),
-            SubstitutionConfig(seed=0, use_constraints=False),
+            PerturbKind.SUBST_UNCONSTRAINED,
+            SubstitutionConfig(seed=0),
             golden_vocab,
             tagger.tag(tokenize(with_period).tokens),
             golden_store,
-            tagger=tagger,
+            tagger,
+            stopwords,
         )
         assert unconstrained.perturbed_intent == "Stock the shellcode pointer in the ESI register."
 
@@ -175,18 +179,20 @@ class TestCriterion3Jsd:
         started = time.perf_counter()
         corpus = load_corpus(REAL_DATASET)
         train, _, test = split_corpus(corpus, SplitSpec(seed=0))
-        assert jsd(train, test) == pytest.approx(0.29, abs=0.05)
+        stoplist = load_stopwords()
+        assert jsd(train, test, stoplist) == pytest.approx(0.29, abs=0.05)
         if REAL_VECTORS:
             store = load_vectors(REAL_VECTORS)
             vocab = _mined_vocabulary(corpus)
             result = perturb_corpus(
-                test, PerturbKind.SUBST_CONSTRAINED, SubstitutionConfig(seed=0), vocab, store
+                test, PerturbKind.SUBST_CONSTRAINED, SubstitutionConfig(seed=0), vocab, store,
+                LexiconTagger(), stoplist,
             )
             encoder = MeanVectorEncoder(store)
             passed, _ = gate(score_records(result.records, encoder), GateConfig())
             plan = AugmentPlan(ratio_p=1.0, kind=KindFamily.SUBSTITUTION, seed=0)
             perturbed_test = augment_split(test, passed, plan)
-            assert jsd(train, perturbed_test) == pytest.approx(0.40, abs=0.05)
+            assert jsd(train, perturbed_test, stoplist) == pytest.approx(0.40, abs=0.05)
         assert time.perf_counter() - started < 30.0
         announce(3, "JSD paper values on the real dataset")
 
@@ -231,22 +237,24 @@ class TestCriterion4AugmentationExactness:
 
 
 def _mined_vocabulary(corpus):
-    return mine_vocabulary((s.intent for s in corpus), load_stopwords())
+    return mine_vocabulary((s.intent for s in corpus), load_stopwords(), load_registers())
 
 
 class TestCriterion5GateProperties:
-    def _scored_by_kind(self, corpus, vocab, store, tagger):
+    def _scored_by_kind(self, corpus, vocab, store, tagger, stoplist):
         encoder_store = store
         scored = {}
         for kind in PerturbKind:
             result = perturb_corpus(
-                corpus, kind, SubstitutionConfig(seed=11), vocab, store, tagger=tagger
+                corpus, kind, SubstitutionConfig(seed=11), vocab, store, tagger, stoplist
             )
             encoder = MeanVectorEncoder(encoder_store)
             scored[kind] = score_records(result.records, encoder)
         return scored
 
-    def test_monotone_sweep_and_ordinal_means(self, demo_corpus, demo_store, demo_vocab, tagger):
+    def test_monotone_sweep_and_ordinal_means(
+        self, demo_corpus, demo_store, demo_vocab, tagger, stopwords
+    ):
         if REAL_DATASET and REAL_VECTORS:
             corpus = load_corpus(REAL_DATASET)
             store = load_vectors(REAL_VECTORS)
@@ -254,7 +262,7 @@ class TestCriterion5GateProperties:
         else:
             corpus, store, vocab = demo_corpus, demo_store, demo_vocab
 
-        scored = self._scored_by_kind(corpus, vocab, store, tagger)
+        scored = self._scored_by_kind(corpus, vocab, store, tagger, stopwords)
         thresholds = [0.70, 0.80, 0.90]
         means = {}
         for kind, records in scored.items():
@@ -397,7 +405,7 @@ class TestCriterion7Determinism:
                 encoder.encode(sample.intent)
             single = Corpus([sample], name="one")
             assert any(
-                perturb_corpus(single, kind, cfg, vocabulary, store, tagger=tagger).records
+                perturb_corpus(single, kind, cfg, vocabulary, store, tagger, stoplist).records
                 for kind in kinds
             )
         assert b"x-oov" not in (out / "records_train.jsonl").read_bytes()

@@ -165,6 +165,13 @@ class TestVocabGrowth:
         # each substitution introduces at most one new word per replaced sample
         assert unique(augmented) <= unique(base) + 10 * 4
 
+    def test_matches_reference(self, demo_corpus, stopwords):
+        for seed in range(5):
+            variants = helpers.seeded_corpora(demo_corpus, seed, 6)
+            for stoplist in (stopwords, set(), {"the", "eax"}):
+                got = vocab_growth(variants, stoplist)
+                assert got == helpers.reference_vocab_growth(variants, stoplist)
+
 
 class TestBuildMatrix:
     def _inputs(self, n=40):

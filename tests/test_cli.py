@@ -8,9 +8,10 @@ from pathlib import Path
 import pytest
 
 import perturbe
-from perturbe._util import sha256_file
+from perturbe._util import read_data_lines, sha256_file
 from perturbe.cli import main, read_config
 from perturbe.corpus import load_corpus
+from perturbe.vocab import Vocabulary, save_vocabulary
 
 import helpers
 
@@ -41,8 +42,49 @@ class TestBasics:
     def test_unknown_subcommand_is_config_error(self):
         assert run("frobnicate") == 1
 
-    def test_missing_file_is_data_error(self, workdir):
-        assert run("ingest", "--in", workdir / "nope.jsonl", "--out", workdir / "o.jsonl") == 2
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            pytest.param(["ingest", "--in", "{missing}", "--out", "{tmp}/o.jsonl"], id="ingest-in"),
+            *(
+                pytest.param(
+                    ["build-vocab", "--corpus", "{corpus}", option, "{missing}",
+                     "--out", "{tmp}/v.json"],
+                    id=f"build-vocab{option}",
+                )
+                for option in ("--stopwords", "--comparison", "--registers")
+            ),
+            *(
+                pytest.param(
+                    ["perturb", "--kind", "omit-name", "--in", "{corpus}", "--vocab", vocab,
+                     "--out", "{tmp}/r.jsonl", "--seed", "1", *extra],
+                    id=f"perturb-{name}",
+                )
+                for name, vocab, extra in (
+                    ("tag-lexicon", "{vocab}", ["--tag-lexicon", "{missing}"]),
+                    ("vocab", "{missing}", []),
+                )
+            ),
+            pytest.param(["gate", "--records", "{missing}", "--vectors", "{vectors}"], id="gate"),
+            pytest.param(["matrix", "--config", "{missing}"], id="matrix-config"),
+            pytest.param(["matrix", "--config", "{config}"], id="matrix-stopwords"),
+        ],
+    )
+    def test_missing_file_is_data_error(self, workdir, tmp_path, capsys, argv):
+        missing = tmp_path / "missing.txt"
+        vocab = tmp_path / "vocab.json"
+        save_vocabulary(Vocabulary(structure_words={"register"}, name_words={"EAX"}), vocab)
+        config = tmp_path / "exp.cfg"
+        config.write_text(
+            f"corpus = {workdir / 'corpus.jsonl'}\nvectors = {workdir / 'vectors.txt'}\n"
+            f"out_dir = {tmp_path / 'out'}\nseed = 1\nstopwords = {missing}\n"
+        )
+        paths = {
+            "missing": missing, "tmp": tmp_path, "corpus": workdir / "corpus.jsonl",
+            "vectors": workdir / "vectors.txt", "vocab": vocab, "config": config,
+        }
+        assert run(*(arg.format(**paths) for arg in argv)) == 2
+        assert capsys.readouterr().err == f"data error: {missing}: file not found\n"
 
 
 class TestIngestSplit:
@@ -271,6 +313,40 @@ class TestMatrix:
         config = tmp_path / "broken.cfg"
         config.write_text("corpus = whatever\n")
         assert run("matrix", "--config", config) == 1
+
+    def test_matrix_unknown_keys_exit_1(self, workdir, tmp_path, capsys):
+        config = tmp_path / "typo.cfg"
+        valid = self.write_config(workdir, tmp_path / "out").read_text()
+        config.write_text(valid + "gate.treshold = 0.99\nsubst.tua = 0.1\n")
+        assert run("matrix", "--config", config) == 1
+        assert "unknown matrix config key(s): gate.treshold, subst.tua" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_matrix_accepts_every_known_key(self, workdir, tmp_path):
+        # Every key set to the value matrix uses when it is absent.
+        shipped = {}
+        for key, name in (
+            ("stopwords", "stopwords.txt"),
+            ("registers", "registers.txt"),
+            ("comparison", "comparison_corpus.txt"),
+            ("tag_lexicon", "tag_lexicon.tsv"),
+        ):
+            shipped[key] = tmp_path / name
+            shipped[key].write_text("\n".join(read_data_lines(None, name, raw=True)) + "\n")
+        explicit = tmp_path / "explicit.cfg"
+        explicit.write_text(
+            self.write_config(workdir, tmp_path / "explicit").read_text()
+            + "".join(f"{key} = {path}\n" for key, path in shipped.items())
+            + "format = jsonl\nsplit.ratios = 0.8,0.1,0.1\nvocab.threshold = 50\n"
+            "subst.ratio = 0.1\nsubst.k = 20\nsubst.tau = 0.8\ngate.threshold = 0.8\n"
+            "apply_to_validation = true\n"
+        )
+        assert len(read_config(explicit)) == 18
+        assert run("matrix", "--config", explicit) == 0
+        assert run("matrix", "--config", self.write_config(workdir, tmp_path / "implicit")) == 0
+        for name in ("manifest.json", "vocab.json", "records_train.jsonl", "records_test.jsonl"):
+            expected = (tmp_path / "implicit" / name).read_bytes()
+            assert (tmp_path / "explicit" / name).read_bytes() == expected, name
 
 
 class TestEvaluate:

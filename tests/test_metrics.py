@@ -33,6 +33,8 @@ from perturbe.metrics import (
 )
 from perturbe.perturb import OmissionCategory
 
+import helpers
+
 HAVE_ASSEMBLER = detect_checker() is not None
 GNU_AS = shutil.which("as")
 
@@ -152,8 +154,8 @@ class TestExactMatch:
 
 
 class TestJsd:
-    def test_identical_corpora_zero(self, demo_corpus):
-        assert jsd(demo_corpus, demo_corpus) == 0.0
+    def test_identical_corpora_zero(self, demo_corpus, stopwords):
+        assert jsd(demo_corpus, demo_corpus, stopwords) == 0.0
 
     def test_disjoint_exactly_one(self):
         a = Corpus([Sample("a", "alpha beta gamma", "x")])
@@ -163,15 +165,15 @@ class TestJsd:
     def test_disjoint_uneven_counts_exactly_one(self):
         assert jsd_from_counts({"a": 1, "b": 1, "c": 1}, {"d": 5, "e": 2}) == 1.0
 
-    def test_symmetry(self, demo_corpus):
+    def test_symmetry(self, demo_corpus, stopwords):
         half = Corpus(demo_corpus.samples[:60], name="h1")
         rest = Corpus(demo_corpus.samples[60:], name="h2")
-        assert jsd(half, rest) == pytest.approx(jsd(rest, half), abs=1e-12)
+        assert jsd(half, rest, stopwords) == pytest.approx(jsd(rest, half, stopwords), abs=1e-12)
 
-    def test_bounds(self, demo_corpus):
+    def test_bounds(self, demo_corpus, stopwords):
         half = Corpus(demo_corpus.samples[:60], name="h1")
         rest = Corpus(demo_corpus.samples[60:], name="h2")
-        assert 0.0 <= jsd(half, rest) <= 1.0
+        assert 0.0 <= jsd(half, rest, stopwords) <= 1.0
 
     def test_oracle_equivalence_random(self):
         rng = random.Random(777)
@@ -193,6 +195,13 @@ class TestJsd:
     def test_empty_rejected(self):
         with pytest.raises(DataError):
             jsd_from_counts({}, {"a": 1})
+
+    def test_matches_reference_bit_for_bit(self, demo_corpus, stopwords):
+        for seed in range(10):
+            a, b = helpers.seeded_corpora(demo_corpus, seed, 2)
+            for stoplist in (stopwords, set(), {"the", "eax"}):
+                got = jsd(a, b, stoplist)
+                assert got.hex() == helpers.reference_jsd(a, b, stoplist).hex()
 
 
 class TestOmissionStats:
@@ -216,11 +225,23 @@ class TestOmissionStats:
         rates = omission_rate_stats(corpus, vocab, tagger)
         assert rates[OmissionCategory.STRUCTURE] == pytest.approx((1 / 3 + 0) / 2)
 
+    def test_matches_reference(self, demo_corpus, demo_vocab, tagger):
+        one_token = Corpus([Sample("p", "Push", "push eax"), Sample("e", "EAX", "push eax")])
+        corpora = [demo_corpus, one_token] + helpers.seeded_corpora(demo_corpus, 4, 8)
+        for corpus in corpora:
+            got = omission_rate_stats(corpus, demo_vocab, tagger)
+            expected = helpers.reference_omission_rates(corpus, demo_vocab, tagger)
+            assert {c: r.hex() for c, r in got.items()} == {
+                c: r.hex() for c, r in expected.items()
+            }
+
 
 class TestSyntaxChecker:
     def test_template_requires_placeholder(self):
         with pytest.raises(ConfigError):
             CheckerConfig(template="nasm -f elf32")
+        with pytest.raises(ConfigError, match="workers"):
+            CheckerConfig(template="nasm -f elf32 {file}", workers=0)
 
     def test_missing_binary(self):
         checker = CheckerConfig(template="definitely-not-a-real-assembler {file}")

@@ -154,8 +154,8 @@ class TestFileTagger:
         with pytest.raises(DataError):
             file_tagger.tag(["a", "b"], sample_id="s1")
 
-    def test_unknown_tag_rejected(self, tmp_path):
+    def test_unknown_tag_rejected(self, tmp_path, tagger):
         path = tmp_path / "tags.jsonl"
         path.write_text(json.dumps({"id": "s1", "tags": ["BANANA"]}) + "\n")
         with pytest.raises(DataError):
-            FileTagger(path)
+            FileTagger(path, fallback=tagger)

@@ -1,15 +1,7 @@
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perturbe.errors import DataError
-from perturbe.preprocess import (
-    StandardizationMap,
-    destandardize,
-    detokenize,
-    load_stopwords,
-    tokenize,
-)
+from perturbe.preprocess import detokenize, load_stopwords, tokenize
 
 
 class TestTokenize:
@@ -80,22 +72,3 @@ class TestStopwords:
         path.write_text("# comment\nfoo\nBAR\n")
         assert load_stopwords(path) == {"foo", "bar"}
 
-
-class TestDestandardize:
-    def test_basic(self):
-        assert destandardize("mov bl, var0", StandardizationMap({0: "0x4"})) == "mov bl, 0x4"
-
-    def test_identity_without_placeholders(self):
-        assert destandardize("mov bl, al", StandardizationMap({0: "x"})) == "mov bl, al"
-
-    def test_unknown_placeholder(self):
-        with pytest.raises(DataError, match="var3"):
-            destandardize("push var3", StandardizationMap({0: "0x4"}))
-
-    def test_whitespace_collapsed(self):
-        out = destandardize("mov  bl ,  var0", StandardizationMap({0: "0x4"}))
-        assert out == "mov bl , 0x4"
-
-    def test_multi_digit_indices(self):
-        mapping = StandardizationMap({i: f"w{i}" for i in range(12)})
-        assert destandardize("var11 var1", mapping) == "w11 w1"

@@ -1,6 +1,6 @@
 import json
 
-from perturbe._util import write_jsonl
+from perturbe._util import read_data_lines, write_jsonl
 from perturbe.corpus import Corpus, Sample, save_corpus
 from perturbe.perturb import GATE_PASS, PerturbationRecord, PerturbKind, write_records
 
@@ -20,6 +20,24 @@ TEXTS = [
 
 def expected_lines(rows):
     return "".join(json.dumps(row, ensure_ascii=False) + "\n" for row in rows).encode("utf-8")
+
+
+class TestReadDataLines:
+    TEXT = "# header\n\n  alpha  \n\t# indented\nbeta # not a comment\n"
+
+    def test_list_rule(self, tmp_path):
+        path = tmp_path / "list.txt"
+        path.write_text(self.TEXT)
+        assert read_data_lines(path, "stopwords.txt") == ["alpha", "beta # not a comment"]
+
+    def test_raw_lines(self, tmp_path):
+        path = tmp_path / "list.txt"
+        path.write_text(self.TEXT)
+        assert read_data_lines(path, "stopwords.txt", raw=True) == self.TEXT.splitlines()
+
+    def test_unset_path_reads_shipped_file(self):
+        for unset in (None, ""):
+            assert "the" in read_data_lines(unset, "stopwords.txt")
 
 
 class TestWriteJsonl:

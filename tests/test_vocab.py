@@ -5,6 +5,7 @@ import pytest
 
 from perturbe.corpus import load_corpus
 from perturbe.errors import DataError
+from perturbe.preprocess import load_stopwords
 from perturbe.vocab import (
     FrequencyTable,
     Vocabulary,
@@ -42,7 +43,7 @@ class TestCounting:
     @pytest.mark.skipif(REAL_DATASET is None, reason="set PERTURBE_DATASET to run")
     def test_real_dataset_unique_tokens(self):
         corpus = load_corpus(REAL_DATASET)
-        table = count_frequencies(s.intent for s in corpus)
+        table = count_frequencies((s.intent for s in corpus), load_stopwords())
         assert table.unique_count == 2855
 
 
@@ -100,7 +101,7 @@ class TestBuildVocabulary:
 
     def test_empty_table_rejected(self):
         with pytest.raises(DataError):
-            build_vocabulary(FrequencyTable({}), FrequencyTable({"a": 1}))
+            build_vocabulary(FrequencyTable({}), FrequencyTable({"a": 1}), registers=set())
 
 
 class TestBuildVocabularyDifferential:
@@ -149,7 +150,9 @@ class TestBuildVocabularyDifferential:
         codegen = count_frequencies((s.intent for s in demo_corpus), stopwords)
         text = resources.files("perturbe.data").joinpath("comparison_corpus.txt").read_text("utf-8")
         comparison = count_frequencies(text.splitlines(), stopwords)
-        assert demo_vocab == helpers.reference_build_vocabulary(codegen, comparison)
+        assert demo_vocab == helpers.reference_build_vocabulary(
+            codegen, comparison, registers=load_registers()
+        )
 
 
 class TestMineVocabulary:
@@ -157,9 +160,7 @@ class TestMineVocabulary:
         comparison = tmp_path / "comparison.txt"
         comparison.write_text("walk the dog\npush the cart\n")
         texts = ["push the EAX register", "push the stack"]
-        vocab = mine_vocabulary(
-            texts, {"the"}, comparison=comparison, registers={"eax"}, threshold=3.0
-        )
+        vocab = mine_vocabulary(texts, {"the"}, {"eax"}, comparison=comparison, threshold=3.0)
         assert vocab == build_vocabulary(
             count_frequencies(texts, {"the"}),
             count_frequencies(["walk the dog", "push the cart"], {"the"}),
@@ -168,6 +169,13 @@ class TestMineVocabulary:
         )
         assert vocab.structure_words == {"register", "stack"}
         assert vocab.name_words == {"EAX"}
+
+
+class TestLoadRegisters:
+    def test_user_file_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "registers.txt"
+        path.write_text("# IA-32\n  # indented comment\nEAX\n\n  esi  \n\t#tabbed\n")
+        assert load_registers(path) == {"eax", "esi"}
 
 
 class TestNamePredicate:
