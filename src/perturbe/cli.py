@@ -33,7 +33,7 @@ from perturbe import vocab as vocab_mod
 from perturbe._util import canonical_json, sha256_file, sha256_text
 from perturbe.embedding import MeanVectorEncoder, PrecomputedEncoder, load_vectors
 from perturbe.errors import CheckerError, ConfigError, DataError, PerturbeError
-from perturbe.postag import FileTagger, LexiconTagger
+from perturbe.postag import FileTagger, LexiconTagger, load_tag_lexicon
 from perturbe.preprocess import load_stopwords
 
 
@@ -45,15 +45,33 @@ class _Parser(argparse.ArgumentParser):
 def _parse_floats(text: str) -> list[float]:
     try:
         return [float(part) for part in text.split(",") if part.strip() != ""]
-    except ValueError as exc:
-        raise ConfigError(f"expected comma-separated numbers, got {text!r}") from exc
+    except ValueError:
+        raise ValueError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-def _split_spec(text: str, seed: int, option: str) -> corpus_mod.SplitSpec:
+def _split_ratios(text: str) -> list[float]:
     ratios = _parse_floats(text)
     if len(ratios) != 3:
-        raise ConfigError(f"{option} needs three values, got {text!r}")
-    return corpus_mod.SplitSpec(*ratios, seed=seed)
+        raise ValueError(f"expected three values, got {text!r}")
+    return ratios
+
+
+def _parsed(name: str, parse, text: str):
+    """``parse(text)``, with a malformed value reported as a configuration
+    error that names the option or key it was given for."""
+    try:
+        return parse(text)
+    except (ValueError, ConfigError) as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+# SplitSpec's default ratios. The default of --ratios is their text: the run
+# manifest digests str() of every option.
+_DEFAULT_SPLIT = [
+    corpus_mod.SplitSpec.train_ratio,
+    corpus_mod.SplitSpec.val_ratio,
+    corpus_mod.SplitSpec.test_ratio,
+]
 
 
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -76,21 +94,17 @@ def read_config(path: str | Path) -> dict[str, str]:
 
 
 def _write_run_manifest(
-    args,
-    default: Path,
-    command: str,
-    seed: int | None,
-    outputs: list[Path],
-    config: dict | None = None,
+    args, default: Path, seed: int | None, outputs: list[Path], config: dict | None = None
 ) -> None:
-    """Write the run manifest to ``--manifest``, or to ``default`` when that
-    option is unset. ``config`` defaults to the parsed arguments."""
+    """Write the run manifest of ``args.command`` to ``--manifest``, or to
+    ``default`` when that option is unset. ``config`` defaults to the parsed
+    arguments."""
     manifest_path = Path(args.manifest) if args.manifest else default
     if config is None:  # the handler function's repr is a memory address
         config = {k: v for k, v in vars(args).items() if k != "func"}
     base = manifest_path.parent
     manifest = {
-        "command": command,
+        "command": args.command,
         "seed": seed,
         "config_digest": sha256_text(canonical_json({k: str(v) for k, v in config.items()})),
         "outputs": {
@@ -102,25 +116,28 @@ def _write_run_manifest(
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
 
 
-def _load_tagger(args) -> LexiconTagger | FileTagger:
-    lexicon = LexiconTagger(lexicon_path=getattr(args, "tag_lexicon", None))
-    tag_file = getattr(args, "tags", None)
-    if tag_file:
-        return FileTagger(tag_file, fallback=lexicon)
-    return lexicon
+def _load_tagger(
+    lexicon_path: str | None, registers_path: str | None, tags: str | None = None
+) -> LexiconTagger | FileTagger:
+    """The tagger of perturb, matrix and stats: the tag lexicon and the
+    register list at the given paths (the shipped files when unset), under
+    the per-sample overrides of the ``tags`` file when one is given."""
+    registers = vocab_mod.load_registers(registers_path)
+    lexicon = LexiconTagger(load_tag_lexicon(lexicon_path), registers)
+    return FileTagger(tags, fallback=lexicon) if tags else lexicon
 
 
 def _cmd_ingest(args) -> int:
     corpus = corpus_mod.load_corpus(args.infile, format=args.format)
     out = Path(args.out)
     corpus_mod.save_corpus(corpus, out, format=args.out_format)
-    _write_run_manifest(args, out.with_suffix(out.suffix + ".manifest.json"), "ingest", None, [out])
+    _write_run_manifest(args, out.with_suffix(out.suffix + ".manifest.json"), None, [out])
     print(f"ingested {len(corpus)} samples -> {out}")
     return 0
 
 
 def _cmd_split(args) -> int:
-    spec = _split_spec(args.ratios, args.seed, "--ratios")
+    spec = corpus_mod.SplitSpec(*_parsed("--ratios", _split_ratios, args.ratios), seed=args.seed)
     corpus = corpus_mod.load_corpus(args.infile, format=args.format)
     train, val, test = corpus_mod.split_corpus(corpus, spec)
     out_dir = Path(args.out_dir)
@@ -129,7 +146,7 @@ def _cmd_split(args) -> int:
         target = out_dir / f"{name}.jsonl"
         corpus_mod.save_corpus(part, target)
         outputs.append(target)
-    _write_run_manifest(args, out_dir / "run_manifest.json", "split", args.seed, outputs)
+    _write_run_manifest(args, out_dir / "run_manifest.json", args.seed, outputs)
     print(f"split {len(corpus)} -> train {len(train)}, val {len(val)}, test {len(test)}")
     return 0
 
@@ -146,7 +163,7 @@ def _cmd_build_vocab(args) -> int:
     )
     out = Path(args.out)
     vocab_mod.save_vocabulary(vocabulary, out)
-    _write_run_manifest(args, out.with_suffix(".manifest.json"), "build-vocab", None, [out])
+    _write_run_manifest(args, out.with_suffix(".manifest.json"), None, [out])
     print(
         f"vocabulary: {len(vocabulary.structure_words)} structure words, "
         f"{len(vocabulary.name_words)} name words -> {out}"
@@ -159,27 +176,19 @@ def _cmd_perturb(args) -> int:
     corpus = corpus_mod.load_corpus(args.infile)
     vocabulary = vocab_mod.load_vocabulary(args.vocab)
     store = load_vectors(args.vectors) if args.vectors else None
-    cfg = perturb_mod.SubstitutionConfig(
-        ratio=args.ratio, k=args.k, tau=args.tau, seed=args.seed
-    )
+    cfg = perturb_mod.SubstitutionConfig(ratio=args.ratio, k=args.k, tau=args.tau, seed=args.seed)
     stoplist = load_stopwords(args.stopwords)
-    result = perturb_mod.perturb_split(
-        corpus, [kind], cfg, vocabulary, store, _load_tagger(args), stoplist
-    )
+    tagger = _load_tagger(args.tag_lexicon, None, args.tags)
+    result = perturb_mod.perturb_split(corpus, [kind], cfg, vocabulary, store, tagger, stoplist)
     out = Path(args.out)
     perturb_mod.write_records(result.records, out)
     skips_path = out.with_suffix(out.suffix + ".skips.jsonl")
     with open(skips_path, "w", encoding="utf-8") as fh:
         for skip in result.skipped:
-            fh.write(
-                json.dumps(
-                    {"id": skip.sample_id, "kind": skip.kind.value, "reason": skip.reason}
-                )
-            )
-            fh.write("\n")
-    _write_run_manifest(
-        args, out.with_suffix(out.suffix + ".manifest.json"), "perturb", args.seed, [out, skips_path]
-    )
+            row = {"id": skip.sample_id, "kind": skip.kind.value, "reason": skip.reason}
+            fh.write(json.dumps(row) + "\n")
+    manifest = out.with_suffix(out.suffix + ".manifest.json")
+    _write_run_manifest(args, manifest, args.seed, [out, skips_path])
     print(f"perturbed {len(result.records)} samples ({len(result.skipped)} skipped) -> {out}")
     return 0
 
@@ -202,13 +211,11 @@ def _cmd_gate(args) -> int:
     perturb_mod.write_records(failed, out_failed)
     outputs = [out_passed, out_failed]
     if args.sweep:
-        thresholds = _parse_floats(args.sweep)
+        thresholds = _parsed("--sweep", _parse_floats, args.sweep)
         sweep_path = Path(args.sweep_out) if args.sweep_out else records_path.with_suffix(".sweep.csv")
         semgate_mod.write_sweep_csv(scored, thresholds, sweep_path)
         outputs.append(sweep_path)
-    _write_run_manifest(
-        args, records_path.with_suffix(".gate.manifest.json"), "gate", None, outputs
-    )
+    _write_run_manifest(args, records_path.with_suffix(".gate.manifest.json"), None, outputs)
     print(f"gate at {args.threshold}: {len(passed)} passed, {len(failed)} failed")
     return 0
 
@@ -227,15 +234,11 @@ def _parse_plan_kind(text: str):
 def _cmd_augment(args) -> int:
     split = corpus_mod.load_corpus(args.split)
     records = perturb_mod.read_records(args.records)
-    plan = augment_mod.AugmentPlan(
-        ratio_p=args.p, kind=_parse_plan_kind(args.kind), seed=args.seed
-    )
+    plan = augment_mod.AugmentPlan(ratio_p=args.p, kind=_parse_plan_kind(args.kind), seed=args.seed)
     augmented = augment_mod.augment_split(split, records, plan)
     out = Path(args.out)
     corpus_mod.save_corpus(augmented, out)
-    _write_run_manifest(
-        args, out.with_suffix(out.suffix + ".manifest.json"), "augment", args.seed, [out]
-    )
+    _write_run_manifest(args, out.with_suffix(out.suffix + ".manifest.json"), args.seed, [out])
     print(f"augmented {len(augmented)} samples at p={args.p} -> {out}")
     return 0
 
@@ -251,60 +254,97 @@ _MATRIX_KINDS = {
 }
 
 
-# Every key `matrix` reads from its config file; any other key is an error.
-_MATRIX_KEYS = frozenset(
-    {
-        "corpus", "format", "out_dir", "seed", "split.ratios", "stopwords", "registers",
-        "comparison", "vocab.threshold", "vectors", "tag_lexicon", "kinds", "ratios",
-        "subst.ratio", "subst.k", "subst.tau", "gate.threshold", "apply_to_validation",
-    }
-)
+def _families(text: str) -> list[augment_mod.KindFamily]:
+    families = [augment_mod.KindFamily(part.strip()) for part in text.split(",")]
+    if len(set(families)) < len(families):
+        raise ValueError(f"a family is listed twice in {text!r}")
+    return families
+
+
+def _augment_ratios(text: str) -> list[float]:
+    family = augment_mod.KindFamily.SUBSTITUTION  # AugmentPlan checks each ratio
+    return [augment_mod.AugmentPlan(p, family).ratio_p for p in _parse_floats(text)]
+
+
+def _true_or_false(text: str) -> bool:
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
+_REQUIRED = object()
+
+# Every key `matrix` reads from its config file: how its value is parsed and
+# the value it takes when the key is absent. Any other key is an error. A
+# None path reads the shipped file; a None subst.k takes the kind's default.
+_MATRIX_KEYS = {
+    "corpus": (str, _REQUIRED),
+    "format": (str, "jsonl"),
+    "out_dir": (str, _REQUIRED),
+    "seed": (int, _REQUIRED),
+    "vectors": (str, _REQUIRED),
+    "split.ratios": (_split_ratios, _DEFAULT_SPLIT),
+    "stopwords": (str, None),
+    "registers": (str, None),
+    "comparison": (str, None),
+    "vocab.threshold": (float, vocab_mod.DEFAULT_RATIO_THRESHOLD),
+    "tag_lexicon": (str, None),
+    "kinds": (_families, list(augment_mod.KindFamily)),
+    "ratios": (_augment_ratios, [0.0, 0.25, 0.5, 1.0]),
+    "subst.ratio": (float, perturb_mod.SubstitutionConfig.ratio),
+    "subst.k": (int, perturb_mod.SubstitutionConfig.k),
+    "subst.tau": (float, perturb_mod.SubstitutionConfig.tau),
+    "gate.threshold": (float, semgate_mod.GateConfig.threshold),
+    "apply_to_validation": (_true_or_false, True),
+}
+
+
+def _matrix_settings(config: dict[str, str], where: str) -> dict:
+    """Every ``_MATRIX_KEYS`` key, parsed from the config or defaulted."""
+    unknown = sorted(set(config) - set(_MATRIX_KEYS))
+    if unknown:
+        raise ConfigError(f"{where}: unknown matrix config key(s): {', '.join(unknown)}")
+    settings = {}
+    for key, (parse, default) in _MATRIX_KEYS.items():
+        if key in config:
+            settings[key] = _parsed(f"{where}: {key}", parse, config[key])
+        elif default is _REQUIRED:
+            raise ConfigError(f"matrix config missing {key!r}")
+        else:
+            settings[key] = default
+    return settings
 
 
 def _cmd_matrix(args) -> int:
     config = read_config(args.config)
-    unknown = sorted(set(config) - _MATRIX_KEYS)
-    if unknown:
-        raise ConfigError(f"{args.config}: unknown matrix config key(s): {', '.join(unknown)}")
-    for key in ("corpus", "out_dir", "seed"):
-        if key not in config:
-            raise ConfigError(f"matrix config missing {key!r}")
-    seed = int(config["seed"])
-    out_dir = Path(args.out_dir or config["out_dir"])
+    settings = _matrix_settings(config, args.config)
+    seed = settings["seed"]
+    out_dir = Path(args.out_dir or settings["out_dir"])
+    spec = corpus_mod.SplitSpec(*settings["split.ratios"], seed=seed)
+    cfg = perturb_mod.SubstitutionConfig(
+        ratio=settings["subst.ratio"], k=settings["subst.k"], tau=settings["subst.tau"], seed=seed
+    )
+    gate_cfg = semgate_mod.GateConfig(threshold=settings["gate.threshold"])
+    kinds = settings["kinds"]
+    kind_list = [k for family in _MATRIX_KINDS if family in kinds for k in _MATRIX_KINDS[family]]
 
-    corpus = corpus_mod.load_corpus(config["corpus"], format=config.get("format", "jsonl"))
-    spec = _split_spec(config.get("split.ratios", "0.8,0.1,0.1"), seed, "split.ratios")
+    corpus = corpus_mod.load_corpus(settings["corpus"], format=settings["format"])
     train, val, test = corpus_mod.split_corpus(corpus, spec)
     splits = {"train": train, "val": val, "test": test}
 
     # The vocabulary is mined over the whole corpus, test split included.
-    stoplist = load_stopwords(config.get("stopwords"))
-    registers = vocab_mod.load_registers(config.get("registers"))
+    stoplist = load_stopwords(settings["stopwords"])
+    tagger = _load_tagger(settings["tag_lexicon"], settings["registers"])
     vocabulary = vocab_mod.mine_vocabulary(
         (s.intent for s in corpus),
         stoplist,
-        registers,
-        comparison=config.get("comparison"),
-        threshold=float(config.get("vocab.threshold", vocab_mod.DEFAULT_RATIO_THRESHOLD)),
+        tagger.registers,
+        comparison=settings["comparison"],
+        threshold=settings["vocab.threshold"],
     )
     vocab_mod.save_vocabulary(vocabulary, out_dir / "vocab.json")
 
-    if "vectors" not in config:
-        raise ConfigError("matrix config needs a vectors file (the gate encodes with it)")
-    store = load_vectors(config["vectors"])
-    tagger = LexiconTagger(lexicon_path=config.get("tag_lexicon"), registers=registers)
-
-    kinds = [augment_mod.KindFamily(k.strip()) for k in config.get("kinds", "substitution,omission").split(",")]
-    kind_list = [k for family in _MATRIX_KINDS if family in kinds for k in _MATRIX_KINDS[family]]
-    aug_ratios = _parse_floats(config.get("ratios", "0,0.25,0.5,1.0"))
-
-    cfg = perturb_mod.SubstitutionConfig(
-        ratio=float(config.get("subst.ratio", 0.10)),
-        k=int(config["subst.k"]) if "subst.k" in config else None,
-        tau=float(config.get("subst.tau", 0.8)),
-        seed=seed,
-    )
-    gate_cfg = semgate_mod.GateConfig(threshold=float(config.get("gate.threshold", 0.80)))
+    store = load_vectors(settings["vectors"])
     encoder = MeanVectorEncoder(store)
 
     records_by_split: dict[str, list[perturb_mod.PerturbationRecord]] = {}
@@ -318,19 +358,18 @@ def _cmd_matrix(args) -> int:
         records_by_split[split_name] = passed
         perturb_mod.write_records(passed, out_dir / f"records_{split_name}.jsonl")
 
-    apply_to_validation = config.get("apply_to_validation", "true").lower() != "false"
     cells, digest = augment_mod.build_matrix(
         splits,
         records_by_split,
         kinds,
-        aug_ratios,
+        settings["ratios"],
         seed,
         out_dir,
-        apply_to_validation=apply_to_validation,
+        apply_to_validation=settings["apply_to_validation"],
     )
     outputs = [out_dir / "manifest.json", out_dir / "vocab.json"]
     outputs.extend(out_dir / f"records_{name}.jsonl" for name in splits)
-    _write_run_manifest(args, out_dir / "run_manifest.json", "matrix", seed, outputs, config)
+    _write_run_manifest(args, out_dir / "run_manifest.json", seed, outputs, config)
     print(f"matrix: {len(cells)} cells -> {out_dir} (digest {digest[:12]}...)")
     return 0
 
@@ -360,16 +399,9 @@ def _cmd_evaluate(args) -> int:
         outputs.append(verdicts_path)
         with open(verdicts_path, "w", encoding="utf-8") as fh:
             for sid in sorted(syn_report.verdicts):
-                fh.write(
-                    json.dumps(
-                        {
-                            "id": sid,
-                            "ok": syn_report.verdicts[sid],
-                            "diagnostic": syn_report.diagnostics.get(sid, ""),
-                        }
-                    )
-                    + "\n"
-                )
+                diagnostic = syn_report.diagnostics.get(sid, "")
+                row = {"id": sid, "ok": syn_report.verdicts[sid], "diagnostic": diagnostic}
+                fh.write(json.dumps(row) + "\n")
 
     if args.labels:
         labels = metrics_mod.load_labels(args.labels)
@@ -389,9 +421,7 @@ def _cmd_evaluate(args) -> int:
 
     metrics_path = out_dir / "metrics.json"
     metrics_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", "utf-8")
-    _write_run_manifest(
-        args, out_dir / "run_manifest.json", "evaluate", None, [metrics_path, *outputs]
-    )
+    _write_run_manifest(args, out_dir / "run_manifest.json", None, [metrics_path, *outputs])
     print(json.dumps(result, indent=2, sort_keys=True))
     return 0
 
@@ -414,9 +444,8 @@ def _cmd_report(args) -> int:
             )
         )
     csv_path, summary_path = metrics_mod.report(cells, args.out_dir)
-    _write_run_manifest(
-        args, Path(args.out_dir) / "run_manifest.json", "report", None, [csv_path, summary_path]
-    )
+    outputs = [csv_path, summary_path]
+    _write_run_manifest(args, Path(args.out_dir) / "run_manifest.json", None, outputs)
     print(f"report -> {csv_path}, {summary_path}")
     return 0
 
@@ -432,8 +461,7 @@ def _cmd_stats(args) -> int:
     }
     if args.vocab:
         vocabulary = vocab_mod.load_vocabulary(args.vocab)
-        tagger = LexiconTagger()
-        rates = metrics_mod.omission_rate_stats(corpus, vocabulary, tagger)
+        rates = metrics_mod.omission_rate_stats(corpus, vocabulary, _load_tagger(None, None))
         result["omission_rates"] = {cat.value: rate for cat, rate in rates.items()}
     if args.against:
         other = corpus_mod.load_corpus(args.against)
@@ -446,7 +474,7 @@ def _cmd_stats(args) -> int:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", "utf-8")
-        _write_run_manifest(args, out.with_suffix(".manifest.json"), "stats", None, [out])
+        _write_run_manifest(args, out.with_suffix(".manifest.json"), None, [out])
     return 0
 
 
@@ -455,50 +483,48 @@ def build_parser() -> _Parser:
     parser.add_argument("--version", action="version", version=f"perturbe {perturbe.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ingest", help="validate and normalize a dataset")
+    def command(name: str, func, help: str) -> _Parser:
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--manifest")  # where the run manifest goes
+        p.set_defaults(func=func)
+        return p
+
+    p = command("ingest", _cmd_ingest, "validate and normalize a dataset")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out", required=True)
     p.add_argument("--out-format", choices=("jsonl", "csv"), default="jsonl")
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_ingest)
 
-    p = sub.add_parser("split", help="seeded train/val/test split")
+    p = command("split", _cmd_split, "seeded train/val/test split")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--ratios", default="0.8,0.1,0.1")
+    p.add_argument("--ratios", default=",".join(map(str, _DEFAULT_SPLIT)))
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_split)
 
-    p = sub.add_parser("build-vocab", help="mine the protected vocabulary")
+    p = command("build-vocab", _cmd_build_vocab, "mine the protected vocabulary")
     p.add_argument("--corpus", required=True)
     p.add_argument("--comparison", help="plain-text comparison corpus (default: shipped)")
     p.add_argument("--threshold", type=float, default=vocab_mod.DEFAULT_RATIO_THRESHOLD)
     p.add_argument("--stopwords")
     p.add_argument("--registers")
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_build_vocab)
 
-    p = sub.add_parser("perturb", help="generate perturbation records")
+    p = command("perturb", _cmd_perturb, "generate perturbation records")
     p.add_argument("--kind", required=True, choices=[k.value for k in perturb_mod.PerturbKind])
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--vocab", required=True)
     p.add_argument("--vectors", help="word-vector file (required for substitution kinds)")
     p.add_argument("--out", required=True)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--ratio", type=float, default=0.10)
+    p.add_argument("--ratio", type=float, default=perturb_mod.SubstitutionConfig.ratio)
     p.add_argument("--k", type=int)
-    p.add_argument("--tau", type=float, default=0.8)
+    p.add_argument("--tau", type=float, default=perturb_mod.SubstitutionConfig.tau)
     p.add_argument("--stopwords")
     p.add_argument("--tag-lexicon", dest="tag_lexicon")
     p.add_argument("--tags", help="external tag override file (JSONL id/tags)")
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_perturb)
 
-    p = sub.add_parser("gate", help="score and filter records by similarity")
+    p = command("gate", _cmd_gate, "score and filter records by similarity")
     p.add_argument("--records", required=True)
     p.add_argument("--vectors")
     p.add_argument("--embeddings", help="precomputed sentence-embedding JSONL")
@@ -507,29 +533,23 @@ def build_parser() -> _Parser:
     p.add_argument("--out-passed")
     p.add_argument("--out-failed")
     p.add_argument("--sweep-out")
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_gate)
 
-    p = sub.add_parser("augment", help="size-preserving training-set augmentation")
+    p = command("augment", _cmd_augment, "size-preserving training-set augmentation")
     p.add_argument("--split", required=True)
     p.add_argument("--records", required=True, help="gate-passing records")
     p.add_argument("--p", type=float, required=True)
     p.add_argument("--kind", required=True, help="kind or family (substitution/omission)")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("matrix", help="materialize the full experiment matrix")
+    p = command("matrix", _cmd_matrix, "materialize the full experiment matrix")
     p.add_argument("--config", required=True)
     p.add_argument("--out-dir")
     p.add_argument(
         "--workers", type=int, default=1, help="ignored; accepted so older command lines still run"
     )
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("evaluate", help="compute SYN/SEM/ROB for predictions")
+    p = command("evaluate", _cmd_evaluate, "compute SYN/SEM/ROB for predictions")
     p.add_argument("--preds", required=True)
     p.add_argument("--refs", required=True)
     p.add_argument("--model", default="")
@@ -539,26 +559,20 @@ def build_parser() -> _Parser:
     p.add_argument("--auto-checker", action="store_true", help="detect an installed assembler")
     p.add_argument("--scaffold", choices=("nasm", "gas"), default="nasm")
     p.add_argument("--timeout", type=float, default=metrics_mod.DEFAULT_CHECK_TIMEOUT)
-    p.add_argument("--workers", type=int, default=4)
+    p.add_argument("--workers", type=int, default=metrics_mod.CheckerConfig.workers)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_evaluate)
 
-    p = sub.add_parser("report", help="aggregate metrics files into CSV + summary")
+    p = command("report", _cmd_report, "aggregate metrics files into CSV + summary")
     p.add_argument("--metrics", nargs="+", required=True)
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_report)
 
-    p = sub.add_parser("stats", help="corpus statistics (tokens, omission rates, JSD)")
+    p = command("stats", _cmd_stats, "corpus statistics (tokens, omission rates, JSD)")
     p.add_argument("--corpus", required=True)
     p.add_argument("--vocab")
     p.add_argument("--against", help="second corpus for JSD")
     p.add_argument("--variants", nargs="*", help="corpora for vocabulary-growth counts")
     p.add_argument("--stopwords")
     p.add_argument("--out")
-    p.add_argument("--manifest")
-    p.set_defaults(func=_cmd_stats)
 
     return parser
 
@@ -574,8 +588,9 @@ def main(argv: list[str] | None = None) -> int:
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
-    except FileNotFoundError as exc:
-        print(f"data error: {exc.filename}: file not found", file=sys.stderr)
+    except OSError as exc:  # an input path that names no file, or a directory
+        reason = "file not found" if isinstance(exc, FileNotFoundError) else exc.strerror
+        print(f"data error: {exc.filename}: {reason}", file=sys.stderr)
         return 2
     except CheckerError as exc:
         print(f"checker error: {exc}", file=sys.stderr)

@@ -119,21 +119,13 @@ class VectorStore:
             return lowered
         return None
 
-    def row_index(self, word: str) -> int | None:
-        """The word's row in the store's matrix, with resolve()'s fallback."""
-        row = self._rows.get(word)
-        return self._rows.get(word.lower()) if row is None else row
-
-    def get(self, word: str) -> np.ndarray | None:
-        """The word's vector as a read-only row of the store's matrix."""
-        row = self.row_index(word)
-        return None if row is None else self._matrix[row]
-
     def vector(self, word: str) -> np.ndarray:
-        vec = self.get(word)
-        if vec is None:
+        """The word's vector, as ``resolve`` finds it: a read-only row of the
+        store's matrix."""
+        key = self.resolve(word)
+        if key is None:
             raise DataError(f"word not in vector store: {word!r}")
-        return vec
+        return self._matrix[self._rows[key]]
 
     def top_k(self, word: str, k: int) -> list[Neighbor]:
         return top_k_neighbors(word, k, self)
@@ -312,7 +304,7 @@ class MeanVectorEncoder:
     vectors (bag of words).
 
     Each token is resolved to a row once, exact word first and then its
-    lowercase form, as ``VectorStore.row_index`` does. The mean is one
+    lowercase form, as ``VectorStore.resolve`` does. The mean is one
     reduction over the gathered rows, bit-identical to ``np.mean`` over the
     list of row vectors, and its norm is ``sqrt(mean . mean)``, bit-identical
     to ``np.linalg.norm``. ``oov_skipped`` counts the out-of-vocabulary
@@ -331,7 +323,7 @@ class MeanVectorEncoder:
         tokens = tokenize(text).tokens
         row_of = self.store._rows.get
         rows = []
-        for token in tokens:  # VectorStore.row_index, inlined
+        for token in tokens:  # VectorStore.resolve's rule, inlined
             row = row_of(token)
             if row is None:
                 row = row_of(token.lower())

@@ -111,7 +111,9 @@ class SyntaxReport:
     diagnostics: dict[str, str] = field(default_factory=dict)
 
 
-def detect_checker(timeout: float = DEFAULT_CHECK_TIMEOUT, workers: int = 4) -> CheckerConfig | None:
+def detect_checker(
+    timeout: float = DEFAULT_CHECK_TIMEOUT, workers: int = CheckerConfig.workers
+) -> CheckerConfig | None:
     """Pick an installed x86 assembler, preferring NASM's dialect."""
     if shutil.which("nasm"):
         return CheckerConfig(

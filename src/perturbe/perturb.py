@@ -300,22 +300,21 @@ def perturb_corpus(
     store: VectorStore | None,
     tagger: LexiconTagger,
     stoplist: set[str],
-    analyses: list[tuple[TokenizedIntent, list[PosTag]]] | None = None,
+    analyses: list[tuple[TokenizedIntent, list[PosTag]]],
 ) -> CorpusPerturbation:
     """Perturb every sample of a corpus with one kind.
 
     The per-sample RNG is derived from (cfg.seed, sample id), so each
     sample's record does not depend on corpus ordering. The vector store is
     only required for substitution kinds; the stoplist is lowercase.
-    ``analyses`` is the corpus's ``analyze_corpus`` result; ``perturb_split``
-    computes it once and passes it to the call for each kind. Without it,
-    every intent is tokenized and tagged here.
+    ``analyses`` is the corpus's ``analyze_corpus`` result, one (tokens,
+    tags) pair per sample; ``perturb_split`` computes it once and passes it
+    to the call for each kind. ``tagger`` tags the neighbors a substitution
+    considers.
     """
     if kind.is_substitution and store is None:
         raise ConfigError(f"{kind.value} requires a vector store")
-    if analyses is None:
-        analyses = analyze_corpus(corpus, tagger)
-    elif len(analyses) != len(corpus):
+    if len(analyses) != len(corpus):
         raise DataError(f"{len(analyses)} analyses for {len(corpus)} samples")
     category = _KIND_TO_CATEGORY.get(kind)
 
@@ -351,14 +350,7 @@ def perturb_split(
     result = CorpusPerturbation()
     for kind in kinds:
         part = perturb_corpus(
-            corpus,
-            kind,
-            cfg,
-            vocabulary,
-            store,
-            tagger=tagger,
-            stoplist=stoplist,
-            analyses=analyses,
+            corpus, kind, cfg, vocabulary, store, tagger, stoplist, analyses=analyses
         )
         result.records.extend(part.records)
         result.skipped.extend(part.skipped)

@@ -15,7 +15,7 @@ from pathlib import Path
 
 from perturbe._util import read_data_lines, read_jsonl
 from perturbe.errors import DataError
-from perturbe.vocab import is_name_like, load_registers
+from perturbe.vocab import is_name_like
 
 logger = logging.getLogger(__name__)
 
@@ -72,13 +72,16 @@ def load_tag_lexicon(path: str | Path | None = None) -> tuple[dict[str, PosTag],
 class LexiconTagger:
     """Deterministic tagger over an immutable lexicon; safe to share.
 
+    ``lexicon`` is the (primary tags, verb-capable words) pair that
+    ``load_tag_lexicon`` returns and ``registers`` the lowercase register
+    list that ``vocab.load_registers`` returns; the caller resolves both.
     Context-free tags are memoized per word. Racing threads only recompute
     the same value, so no lock is needed.
     """
 
-    def __init__(self, lexicon_path: str | Path | None = None, registers: set[str] | None = None):
-        self.primary, self.verb_capable = load_tag_lexicon(lexicon_path)
-        self.registers = registers if registers is not None else load_registers()
+    def __init__(self, lexicon: tuple[dict[str, PosTag], set[str]], registers: set[str]):
+        self.primary, self.verb_capable = lexicon
+        self.registers = registers
         self._lexical_memo: dict[str, PosTag] = {}
 
     def _pattern_tag(self, token: str) -> PosTag | None:
@@ -124,7 +127,9 @@ class LexiconTagger:
 
 class FileTagger:
     """Per-sample tag sequences from an external JSONL file, with a
-    LexiconTagger fallback for samples the file does not cover."""
+    LexiconTagger fallback for samples the file does not cover. A word's
+    context-free tag (``lexical_tag``) is always the fallback's: an override
+    tags the tokens of one sample, not a word on its own."""
 
     def __init__(self, path: str | Path, fallback: LexiconTagger):
         self.fallback = fallback
@@ -149,3 +154,6 @@ class FileTagger:
             return list(tags)
         self.fallback_count += 1
         return self.fallback.tag(tokens, sample_id)
+
+    def lexical_tag(self, word: str) -> PosTag:
+        return self.fallback.lexical_tag(word)

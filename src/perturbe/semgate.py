@@ -23,8 +23,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-import numpy as np
-
 from perturbe.embedding import cosine
 from perturbe.errors import ConfigError, DataError, EncodingFailure
 from perturbe.perturb import GATE_FAIL, GATE_PASS, PerturbationRecord
@@ -41,52 +39,36 @@ class GateConfig:
             raise ConfigError(f"gate threshold must be in [0, 1], got {self.threshold}")
 
 
-def score(record: PerturbationRecord, encoder) -> PerturbationRecord:
-    """Fill in record.similarity; the gate verdict stays unevaluated."""
-    return _score_against(record, encoder, _encode_original(record, encoder))
-
-
 def score_records(records: Sequence[PerturbationRecord], encoder) -> list[PerturbationRecord]:
-    """Score every record, in place and in order. Records that share a sample
-    id and original intent (the kinds of one sample) share one encode of the
-    original, or its failure: NaN for each of them."""
+    """Fill in the similarity of every record, in place and in order; the
+    gate verdicts stay unevaluated. Records that share a sample id and
+    original intent (the kinds of one sample) share one encode of the
+    original. A record whose original or perturbed intent cannot be encoded
+    gets NaN."""
     groups: dict[tuple[str, str], list[PerturbationRecord]] = {}
     for record in records:
         groups.setdefault((record.sample_id, record.original_intent), []).append(record)
-    for group in groups.values():
+    for (sample_id, original_intent), group in groups.items():
         # One group at a time, so only one original embedding is alive.
-        original = _encode_original(group[0], encoder)
-        for record in group:
-            _score_against(record, encoder, original)
-    return list(records)
-
-
-def _encode_original(record: PerturbationRecord, encoder) -> np.ndarray | None:
-    try:
-        return encoder.encode(record.original_intent, key=record.sample_id)
-    except EncodingFailure:
-        return None
-
-
-def _score_against(
-    record: PerturbationRecord, encoder, original: np.ndarray | None
-) -> PerturbationRecord:
-    perturbed = None
-    if original is not None:
         try:
-            perturbed = encoder.encode(
-                record.perturbed_intent, key=f"{record.sample_id}#{record.kind.value}"
-            )
+            original = encoder.encode(original_intent, key=sample_id)
         except EncodingFailure:
-            pass
-    if perturbed is None:
-        record.similarity = math.nan
-        record.raw_similarity = math.nan
-        return record
-    raw = cosine(original, perturbed)
-    record.raw_similarity = raw
-    record.similarity = min(1.0, max(0.0, raw))
-    return record
+            original = None
+        for record in group:
+            perturbed = None
+            if original is not None:
+                try:
+                    perturbed = encoder.encode(
+                        record.perturbed_intent, key=f"{sample_id}#{record.kind.value}"
+                    )
+                except EncodingFailure:
+                    pass
+            if perturbed is None:
+                record.similarity = record.raw_similarity = math.nan
+            else:
+                record.raw_similarity = cosine(original, perturbed)
+                record.similarity = min(1.0, max(0.0, record.raw_similarity))
+    return list(records)
 
 
 def gate(

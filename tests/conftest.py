@@ -1,6 +1,5 @@
 import pytest
 
-from perturbe.postag import LexiconTagger
 from perturbe.preprocess import load_stopwords
 from perturbe.vocab import load_registers, mine_vocabulary
 
@@ -14,7 +13,7 @@ def stopwords():
 
 @pytest.fixture(scope="session")
 def tagger():
-    return LexiconTagger()
+    return helpers.shipped_tagger()
 
 
 @pytest.fixture(scope="session")

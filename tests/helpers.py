@@ -16,7 +16,8 @@ search, reference_load_vectors() the per-component float() loader,
 reference_build_vocabulary() the variant-rescanning vocabulary builder,
 reference_sentence_embedding() the np.mean sentence encoder,
 reference_lexical_tag() the unmemoized context-free tagger,
-reference_gated_records() the matrix's per-kind perturb, score and gate loop,
+reference_score() the per-record gate scoring, which reference_gated_records()
+uses in the matrix's per-kind perturb, score and gate loop,
 reference_cosine() the np.linalg.norm cosine, reference_augment_split()
 with reference_build_matrix() the matrix builder that checks, indexes and
 rebuilds every sample for each of its cell splits, reference_jsd() and
@@ -29,6 +30,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import random
 from collections import Counter
 from pathlib import Path
@@ -45,7 +47,7 @@ from perturbe.augment import (
     _manifest_digest,
 )
 from perturbe.corpus import Corpus, Sample, save_corpus
-from perturbe.embedding import Neighbor, VectorStore
+from perturbe.embedding import Neighbor, VectorStore, cosine
 from perturbe.errors import DataError, EncodingFailure, NoEligibleWords
 from perturbe.metrics import jsd_from_counts
 from perturbe.perturb import (
@@ -58,16 +60,24 @@ from perturbe.perturb import (
     _transfer_case,
     eligible_words,
     omittable_words,
-    perturb_corpus,
+    perturb_split,
 )
-from perturbe.postag import _NUMBER_RE, _PUNCT_RE, _SUFFIX_RULES, LexiconTagger, PosTag
+from perturbe.postag import (
+    _NUMBER_RE,
+    _PUNCT_RE,
+    _SUFFIX_RULES,
+    LexiconTagger,
+    PosTag,
+    load_tag_lexicon,
+)
 from perturbe.preprocess import detokenize, tokenize
-from perturbe.semgate import gate, score
+from perturbe.semgate import gate
 from perturbe.vocab import (
     DEFAULT_RATIO_THRESHOLD,
     FrequencyTable,
     Vocabulary,
     is_name_like,
+    load_registers,
 )
 
 DATA_DIR = Path(__file__).parent / "data"
@@ -122,6 +132,11 @@ def golden_store() -> VectorStore:
 
 def golden_vocabulary() -> Vocabulary:
     return Vocabulary(structure_words={"register"}, name_words={"ESI"})
+
+
+def shipped_tagger() -> LexiconTagger:
+    """A fresh tagger (empty memo) over the shipped tag lexicon and registers."""
+    return LexiconTagger(load_tag_lexicon(), load_registers())
 
 
 DEMO_RICH_VERBS = [
@@ -316,7 +331,7 @@ def reference_build_vocabulary(
 
 def reference_sentence_embedding(tokens: list[str], store: VectorStore) -> np.ndarray:
     """np.mean over the list of in-vocabulary token vectors, then normalized."""
-    vecs = [v for v in (store.get(t) for t in tokens) if v is not None]
+    vecs = [store.vector(t) for t in tokens if t in store]
     if not vecs:
         raise EncodingFailure(f"no token has a vector: {tokens!r}")
     mean = np.mean(vecs, axis=0)
@@ -343,6 +358,24 @@ def reference_lexical_tag(tagger: LexiconTagger, word: str) -> PosTag:
     return PosTag.NOUN
 
 
+def reference_score(record: PerturbationRecord, encoder) -> PerturbationRecord:
+    """Fill in one record's similarity from its own encodes of the original
+    and the perturbed intent; NaN when either cannot be encoded."""
+    try:
+        original = encoder.encode(record.original_intent, key=record.sample_id)
+        perturbed = encoder.encode(
+            record.perturbed_intent, key=f"{record.sample_id}#{record.kind.value}"
+        )
+    except EncodingFailure:
+        record.similarity = math.nan
+        record.raw_similarity = math.nan
+        return record
+    raw = cosine(original, perturbed)
+    record.raw_similarity = raw
+    record.similarity = min(1.0, max(0.0, raw))
+    return record
+
+
 def reference_gated_records(
     splits, kinds, cfg, vocabulary, store, tagger, stoplist, gate_cfg, encoder
 ):
@@ -352,8 +385,8 @@ def reference_gated_records(
     for split_name, part in splits.items():
         gathered = []
         for kind in kinds:
-            result = perturb_corpus(part, kind, cfg, vocabulary, store, tagger, stoplist)
-            passed, _ = gate([score(r, encoder) for r in result.records], gate_cfg)
+            result = perturb_split(part, [kind], cfg, vocabulary, store, tagger, stoplist)
+            passed, _ = gate([reference_score(r, encoder) for r in result.records], gate_cfg)
             gathered.extend(passed)
         records_by_split[split_name] = gathered
     return records_by_split

@@ -44,11 +44,10 @@ from perturbe.perturb import (
     PerturbationRecord,
     SubstitutionConfig,
     omit_words,
-    perturb_corpus,
+    perturb_split,
     substitute_words,
     write_records,
 )
-from perturbe.postag import LexiconTagger
 from perturbe.preprocess import load_stopwords, tokenize
 from perturbe.semgate import GateConfig, gate, score_records, threshold_sweep
 from perturbe.vocab import load_registers, load_vocabulary, mine_vocabulary
@@ -184,9 +183,9 @@ class TestCriterion3Jsd:
         if REAL_VECTORS:
             store = load_vectors(REAL_VECTORS)
             vocab = _mined_vocabulary(corpus)
-            result = perturb_corpus(
-                test, PerturbKind.SUBST_CONSTRAINED, SubstitutionConfig(seed=0), vocab, store,
-                LexiconTagger(), stoplist,
+            result = perturb_split(
+                test, [PerturbKind.SUBST_CONSTRAINED], SubstitutionConfig(seed=0), vocab, store,
+                helpers.shipped_tagger(), stoplist,
             )
             encoder = MeanVectorEncoder(store)
             passed, _ = gate(score_records(result.records, encoder), GateConfig())
@@ -245,8 +244,8 @@ class TestCriterion5GateProperties:
         encoder_store = store
         scored = {}
         for kind in PerturbKind:
-            result = perturb_corpus(
-                corpus, kind, SubstitutionConfig(seed=11), vocab, store, tagger, stoplist
+            result = perturb_split(
+                corpus, [kind], SubstitutionConfig(seed=11), vocab, store, tagger, stoplist
             )
             encoder = MeanVectorEncoder(encoder_store)
             scored[kind] = score_records(result.records, encoder)
@@ -386,7 +385,7 @@ class TestCriterion7Determinism:
         ]
         stoplist = load_stopwords()
         vocabulary = load_vocabulary(out / "vocab.json")
-        tagger = LexiconTagger(registers=load_registers())
+        tagger = helpers.shipped_tagger()
         cfg = SubstitutionConfig(seed=seed)
         expected = helpers.reference_gated_records(
             {"train": train, "val": val, "test": test},
@@ -405,7 +404,7 @@ class TestCriterion7Determinism:
                 encoder.encode(sample.intent)
             single = Corpus([sample], name="one")
             assert any(
-                perturb_corpus(single, kind, cfg, vocabulary, store, tagger, stoplist).records
+                perturb_split(single, [kind], cfg, vocabulary, store, tagger, stoplist).records
                 for kind in kinds
             )
         assert b"x-oov" not in (out / "records_train.jsonl").read_bytes()

@@ -14,7 +14,6 @@ from perturbe.perturb import (
     PerturbKind,
     SubstitutionConfig,
 )
-from perturbe.postag import LexiconTagger
 from perturbe.semgate import GateConfig
 
 import helpers
@@ -234,7 +233,7 @@ DEMO_SPLIT_SEED = 3  # every family covers each demo test sample at this split
 
 
 @pytest.fixture(scope="module")
-def demo_matrix_inputs(demo_corpus, demo_store, demo_vocab, stopwords):
+def demo_matrix_inputs(demo_corpus, demo_store, demo_vocab, tagger, stopwords):
     """Demo splits with gate-passing records of both families, as matrix makes them."""
     train, val, test = split_corpus(demo_corpus, SplitSpec(seed=DEMO_SPLIT_SEED))
     splits = {"train": train, "val": val, "test": test}
@@ -244,7 +243,7 @@ def demo_matrix_inputs(demo_corpus, demo_store, demo_vocab, stopwords):
         SubstitutionConfig(seed=DEMO_SPLIT_SEED),
         demo_vocab,
         demo_store,
-        LexiconTagger(),
+        tagger,
         stopwords,
         GateConfig(),
         MeanVectorEncoder(demo_store),

@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 import stat
@@ -9,9 +10,13 @@ import pytest
 
 import perturbe
 from perturbe._util import read_data_lines, sha256_file
-from perturbe.cli import main, read_config
-from perturbe.corpus import load_corpus
-from perturbe.vocab import Vocabulary, save_vocabulary
+from perturbe.cli import build_parser, main, read_config
+from perturbe.corpus import SplitSpec, load_corpus
+from perturbe.metrics import CheckerConfig, detect_checker
+from perturbe.perturb import SubstitutionConfig
+from perturbe.preprocess import tokenize
+from perturbe.semgate import GateConfig
+from perturbe.vocab import DEFAULT_RATIO_THRESHOLD, Vocabulary, save_vocabulary
 
 import helpers
 
@@ -30,6 +35,11 @@ def workdir(tmp_path_factory):
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def tree(root):
+    files = sorted(p for p in root.rglob("*") if p.is_file())
+    return {str(p.relative_to(root)): p.read_bytes() for p in files}
 
 
 class TestBasics:
@@ -85,6 +95,34 @@ class TestBasics:
         }
         assert run(*(arg.format(**paths) for arg in argv)) == 2
         assert capsys.readouterr().err == f"data error: {missing}: file not found\n"
+
+
+class TestDefaults:
+    @staticmethod
+    def parsed(*argv):
+        return build_parser().parse_args([str(a) for a in argv])
+
+    def test_parser_defaults_equal_owners(self):
+        split = self.parsed("split", "--in", "c", "--out-dir", "o", "--seed", 1)
+        spec = SplitSpec()
+        # The run manifest digests str() of each option: the default stays text.
+        assert split.ratios == "0.8,0.1,0.1"
+        assert split.ratios == f"{spec.train_ratio},{spec.val_ratio},{spec.test_ratio}"
+        perturb = self.parsed(
+            "perturb", "--kind", "omit-name", "--in", "c", "--vocab", "v", "--out", "o",
+            "--seed", 1,
+        )
+        subst = SubstitutionConfig()
+        assert (perturb.ratio, perturb.k, perturb.tau) == (subst.ratio, subst.k, subst.tau)
+        assert self.parsed("gate", "--records", "r").threshold == GateConfig().threshold
+        vocab = self.parsed("build-vocab", "--corpus", "c", "--out", "o")
+        assert vocab.threshold == DEFAULT_RATIO_THRESHOLD
+        evaluate = self.parsed("evaluate", "--preds", "p", "--refs", "r", "--out-dir", "o")
+        checker = CheckerConfig(template="{file}")
+        assert (evaluate.timeout, evaluate.workers) == (checker.timeout, checker.workers)
+        detect = inspect.signature(detect_checker).parameters
+        assert detect["timeout"].default == checker.timeout
+        assert detect["workers"].default == checker.workers
 
 
 class TestIngestSplit:
@@ -183,6 +221,29 @@ class TestVocabPerturbGate:
             "--out", out, "--seed", 42,
         ) == 0
         assert len(out.read_text().strip().splitlines()) == 133
+
+    @pytest.mark.parametrize("kind", ["subst-constrained", "subst-unconstrained"])
+    def test_tags_equal_to_the_lexicon_change_nothing(self, workdir, tmp_path, kind):
+        corpus = workdir / "corpus.jsonl"
+        tagger = helpers.shipped_tagger()
+        tags = tmp_path / "tags.jsonl"
+        with open(tags, "w") as fh:
+            for sample in load_corpus(corpus):
+                tokens = tokenize(sample.intent).tokens
+                row = {"id": sample.id, "tags": [t.name for t in tagger.tag(tokens)]}
+                fh.write(json.dumps(row) + "\n")
+        vocab = tmp_path / "vocab.json"
+        assert run("build-vocab", "--corpus", corpus, "--out", vocab) == 0
+        outputs = []
+        for name, extra in (("plain", []), ("tagged", ["--tags", tags])):
+            out = tmp_path / f"{name}.jsonl"
+            assert run(
+                "perturb", "--kind", kind, "--in", corpus, "--vocab", vocab,
+                "--vectors", workdir / "vectors.txt", "--out", out, "--seed", 42, *extra,
+            ) == 0
+            outputs.append((out.read_bytes(), Path(f"{out}.skips.jsonl").read_bytes()))
+        assert outputs[0][0]
+        assert outputs[0] == outputs[1]
 
     def test_gate_partition_and_sweep(self, workdir):
         records = workdir / "recs_name.jsonl"
@@ -342,11 +403,44 @@ class TestMatrix:
             "apply_to_validation = true\n"
         )
         assert len(read_config(explicit)) == 18
-        assert run("matrix", "--config", explicit) == 0
-        assert run("matrix", "--config", self.write_config(workdir, tmp_path / "implicit")) == 0
-        for name in ("manifest.json", "vocab.json", "records_train.jsonl", "records_test.jsonl"):
-            expected = (tmp_path / "implicit" / name).read_bytes()
-            assert (tmp_path / "explicit" / name).read_bytes() == expected, name
+        implicit = self.write_config(workdir, tmp_path / "implicit")
+        # Run manifests go elsewhere: their config digests differ.
+        assert run("matrix", "--config", explicit, "--manifest", tmp_path / "e.json") == 0
+        assert run("matrix", "--config", implicit, "--manifest", tmp_path / "i.json") == 0
+        expected = tree(tmp_path / "implicit")
+        assert len(expected) > 20
+        assert tree(tmp_path / "explicit") == expected
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("kinds", "substitution,bogus"),
+            ("kinds", "omission, omission"),
+            ("subst.tau", "high"),
+            ("seed", "abc"),
+            ("subst.k", "2.5"),
+            ("apply_to_validation", "nope"),
+            ("split.ratios", "0.8,0.2"),
+            ("ratios", "0,0.5,2"),
+        ],
+    )
+    def test_matrix_malformed_value_exit_1(self, workdir, tmp_path, capsys, key, value):
+        config = tmp_path / "bad.cfg"
+        valid = self.write_config(workdir, tmp_path / "out").read_text()
+        config.write_text(valid + f"{key} = {value}\n")
+        assert run("matrix", "--config", config) == 1
+        assert f"error: {config}: {key}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_matrix_apply_to_validation_any_case(self, workdir, tmp_path):
+        trees = {}
+        for value in ("FALSE", "false", "True"):
+            config = tmp_path / f"{value}.cfg"
+            valid = self.write_config(workdir, tmp_path / value).read_text()
+            config.write_text(valid + f"apply_to_validation = {value}\n")
+            assert run("matrix", "--config", config, "--manifest", tmp_path / f"{value}.json") == 0
+            trees[value] = tree(tmp_path / value)
+        assert trees["FALSE"] == trees["false"] != trees["True"]
 
 
 class TestEvaluate:

@@ -236,7 +236,7 @@ class TestStoreMatrix:
 
     def test_get_missing_word(self):
         store = VectorStore({"a": np.array([1.0])})
-        assert store.get("zzz") is None
+        assert store.resolve("zzz") is None
         with pytest.raises(DataError):
             store.vector("zzz")
 
@@ -517,7 +517,7 @@ class TestNormDifferential:
         dim = 57
         vectors = {f"w{i}": gen.standard_normal(dim) * rng.choice(self.SCALES) for i in range(80)}
         # Capitalized words of their own: the exact form must win over the
-        # lowercase fallback, as in VectorStore.row_index.
+        # lowercase fallback, as in VectorStore.resolve.
         vectors.update({f"W{i}": gen.standard_normal(dim) for i in range(0, 80, 3)})
         store = VectorStore(vectors)
         encoder = MeanVectorEncoder(store)
@@ -528,7 +528,7 @@ class TestNormDifferential:
                 for _ in range(rng.randint(1, 30))
             ]
             tokens = tokenize(" ".join(words)).tokens
-            oov += sum(1 for t in tokens if store.row_index(t) is None)
+            oov += sum(1 for t in tokens if t not in store)
             try:
                 expected = helpers.reference_sentence_embedding(tokens, store)
             except EncodingFailure:

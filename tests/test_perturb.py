@@ -115,8 +115,8 @@ class TestSubstitution:
         self, demo_store, demo_vocab, tagger, demo_corpus, stopwords
     ):
         cfg = SubstitutionConfig(seed=21)
-        result = perturb_corpus(
-            demo_corpus, PerturbKind.SUBST_CONSTRAINED, cfg, demo_vocab, demo_store,
+        result = perturb_split(
+            demo_corpus, [PerturbKind.SUBST_CONSTRAINED], cfg, demo_vocab, demo_store,
             tagger=tagger, stoplist=stopwords,
         )
         assert result.records
@@ -136,8 +136,8 @@ class TestSubstitution:
         from perturbe.vocab import is_protected
 
         for kind in (PerturbKind.SUBST_CONSTRAINED, PerturbKind.SUBST_UNCONSTRAINED):
-            result = perturb_corpus(
-                demo_corpus, kind, SubstitutionConfig(seed=5), demo_vocab, demo_store,
+            result = perturb_split(
+                demo_corpus, [kind], SubstitutionConfig(seed=5), demo_vocab, demo_store,
                 tagger=tagger, stoplist=stopwords,
             )
             for record in result.records:
@@ -219,7 +219,7 @@ class TestSubstitutionDifferential:
                 else:
                     expected.append(ref)
                 assert got == ref, intent.source_id
-            result = perturb_corpus(corpus, kind, cfg, demo_vocab, demo_store, tagger, stopwords)
+            result = perturb_split(corpus, [kind], cfg, demo_vocab, demo_store, tagger, stopwords)
             assert result.records == expected
             assert [s.sample_id for s in result.skipped] == skipped
             assert expected and skipped
@@ -307,8 +307,8 @@ class TestPerturbCorpus:
                 Sample("b", "Clear the EBX register.", "xor ebx, ebx"),
             ]
         )
-        result = perturb_corpus(
-            corpus, PerturbKind.OMIT_NAME, SubstitutionConfig(seed=1), demo_vocab, None,
+        result = perturb_split(
+            corpus, [PerturbKind.OMIT_NAME], SubstitutionConfig(seed=1), demo_vocab, None,
             tagger=tagger, stoplist=stopwords,
         )
         assert [r.sample_id for r in result.records] == ["a", "b"]
@@ -316,8 +316,8 @@ class TestPerturbCorpus:
 
     def test_skip_report(self, demo_vocab, tagger, stopwords):
         corpus = Corpus([Sample("a", "the shellcode pointer", "nop")])
-        result = perturb_corpus(
-            corpus, PerturbKind.OMIT_ACTION, SubstitutionConfig(seed=1), demo_vocab, None,
+        result = perturb_split(
+            corpus, [PerturbKind.OMIT_ACTION], SubstitutionConfig(seed=1), demo_vocab, None,
             tagger=tagger, stoplist=stopwords,
         )
         assert not result.records
@@ -326,8 +326,8 @@ class TestPerturbCorpus:
     def test_rerun_identical(self, demo_corpus, demo_vocab, demo_store, tagger, stopwords):
         cfg = SubstitutionConfig(seed=42)
         runs = [
-            perturb_corpus(
-                demo_corpus, PerturbKind.SUBST_CONSTRAINED, cfg, demo_vocab, demo_store,
+            perturb_split(
+                demo_corpus, [PerturbKind.SUBST_CONSTRAINED], cfg, demo_vocab, demo_store,
                 tagger=tagger, stoplist=stopwords,
             )
             for _ in range(2)
@@ -351,12 +351,12 @@ class TestPerturbCorpus:
         samples = list(demo_corpus.samples)
         random.Random(6).shuffle(samples)
         cfg = SubstitutionConfig(seed=9)
-        base = perturb_corpus(
-            demo_corpus, PerturbKind.SUBST_CONSTRAINED, cfg, demo_vocab,
+        base = perturb_split(
+            demo_corpus, [PerturbKind.SUBST_CONSTRAINED], cfg, demo_vocab,
             load_vectors(in_order), tagger=tagger, stoplist=stopwords,
         )
-        moved = perturb_corpus(
-            Corpus(samples, name="shuffled"), PerturbKind.SUBST_CONSTRAINED, cfg, demo_vocab,
+        moved = perturb_split(
+            Corpus(samples, name="shuffled"), [PerturbKind.SUBST_CONSTRAINED], cfg, demo_vocab,
             load_vectors(shuffled_rows), tagger=tagger, stoplist=stopwords,
         )
         assert len(base.records) > 20
@@ -372,12 +372,12 @@ class TestPerturbCorpus:
         shuffled_samples = list(demo_corpus.samples)
         random.Random(4).shuffle(shuffled_samples)
         shuffled = Corpus(shuffled_samples, name="shuffled")
-        base = perturb_corpus(
-            demo_corpus, PerturbKind.SUBST_CONSTRAINED, cfg, demo_vocab, demo_store,
+        base = perturb_split(
+            demo_corpus, [PerturbKind.SUBST_CONSTRAINED], cfg, demo_vocab, demo_store,
             tagger=tagger, stoplist=stopwords,
         )
-        moved = perturb_corpus(
-            shuffled, PerturbKind.SUBST_CONSTRAINED, cfg, demo_vocab, demo_store,
+        moved = perturb_split(
+            shuffled, [PerturbKind.SUBST_CONSTRAINED], cfg, demo_vocab, demo_store,
             tagger=tagger, stoplist=stopwords,
         )
         assert {r.sample_id: r.perturbed_intent for r in base.records} == {
@@ -387,8 +387,8 @@ class TestPerturbCorpus:
     def test_different_seeds_differ(self, demo_corpus, demo_vocab, demo_store, tagger, stopwords):
         outputs = []
         for seed in (1, 2):
-            result = perturb_corpus(
-                demo_corpus, PerturbKind.SUBST_CONSTRAINED, SubstitutionConfig(seed=seed),
+            result = perturb_split(
+                demo_corpus, [PerturbKind.SUBST_CONSTRAINED], SubstitutionConfig(seed=seed),
                 demo_vocab, demo_store, tagger=tagger, stoplist=stopwords,
             )
             outputs.append([r.perturbed_intent for r in result.records])
@@ -397,8 +397,8 @@ class TestPerturbCorpus:
     def test_records_round_trip(
         self, tmp_path, demo_corpus, demo_vocab, demo_store, tagger, stopwords
     ):
-        result = perturb_corpus(
-            demo_corpus, PerturbKind.OMIT_STRUCTURE, SubstitutionConfig(seed=7), demo_vocab,
+        result = perturb_split(
+            demo_corpus, [PerturbKind.OMIT_STRUCTURE], SubstitutionConfig(seed=7), demo_vocab,
             demo_store, tagger=tagger, stoplist=stopwords,
         )
         path = tmp_path / "records.jsonl"
@@ -427,7 +427,7 @@ class TestAnalyzeCorpus:
         shared = perturb_corpus(
             corpus, kind, cfg, demo_vocab, demo_store, tagger, stopwords, analyses=analyses
         )
-        own = perturb_corpus(corpus, kind, cfg, demo_vocab, demo_store, tagger, stopwords)
+        own = perturb_split(corpus, [kind], cfg, demo_vocab, demo_store, tagger, stopwords)
         assert shared == own
         assert shared.records and shared.skipped
 
@@ -449,7 +449,7 @@ class TestAnalyzeCorpus:
         cfg = SubstitutionConfig(seed=9)
         split = perturb_split(corpus, kinds, cfg, demo_vocab, demo_store, tagger, stopwords)
         per_kind = [
-            perturb_corpus(corpus, kind, cfg, demo_vocab, demo_store, tagger, stopwords)
+            perturb_split(corpus, [kind], cfg, demo_vocab, demo_store, tagger, stopwords)
             for kind in kinds
         ]
         assert split.records == [r for part in per_kind for r in part.records]

@@ -97,22 +97,26 @@ class TestLexicalMemo:
         return TRICKY_WORDS + sorted(corpus_words)
 
     def test_matches_reference_twice(self, demo_corpus):
-        tagger = LexiconTagger()
+        tagger = helpers.shipped_tagger()
         words = self.words(demo_corpus)
         for _ in range(2):  # the second pass is answered from the memo
             for word in words:
                 assert tagger.lexical_tag(word) is helpers.reference_lexical_tag(tagger, word), word
         assert set(tagger._lexical_memo) == set(words)
 
+    def test_lexicon_and_registers_are_required(self):
+        with pytest.raises(TypeError):
+            LexiconTagger()
+
     def test_memo_is_per_instance(self):
-        custom = LexiconTagger(registers={"blorp"})
-        default = LexiconTagger()
+        custom = LexiconTagger(load_tag_lexicon(), {"blorp"})
+        default = helpers.shipped_tagger()
         assert custom.lexical_tag("blorp") is PosTag.SYM
         assert default.lexical_tag("blorp") is PosTag.NOUN
         assert custom.lexical_tag("blorp") is PosTag.SYM
 
     def test_shared_across_threads(self, demo_corpus):
-        tagger = LexiconTagger()
+        tagger = helpers.shipped_tagger()
         words = self.words(demo_corpus)
         expected = {w: helpers.reference_lexical_tag(tagger, w) for w in words}
 
@@ -159,3 +163,12 @@ class TestFileTagger:
         path.write_text(json.dumps({"id": "s1", "tags": ["BANANA"]}) + "\n")
         with pytest.raises(DataError):
             FileTagger(path, fallback=tagger)
+
+    def test_lexical_tag_is_the_fallbacks(self, tmp_path, tagger):
+        # An override tags one sample's tokens; a word on its own (a
+        # substitution candidate) is always tagged by the lexicon.
+        path = tmp_path / "tags.jsonl"
+        path.write_text(json.dumps({"id": "store", "tags": ["ADJ"]}) + "\n")
+        file_tagger = FileTagger(path, fallback=tagger)
+        for word in TRICKY_WORDS:
+            assert file_tagger.lexical_tag(word) is tagger.lexical_tag(word), word

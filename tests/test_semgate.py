@@ -17,10 +17,12 @@ from perturbe.perturb import (
     PerturbationRecord,
     PerturbKind,
     SubstitutionConfig,
-    perturb_corpus,
+    perturb_split,
 )
 from perturbe.preprocess import tokenize
-from perturbe.semgate import GateConfig, gate, score, score_records, threshold_sweep, write_sweep_csv
+from perturbe.semgate import GateConfig, gate, score_records, threshold_sweep, write_sweep_csv
+
+import helpers
 
 
 def make_record(sample_id="s", original="a b", perturbed="a c", similarity=None):
@@ -39,7 +41,7 @@ class TestScore:
         store = VectorStore({"push": np.array([1.0, 2.0]), "eax": np.array([0.5, 1.0])})
         encoder = MeanVectorEncoder(store)
         record = make_record(original="push eax", perturbed="eax push")
-        scored = score(record, encoder)
+        [scored] = score_records([record], encoder)
         assert scored.similarity == pytest.approx(1.0, abs=1e-12)
 
     def test_two_token_omission_hand_computed(self):
@@ -53,7 +55,7 @@ class TestScore:
             perturbed_intent="a",
             changed_positions=[1],
         )
-        scored = score(record, encoder)
+        [scored] = score_records([record], encoder)
         mean = np.array([1.0, 0.05])
         expected = float(np.dot(mean, [1.0, 0.0]) / np.linalg.norm(mean))
         assert scored.similarity == pytest.approx(expected, abs=1e-12)
@@ -64,7 +66,7 @@ class TestScore:
         # means directly from the fixture vectors
         encoder = MeanVectorEncoder(golden_store)
         record = make_record(original="store value", perturbed="save value")
-        scored = score(record, encoder)
+        [scored] = score_records([record], encoder)
         v_store = golden_store.vector("store")
         v_save = golden_store.vector("save")
         # "value" has no vector in the golden store, so the mean is one word
@@ -77,14 +79,14 @@ class TestScore:
     def test_all_oov_flags_unevaluable(self):
         store = VectorStore({"x": np.array([1.0])})
         encoder = MeanVectorEncoder(store)
-        scored = score(make_record(original="q w", perturbed="q z"), encoder)
+        [scored] = score_records([make_record(original="q w", perturbed="q z")], encoder)
         assert math.isnan(scored.similarity)
         assert scored.gate_pass == "unevaluated"
 
     def test_similarity_clipped_to_unit_interval(self):
         store = VectorStore({"a": np.array([1.0, 0.0]), "z": np.array([-1.0, 0.0])})
         encoder = MeanVectorEncoder(store)
-        scored = score(make_record(original="a", perturbed="z"), encoder)
+        [scored] = score_records([make_record(original="a", perturbed="z")], encoder)
         assert scored.similarity == 0.0
         assert scored.raw_similarity == pytest.approx(-1.0)  # raw kept internally
 
@@ -204,8 +206,8 @@ def mixed_records(demo_corpus, demo_store, demo_vocab, tagger, stopwords):
     records = []
     for kind in PerturbKind:
         records.extend(
-            perturb_corpus(
-                demo_corpus, kind, cfg, demo_vocab, demo_store, tagger=tagger, stoplist=stopwords
+            perturb_split(
+                demo_corpus, [kind], cfg, demo_vocab, demo_store, tagger=tagger, stoplist=stopwords
             ).records
         )
     for kind in (PerturbKind.OMIT_ACTION, PerturbKind.OMIT_NAME):
@@ -220,7 +222,9 @@ def mixed_records(demo_corpus, demo_store, demo_vocab, tagger, stopwords):
 class TestScoreRecordsMemo:
     def test_matches_per_record_score_bit_for_bit(self, mixed_records, demo_store):
         batch = score_records([replace(r) for r in mixed_records], MeanVectorEncoder(demo_store))
-        single = [score(replace(r), MeanVectorEncoder(demo_store)) for r in mixed_records]
+        single = [
+            helpers.reference_score(replace(r), MeanVectorEncoder(demo_store)) for r in mixed_records
+        ]
         assert len({r.kind for r in batch}) == len(PerturbKind)
         assert [bits(r) for r in batch] == [bits(r) for r in single]
         assert sum(math.isnan(r.similarity) for r in batch) >= 3
@@ -271,7 +275,8 @@ class TestScoreRecordsMemo:
             make_record(sample_id="s", original="clear value", perturbed="save value"),
         ]
         batch = score_records([replace(r) for r in records], encoder)
-        single = [score(replace(r), MeanVectorEncoder(golden_store)) for r in records]
+        reference = MeanVectorEncoder(golden_store)
+        single = [helpers.reference_score(replace(r), reference) for r in records]
         assert [bits(r) for r in batch] == [bits(r) for r in single]
         assert batch[0].similarity != batch[1].similarity
         assert encoder.calls[("s", "store value")] == encoder.calls[("s", "clear value")] == 1
