@@ -73,8 +73,9 @@ def read_data_lines(path: str | Path | None, shipped: str, raw: bool = False) ->
     return [line for line in lines if line and not line.startswith("#")]
 
 
-def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
-    """Yield (1-based line number, record) pairs; blank lines are skipped."""
+def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
+    """Yield (1-based line number, record) pairs; blank lines are skipped. A
+    record without one of the ``required`` fields is a DataError."""
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
@@ -85,6 +86,9 @@ def read_jsonl(path: str | Path) -> Iterator[tuple[int, dict]]:
                 raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
+            for key in required:
+                if key not in obj:
+                    raise DataError(f"{path}:{lineno}: expected {' and '.join(required)} fields")
             yield lineno, obj
 
 

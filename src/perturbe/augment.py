@@ -232,14 +232,10 @@ def build_matrix(
             for c in cells
         ],
     }
-    digest = _manifest_digest(manifest)
+    digest = sha256_text(canonical_json(manifest))
     manifest["digest"] = digest
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
     )
     return cells, digest
-
-
-def _manifest_digest(manifest: dict) -> str:
-    return sha256_text(canonical_json(manifest))

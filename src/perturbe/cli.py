@@ -8,8 +8,11 @@ produce byte-identical output trees.
 ``perturb_split``, ``score_records`` and ``gate``), so chaining ``split``,
 ``build-vocab`` on the full corpus, ``perturb`` for each kind in the order
 subst-constrained, omit-action, omit-structure, omit-name, and ``gate``
-reproduces its vocabulary and records byte for byte, for a config without
-a ``registers`` key. Its augmentation seeds are derived per cell and split.
+reproduces its vocabulary and records byte for byte. Its augmentation seeds
+are derived per cell and split.
+
+A corpus path ending in ``.csv`` (any case) is CSV, any other JSONL. Every
+tagger takes its register list from the vocabulary, which records it.
 
 Exit codes: 0 success, 1 invalid configuration, 2 data error (including
 any missing input file), 3 external checker failure.
@@ -30,7 +33,7 @@ from perturbe import metrics as metrics_mod
 from perturbe import perturb as perturb_mod
 from perturbe import semgate as semgate_mod
 from perturbe import vocab as vocab_mod
-from perturbe._util import canonical_json, sha256_file, sha256_text
+from perturbe._util import canonical_json, sha256_file, sha256_text, write_jsonl
 from perturbe.embedding import MeanVectorEncoder, PrecomputedEncoder, load_vectors
 from perturbe.errors import CheckerError, ConfigError, DataError, PerturbeError
 from perturbe.postag import FileTagger, LexiconTagger, load_tag_lexicon
@@ -117,20 +120,18 @@ def _write_run_manifest(
 
 
 def _load_tagger(
-    lexicon_path: str | None, registers_path: str | None, tags: str | None = None
+    lexicon_path: str | None, registers: set[str], tags: str | None = None
 ) -> LexiconTagger | FileTagger:
-    """The tagger of perturb, matrix and stats: the tag lexicon and the
-    register list at the given paths (the shipped files when unset), under
-    the per-sample overrides of the ``tags`` file when one is given."""
-    registers = vocab_mod.load_registers(registers_path)
+    """The tagger of perturb, matrix and stats: the tag lexicon at ``lexicon_path``
+    (shipped when unset) with a vocabulary's registers, under the ``tags`` overrides."""
     lexicon = LexiconTagger(load_tag_lexicon(lexicon_path), registers)
     return FileTagger(tags, fallback=lexicon) if tags else lexicon
 
 
 def _cmd_ingest(args) -> int:
-    corpus = corpus_mod.load_corpus(args.infile, format=args.format)
+    corpus = corpus_mod.load_corpus(args.infile)
     out = Path(args.out)
-    corpus_mod.save_corpus(corpus, out, format=args.out_format)
+    corpus_mod.save_corpus(corpus, out)
     _write_run_manifest(args, out.with_suffix(out.suffix + ".manifest.json"), None, [out])
     print(f"ingested {len(corpus)} samples -> {out}")
     return 0
@@ -138,7 +139,7 @@ def _cmd_ingest(args) -> int:
 
 def _cmd_split(args) -> int:
     spec = corpus_mod.SplitSpec(*_parsed("--ratios", _split_ratios, args.ratios), seed=args.seed)
-    corpus = corpus_mod.load_corpus(args.infile, format=args.format)
+    corpus = corpus_mod.load_corpus(args.infile)
     train, val, test = corpus_mod.split_corpus(corpus, spec)
     out_dir = Path(args.out_dir)
     outputs = []
@@ -178,15 +179,15 @@ def _cmd_perturb(args) -> int:
     store = load_vectors(args.vectors) if args.vectors else None
     cfg = perturb_mod.SubstitutionConfig(ratio=args.ratio, k=args.k, tau=args.tau, seed=args.seed)
     stoplist = load_stopwords(args.stopwords)
-    tagger = _load_tagger(args.tag_lexicon, None, args.tags)
+    tagger = _load_tagger(args.tag_lexicon, vocabulary.registers, args.tags)
     result = perturb_mod.perturb_split(corpus, [kind], cfg, vocabulary, store, tagger, stoplist)
     out = Path(args.out)
     perturb_mod.write_records(result.records, out)
     skips_path = out.with_suffix(out.suffix + ".skips.jsonl")
-    with open(skips_path, "w", encoding="utf-8") as fh:
-        for skip in result.skipped:
-            row = {"id": skip.sample_id, "kind": skip.kind.value, "reason": skip.reason}
-            fh.write(json.dumps(row) + "\n")
+    write_jsonl(
+        skips_path,
+        ({"id": s.sample_id, "kind": s.kind.value, "reason": s.reason} for s in result.skipped),
+    )
     manifest = out.with_suffix(out.suffix + ".manifest.json")
     _write_run_manifest(args, manifest, args.seed, [out, skips_path])
     print(f"perturbed {len(result.records)} samples ({len(result.skipped)} skipped) -> {out}")
@@ -279,7 +280,6 @@ _REQUIRED = object()
 # None path reads the shipped file; a None subst.k takes the kind's default.
 _MATRIX_KEYS = {
     "corpus": (str, _REQUIRED),
-    "format": (str, "jsonl"),
     "out_dir": (str, _REQUIRED),
     "seed": (int, _REQUIRED),
     "vectors": (str, _REQUIRED),
@@ -287,7 +287,7 @@ _MATRIX_KEYS = {
     "stopwords": (str, None),
     "registers": (str, None),
     "comparison": (str, None),
-    "vocab.threshold": (float, vocab_mod.DEFAULT_RATIO_THRESHOLD),
+    "vocab.threshold": (vocab_mod.check_threshold, vocab_mod.DEFAULT_RATIO_THRESHOLD),
     "tag_lexicon": (str, None),
     "kinds": (_families, list(augment_mod.KindFamily)),
     "ratios": (_augment_ratios, [0.0, 0.25, 0.5, 1.0]),
@@ -328,20 +328,21 @@ def _cmd_matrix(args) -> int:
     kinds = settings["kinds"]
     kind_list = [k for family in _MATRIX_KINDS if family in kinds for k in _MATRIX_KINDS[family]]
 
-    corpus = corpus_mod.load_corpus(settings["corpus"], format=settings["format"])
+    corpus = corpus_mod.load_corpus(settings["corpus"])
     train, val, test = corpus_mod.split_corpus(corpus, spec)
     splits = {"train": train, "val": val, "test": test}
 
-    # The vocabulary is mined over the whole corpus, test split included.
+    # The vocabulary is mined over the whole corpus, test split included. Every
+    # input is read before the first output is written.
     stoplist = load_stopwords(settings["stopwords"])
-    tagger = _load_tagger(settings["tag_lexicon"], settings["registers"])
     vocabulary = vocab_mod.mine_vocabulary(
         (s.intent for s in corpus),
         stoplist,
-        tagger.registers,
+        vocab_mod.load_registers(settings["registers"]),
         comparison=settings["comparison"],
         threshold=settings["vocab.threshold"],
     )
+    tagger = _load_tagger(settings["tag_lexicon"], vocabulary.registers)
     vocab_mod.save_vocabulary(vocabulary, out_dir / "vocab.json")
 
     store = load_vectors(settings["vectors"])
@@ -375,7 +376,7 @@ def _cmd_matrix(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
-    preds = metrics_mod.load_predictions(args.preds, model_name=args.model)
+    preds = metrics_mod.load_predictions(args.preds)
     references = corpus_mod.load_corpus(args.refs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -397,11 +398,13 @@ def _cmd_evaluate(args) -> int:
         result["syn_cohorts"] = metrics_mod.cohort_breakdown(syn_report.verdicts, references)
         verdicts_path = out_dir / "syn_verdicts.jsonl"
         outputs.append(verdicts_path)
-        with open(verdicts_path, "w", encoding="utf-8") as fh:
-            for sid in sorted(syn_report.verdicts):
-                diagnostic = syn_report.diagnostics.get(sid, "")
-                row = {"id": sid, "ok": syn_report.verdicts[sid], "diagnostic": diagnostic}
-                fh.write(json.dumps(row) + "\n")
+        write_jsonl(
+            verdicts_path,
+            (
+                {"id": sid, "ok": ok, "diagnostic": syn_report.diagnostics.get(sid, "")}
+                for sid, ok in sorted(syn_report.verdicts.items())
+            ),
+        )
 
     if args.labels:
         labels = metrics_mod.load_labels(args.labels)
@@ -461,7 +464,8 @@ def _cmd_stats(args) -> int:
     }
     if args.vocab:
         vocabulary = vocab_mod.load_vocabulary(args.vocab)
-        rates = metrics_mod.omission_rate_stats(corpus, vocabulary, _load_tagger(None, None))
+        tagger = _load_tagger(None, vocabulary.registers)
+        rates = metrics_mod.omission_rate_stats(corpus, vocabulary, tagger)
         result["omission_rates"] = {cat.value: rate for cat, rate in rates.items()}
     if args.against:
         other = corpus_mod.load_corpus(args.against)
@@ -491,13 +495,10 @@ def build_parser() -> _Parser:
 
     p = command("ingest", _cmd_ingest, "validate and normalize a dataset")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out", required=True)
-    p.add_argument("--out-format", choices=("jsonl", "csv"), default="jsonl")
 
     p = command("split", _cmd_split, "seeded train/val/test split")
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--format", choices=("jsonl", "csv"), default="jsonl")
     p.add_argument("--out-dir", required=True)
     p.add_argument("--ratios", default=",".join(map(str, _DEFAULT_SPLIT)))
     p.add_argument("--seed", type=int, required=True)

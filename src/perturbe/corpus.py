@@ -99,15 +99,17 @@ def _record_to_sample(record: dict, row_index: int, where: str) -> Sample:
     return Sample(id=str(sample_id), intent=str(record["intent"]), snippet=str(record["snippet"]))
 
 
-def load_corpus(path: str | Path, format: str = "jsonl", name: str | None = None) -> Corpus:
-    """Load a corpus from JSONL (canonical) or CSV (header: id,intent,snippet)."""
+def _is_csv(path: Path) -> bool:
+    return path.suffix.lower() == ".csv"
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Load a corpus: CSV (header id,intent,snippet; a UTF-8 BOM is skipped)
+    when the path ends in ``.csv`` (any case), JSONL otherwise."""
     path = Path(path)
     samples: list[Sample] = []
-    if format == "jsonl":
-        for row_index, (lineno, record) in enumerate(read_jsonl(path)):
-            samples.append(_record_to_sample(record, row_index, f"{path}:{lineno}"))
-    elif format == "csv":
-        with open(path, "r", encoding="utf-8", newline="") as fh:
+    if _is_csv(path):
+        with open(path, "r", encoding="utf-8-sig", newline="") as fh:
             reader = csv.DictReader(fh)
             if reader.fieldnames is None:
                 pass  # empty file -> empty corpus
@@ -118,24 +120,25 @@ def load_corpus(path: str | Path, format: str = "jsonl", name: str | None = None
                     _record_to_sample(record, row_index, f"{path}:row {row_index + 2}")
                 )
     else:
-        raise ConfigError(f"unknown corpus format {format!r}")
-    return Corpus(samples=samples, name=name if name is not None else path.stem)
+        for row_index, (lineno, record) in enumerate(read_jsonl(path)):
+            samples.append(_record_to_sample(record, row_index, f"{path}:{lineno}"))
+    return Corpus(samples=samples, name=path.stem)
 
 
-def save_corpus(corpus: Corpus, path: str | Path, format: str = "jsonl") -> None:
-    """Persist a corpus; load_corpus() round-trips (id, intent, snippet) exactly."""
-    if format == "jsonl":
+def save_corpus(corpus: Corpus, path: str | Path) -> None:
+    """Persist a corpus as CSV when the path ends in ``.csv`` (any case), and
+    as JSONL otherwise; load_corpus() round-trips (id, intent, snippet)
+    exactly."""
+    path = Path(path)
+    if not _is_csv(path):
         write_jsonl(path, ({"id": s.id, "intent": s.intent, "snippet": s.snippet} for s in corpus))
-    elif format == "csv":
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id", "intent", "snippet"])
-            for s in corpus:
-                writer.writerow([s.id, s.intent, s.snippet])
-    else:
-        raise ConfigError(f"unknown corpus format {format!r}")
+        return
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["id", "intent", "snippet"])
+        for s in corpus:
+            writer.writerow([s.id, s.intent, s.snippet])
 
 
 def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:

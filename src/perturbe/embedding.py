@@ -350,9 +350,7 @@ class PrecomputedEncoder:
 
     def __init__(self, path: str | Path):
         self._embeddings: dict[str, np.ndarray] = {}
-        for lineno, record in read_jsonl(path):
-            if "id" not in record or "vec" not in record:
-                raise DataError(f"{path}:{lineno}: expected id and vec fields")
+        for _, record in read_jsonl(path, ("id", "vec")):
             self._embeddings[str(record["id"])] = np.asarray(record["vec"], dtype=np.float64)
         if not self._embeddings:
             raise DataError(f"{path}: no embeddings loaded")

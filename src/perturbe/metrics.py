@@ -62,7 +62,6 @@ class PredictionSet:
     """Model outputs keyed by sample id."""
 
     entries: dict[str, str]
-    model_name: str = ""
 
 
 @dataclass
@@ -401,35 +400,24 @@ def cohort_breakdown(
     verdicts: dict[str, bool], corpus: Corpus
 ) -> dict[str, dict[str, float | None]]:
     """Split per-id boolean verdicts into single-line/multi-line cohorts."""
-    single = [ok for sid, ok in verdicts.items() if not corpus.by_id(sid).multi_line]
-    multi = [ok for sid, ok in verdicts.items() if corpus.by_id(sid).multi_line]
     out: dict[str, dict[str, float | None]] = {}
-    out["single-line"] = {
-        "n": float(len(single)),
-        "accuracy": (sum(single) / len(single)) if single else None,
-    }
-    out["multi-line"] = {
-        "n": float(len(multi)),
-        "accuracy": (sum(multi) / len(multi)) if multi else None,
-    }
+    for cohort, multi_line in (("single-line", False), ("multi-line", True)):
+        oks = [ok for sid, ok in verdicts.items() if corpus.by_id(sid).multi_line == multi_line]
+        out[cohort] = {"n": float(len(oks)), "accuracy": sum(oks) / len(oks) if oks else None}
     return out
 
 
-def load_predictions(path: str | Path, model_name: str = "") -> PredictionSet:
+def load_predictions(path: str | Path) -> PredictionSet:
     entries: dict[str, str] = {}
-    for lineno, record in read_jsonl(path):
-        if "id" not in record or "prediction" not in record:
-            raise DataError(f"{path}:{lineno}: expected id and prediction fields")
+    for _, record in read_jsonl(path, ("id", "prediction")):
         entries[str(record["id"])] = str(record["prediction"])
-    return PredictionSet(entries=entries, model_name=model_name)
+    return PredictionSet(entries=entries)
 
 
 def load_labels(path: str | Path) -> SemLabelSet:
     entries: dict[str, bool] = {}
     provenance = "human"
-    for lineno, record in read_jsonl(path):
-        if "id" not in record or "correct" not in record:
-            raise DataError(f"{path}:{lineno}: expected id and correct fields")
+    for _, record in read_jsonl(path, ("id", "correct")):
         entries[str(record["id"])] = bool(record["correct"])
         provenance = str(record.get("provenance", provenance))
     return SemLabelSet(entries=entries, provenance=provenance)

@@ -9,15 +9,12 @@ tagger per sample for exact replication of another tool's output.
 from __future__ import annotations
 
 import enum
-import logging
 import re
 from pathlib import Path
 
 from perturbe._util import read_data_lines, read_jsonl
 from perturbe.errors import DataError
 from perturbe.vocab import is_name_like
-
-logger = logging.getLogger(__name__)
 
 
 class PosTag(enum.Enum):
@@ -134,9 +131,7 @@ class FileTagger:
     def __init__(self, path: str | Path, fallback: LexiconTagger):
         self.fallback = fallback
         self.overrides: dict[str, list[PosTag]] = {}
-        for lineno, record in read_jsonl(path):
-            if "id" not in record or "tags" not in record:
-                raise DataError(f"{path}:{lineno}: expected id and tags fields")
+        for lineno, record in read_jsonl(path, ("id", "tags")):
             try:
                 self.overrides[str(record["id"])] = [PosTag[t] for t in record["tags"]]
             except KeyError as exc:

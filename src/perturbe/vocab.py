@@ -12,6 +12,7 @@ matched case-insensitively, the latter case-sensitively.
 from __future__ import annotations
 
 import json
+import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -19,7 +20,7 @@ from pathlib import Path
 from typing import Iterable
 
 from perturbe._util import read_data_lines
-from perturbe.errors import DataError
+from perturbe.errors import ConfigError, DataError
 from perturbe.preprocess import tokenize
 
 DEFAULT_RATIO_THRESHOLD = 50.0
@@ -48,11 +49,13 @@ class FrequencyTable:
 @dataclass
 class Vocabulary:
     """Protected-word sets. structure_words are stored lowercase; name_words
-    keep the case variants observed in the corpus."""
+    keep the case variants observed in the corpus. registers is the
+    lowercase register list the words were partitioned with."""
 
     structure_words: set[str] = field(default_factory=set)
     name_words: set[str] = field(default_factory=set)
     ratio_threshold: float = DEFAULT_RATIO_THRESHOLD
+    registers: set[str] = field(default_factory=set)
 
     def __post_init__(self) -> None:
         overlap = self.structure_words & self.name_words
@@ -64,6 +67,14 @@ def load_registers(path: str | Path | None = None) -> set[str]:
     """Register mnemonic list, one per line, lowercased; blank lines and '#'
     lines are skipped. Unset -> shipped IA-32 list."""
     return {line.lower() for line in read_data_lines(path, "registers.txt")}
+
+
+def check_threshold(value: float | str) -> float:
+    """The threshold as a float, unless it is NaN, infinite or negative."""
+    threshold = float(value)
+    if not (math.isfinite(threshold) and threshold >= 0):
+        raise ConfigError(f"vocabulary threshold must be finite and >= 0, got {threshold!r}")
+    return threshold
 
 
 def count_frequencies(texts: Iterable[str], stoplist: set[str]) -> FrequencyTable:
@@ -107,8 +118,9 @@ def build_vocabulary(
 
     The ratio test is case-insensitive (counts are folded to lowercase);
     the partition then classifies every observed case variant, with
-    ``registers`` (lowercase mnemonics) marking name-related words.
+    ``registers`` (lowercase mnemonics, kept in the result) marking name-related words.
     """
+    check_threshold(threshold)
     if not codegen.counts or not comparison.counts:
         raise DataError("both frequency tables must be non-empty")
     variants: dict[str, list[str]] = {}
@@ -132,7 +144,7 @@ def build_vocabulary(
     # A lowercase structure entry may coexist with an uppercase name variant
     # of the same word; as string sets the partitions stay disjoint.
     structure -= names
-    return Vocabulary(structure_words=structure, name_words=names, ratio_threshold=threshold)
+    return Vocabulary(structure, names, threshold, registers)
 
 
 def mine_vocabulary(
@@ -164,6 +176,7 @@ def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
         "structure": sorted(vocabulary.structure_words),
         "name": sorted(vocabulary.name_words),
         "threshold": vocabulary.ratio_threshold,
+        "registers": sorted(vocabulary.registers),
     }
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", "utf-8")
@@ -174,11 +187,12 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         payload = json.loads(Path(path).read_text("utf-8"))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: invalid vocabulary JSON: {exc.msg}") from exc
-    for key in ("structure", "name"):
+    for key in ("structure", "name", "registers"):
         if key not in payload:
             raise DataError(f"{path}: missing {key!r} list")
     return Vocabulary(
         structure_words=set(payload["structure"]),
         name_words=set(payload["name"]),
         ratio_threshold=float(payload.get("threshold", DEFAULT_RATIO_THRESHOLD)),
+        registers=set(payload["registers"]),
     )

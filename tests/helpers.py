@@ -37,15 +37,8 @@ from pathlib import Path
 
 import numpy as np
 
-from perturbe._util import round_half_away, sha256_file, stable_seed
-from perturbe.augment import (
-    AugmentPlan,
-    ExperimentCell,
-    KindFamily,
-    _cell_id,
-    _cell_inventory,
-    _manifest_digest,
-)
+from perturbe._util import canonical_json, round_half_away, sha256_file, sha256_text, stable_seed
+from perturbe.augment import AugmentPlan, ExperimentCell, KindFamily, _cell_id, _cell_inventory
 from perturbe.corpus import Corpus, Sample, save_corpus
 from perturbe.embedding import Neighbor, VectorStore, cosine
 from perturbe.errors import DataError, EncodingFailure, NoEligibleWords
@@ -326,7 +319,9 @@ def reference_build_vocabulary(
             else:
                 structure.add(variant.lower())
     structure -= names
-    return Vocabulary(structure_words=structure, name_words=names, ratio_threshold=threshold)
+    return Vocabulary(
+        structure_words=structure, name_words=names, ratio_threshold=threshold, registers=registers
+    )
 
 
 def reference_sentence_embedding(tokens: list[str], store: VectorStore) -> np.ndarray:
@@ -501,7 +496,7 @@ def reference_build_matrix(
             for c in cells
         ],
     }
-    digest = _manifest_digest(manifest)
+    digest = sha256_text(canonical_json(manifest))
     manifest["digest"] = digest
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"

@@ -21,6 +21,7 @@ import pytest
 
 import helpers
 import perturbe
+from perturbe._util import read_data_lines
 from perturbe.augment import AugmentPlan, KindFamily, augment_split, vocab_growth
 from perturbe.cli import main as cli_main
 from perturbe.corpus import Corpus, Sample, SplitSpec, load_corpus, save_corpus, split_corpus
@@ -430,17 +431,45 @@ class TestCriterion7Determinism:
 
     def test_chained_subcommands_reproduce_matrix(self, tmp_path, demo_corpus):
         seed = 11
+        self._check_chain(tmp_path / "shipped", demo_corpus, seed, {})
+        # A register list with "push" makes "Push" a name word, never a verb,
+        # and a lexicon that tags "stock" as a verb lets it replace "Store".
+        # The default ratios would stop this matrix at the coverage wall:
+        # 107 train samples at p = 1.0, only 100 covered.
+        inputs = tmp_path / "inputs"
+        inputs.mkdir()
+        registers = inputs / "registers.txt"
+        registers.write_text("\n".join(read_data_lines(None, "registers.txt") + ["push"]) + "\n")
+        lexicon = inputs / "tag_lexicon.tsv"
+        lines = [line for line in read_data_lines(None, "tag_lexicon.tsv") if line != "stock\tNOUN"]
+        lexicon.write_text("\n".join(lines + ["stock\tVERB"]) + "\n")
+        custom = {"registers": registers, "tag_lexicon": lexicon}
+        self._check_chain(tmp_path / "custom", demo_corpus, seed, custom, ratios="0,0.5")
+        shipped_records = (tmp_path / "shipped" / "out" / "records_train.jsonl").read_bytes()
+        assert (tmp_path / "custom" / "out" / "records_train.jsonl").read_bytes() != shipped_records
+        announce(7, "split, build-vocab, perturb and gate chained reproduce matrix byte for byte")
+
+    @staticmethod
+    def _check_chain(root, demo_corpus, seed, files, ratios="0,0.25,0.5,1.0"):
+        """Run matrix with the config's ``files`` keys, then the subcommand
+        chain with the same files, and compare their outputs."""
+        root.mkdir()
         corpus_path, vectors_path, config = _write_matrix_inputs(
-            tmp_path, list(demo_corpus.samples), seed
+            root, list(demo_corpus.samples), seed, ratios
         )
+        with open(config, "a") as fh:
+            fh.writelines(f"{key} = {path}\n" for key, path in files.items())
         assert cli_main(["matrix", "--config", str(config)]) == 0
-        out, chain = tmp_path / "out", tmp_path / "chain"
+        out, chain = root / "out", root / "chain"
 
         splits = chain / "splits"
         assert cli_main(["split", "--in", str(corpus_path), "--out-dir", str(splits),
                          "--seed", str(seed)]) == 0
         vocab_path = chain / "vocab.json"
-        assert cli_main(["build-vocab", "--corpus", str(corpus_path), "--out", str(vocab_path)]) == 0
+        registers = ["--registers", str(files["registers"])] if "registers" in files else []
+        assert cli_main(["build-vocab", "--corpus", str(corpus_path), "--out", str(vocab_path),
+                         *registers]) == 0
+        lexicon = ["--tag-lexicon", str(files["tag_lexicon"])] if "tag_lexicon" in files else []
         kinds = ("subst-constrained", "omit-action", "omit-structure", "omit-name")
         for name in SPLIT_NAMES:
             passed = b""
@@ -448,17 +477,16 @@ class TestCriterion7Determinism:
                 records = chain / f"{name}_{kind}.jsonl"
                 assert cli_main(["perturb", "--kind", kind, "--in", str(splits / f"{name}.jsonl"),
                                  "--vocab", str(vocab_path), "--vectors", str(vectors_path),
-                                 "--out", str(records), "--seed", str(seed)]) == 0
+                                 "--out", str(records), "--seed", str(seed), *lexicon]) == 0
                 assert cli_main(["gate", "--records", str(records), "--vectors", str(vectors_path),
                                  "--threshold", "0.8"]) == 0
                 passed += records.with_suffix(".passed.jsonl").read_bytes()
             matrix_records = (out / f"records_{name}.jsonl").read_bytes()
             assert matrix_records
-            assert passed == matrix_records, name
+            assert passed == matrix_records, (root.name, name)
             cell_split = out / "cells" / "none_train000_test000" / f"{name}.jsonl"
             assert (splits / f"{name}.jsonl").read_bytes() == cell_split.read_bytes(), name
         assert vocab_path.read_bytes() == (out / "vocab.json").read_bytes()
-        announce(7, "split, build-vocab, perturb and gate chained reproduce matrix byte for byte")
 
 
 class TestCriterion8SyntaxChecker:

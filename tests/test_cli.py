@@ -11,12 +11,12 @@ import pytest
 import perturbe
 from perturbe._util import read_data_lines, sha256_file
 from perturbe.cli import build_parser, main, read_config
-from perturbe.corpus import SplitSpec, load_corpus
+from perturbe.corpus import SplitSpec, load_corpus, save_corpus
 from perturbe.metrics import CheckerConfig, detect_checker
 from perturbe.perturb import SubstitutionConfig
 from perturbe.preprocess import tokenize
 from perturbe.semgate import GateConfig
-from perturbe.vocab import DEFAULT_RATIO_THRESHOLD, Vocabulary, save_vocabulary
+from perturbe.vocab import DEFAULT_RATIO_THRESHOLD, Vocabulary, load_registers, save_vocabulary
 
 import helpers
 
@@ -26,8 +26,6 @@ def workdir(tmp_path_factory):
     """A working directory with the demo corpus and vector file on disk."""
     root = tmp_path_factory.mktemp("cliwork")
     corpus = helpers.load_demo_corpus()
-    from perturbe.corpus import save_corpus
-
     save_corpus(corpus, root / "corpus.jsonl")
     helpers.write_vector_file(helpers.demo_vectors(), root / "vectors.txt")
     return root
@@ -194,6 +192,65 @@ class TestVocabPerturbGate:
         payload = json.loads(out.read_text())
         assert "register" in payload["structure"]
         assert "EAX" in payload["name"]
+        assert payload["registers"] == sorted(load_registers())
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "inf"])
+    def test_build_vocab_bad_threshold_exit_1(self, workdir, tmp_path, capsys, threshold):
+        out = tmp_path / "vocab.json"
+        assert run(
+            "build-vocab", "--corpus", workdir / "corpus.jsonl", "--threshold", threshold,
+            "--out", out,
+        ) == 1
+        assert "threshold must be finite and >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
+    def test_vocab_without_registers_exit_2(self, workdir, tmp_path, capsys):
+        vocab = tmp_path / "vocab.json"
+        vocab.write_text(json.dumps({"structure": ["register"], "name": ["EAX"], "threshold": 50}))
+        assert run(
+            "perturb", "--kind", "omit-name", "--in", workdir / "corpus.jsonl", "--vocab", vocab,
+            "--out", tmp_path / "r.jsonl", "--seed", 1,
+        ) == 2
+        assert capsys.readouterr().err == f"data error: {vocab}: missing 'registers' list\n"
+
+    def test_perturb_and_stats_tag_with_the_vocabulary_registers(self, workdir, tmp_path):
+        # With "push" on the register list, "Push" is a name and never a verb.
+        registers = tmp_path / "registers.txt"
+        registers.write_text("\n".join(sorted(load_registers() | {"push"})) + "\n")
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(json.dumps({"id": "p", "intent": "Push the EAX register.",
+                                      "snippet": "push eax"}) + "\n")
+        perturbed, action_rates = {}, {}
+        for name, extra in (("shipped", []), ("push", ["--registers", registers])):
+            vocab = tmp_path / f"{name}.json"
+            assert run("build-vocab", "--corpus", workdir / "corpus.jsonl", *extra,
+                       "--out", vocab) == 0
+            out = tmp_path / f"{name}.jsonl"
+            assert run("perturb", "--kind", "omit-action", "--in", corpus, "--vocab", vocab,
+                       "--out", out, "--seed", 1) == 0
+            perturbed[name] = [json.loads(row)["perturbed"] for row in out.read_text().splitlines()]
+            stats = tmp_path / f"{name}.stats.json"
+            assert run("stats", "--corpus", corpus, "--vocab", vocab, "--out", stats) == 0
+            action_rates[name] = json.loads(stats.read_text())["omission_rates"]["action"]
+        assert perturbed == {"shipped": ["the EAX register."], "push": []}
+        assert action_rates == {"shipped": 0.2, "push": 0.0}  # 1 of 5 tokens, then none
+
+    def test_skips_keep_non_ascii_text(self, tmp_path):
+        corpus = tmp_path / "corpus.jsonl"
+        corpus.write_text(
+            json.dumps({"id": "échantillon-ü", "intent": "Store the value.", "snippet": "nop"})
+            + "\n"
+        )
+        vocab, out = tmp_path / "vocab.json", tmp_path / "r.jsonl"
+        save_vocabulary(Vocabulary(structure_words={"register"}, name_words={"EAX"}), vocab)
+        assert run(
+            "perturb", "--kind", "omit-name", "--in", corpus, "--vocab", vocab,
+            "--out", out, "--seed", 1,
+        ) == 0
+        [line] = Path(f"{out}.skips.jsonl").read_text("utf-8").splitlines()
+        row = json.loads(line)
+        assert row["id"] == "échantillon-ü"
+        assert line == json.dumps(row, ensure_ascii=False)
 
     def test_perturb_omission(self, workdir):
         out = workdir / "recs_name.jsonl"
@@ -305,7 +362,7 @@ class TestMatrix:
     def test_matrix_twenty_sample_smoke(self, workdir, tmp_path):
         small = tmp_path / "small.jsonl"
         corpus = load_corpus(workdir / "corpus.jsonl")
-        from perturbe.corpus import Corpus, save_corpus
+        from perturbe.corpus import Corpus
 
         save_corpus(Corpus(corpus.samples[:20], name="small"), small)
         config = tmp_path / "exp.cfg"
@@ -398,11 +455,11 @@ class TestMatrix:
         explicit.write_text(
             self.write_config(workdir, tmp_path / "explicit").read_text()
             + "".join(f"{key} = {path}\n" for key, path in shipped.items())
-            + "format = jsonl\nsplit.ratios = 0.8,0.1,0.1\nvocab.threshold = 50\n"
+            + "split.ratios = 0.8,0.1,0.1\nvocab.threshold = 50\n"
             "subst.ratio = 0.1\nsubst.k = 20\nsubst.tau = 0.8\ngate.threshold = 0.8\n"
             "apply_to_validation = true\n"
         )
-        assert len(read_config(explicit)) == 18
+        assert len(read_config(explicit)) == 17
         implicit = self.write_config(workdir, tmp_path / "implicit")
         # Run manifests go elsewhere: their config digests differ.
         assert run("matrix", "--config", explicit, "--manifest", tmp_path / "e.json") == 0
@@ -422,6 +479,8 @@ class TestMatrix:
             ("apply_to_validation", "nope"),
             ("split.ratios", "0.8,0.2"),
             ("ratios", "0,0.5,2"),
+            ("vocab.threshold", "nan"),
+            ("vocab.threshold", "-1"),
         ],
     )
     def test_matrix_malformed_value_exit_1(self, workdir, tmp_path, capsys, key, value):
@@ -533,6 +592,80 @@ class TestEvaluate:
         outputs = manifests[0]["outputs"]
         assert set(outputs) == {"metrics.json", "syn_verdicts.jsonl", "exact_match_labels.jsonl"}
         assert outputs == manifests[1]["outputs"]
+
+
+    def test_verdicts_keep_non_ascii_text(self, tmp_path):
+        script = tmp_path / "reject"
+        script.write_text("#!/bin/sh\necho \"$1:1: Error: bad\" >&2\nexit 1\n")
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text(
+            json.dumps({"id": "échantillon-ü", "intent": "Do it.", "snippet": "nop"}) + "\n"
+        )
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(json.dumps({"id": "échantillon-ü", "prediction": "zz"}) + "\n")
+        out_dir = tmp_path / "e"
+        assert run(
+            "evaluate", "--preds", preds, "--refs", refs, "--checker", f"{script} {{file}}",
+            "--out-dir", out_dir,
+        ) == 0
+        [line] = (out_dir / "syn_verdicts.jsonl").read_text("utf-8").splitlines()
+        row = {"id": "échantillon-ü", "ok": False, "diagnostic": "snippet.s:1: Error: bad"}
+        assert line == json.dumps(row, ensure_ascii=False)
+
+
+class TestCsvCorpus:
+    """A corpus path ending in .csv is read as CSV by every command."""
+
+    @staticmethod
+    def outputs(corpus, vectors, out):
+        """Run every command that reads a corpus, writing under ``out``; return
+        the files written, run manifests excluded (they hash paths)."""
+        inputs = corpus.parent
+        preds, config = inputs / "preds.jsonl", inputs / "exp.cfg"
+        samples = load_corpus(corpus).samples[:6]
+        preds.write_text("".join(
+            json.dumps({"id": s.id, "prediction": s.snippet if i % 2 else "nop"}) + "\n"
+            for i, s in enumerate(samples)
+        ))
+        config.write_text(
+            f"corpus = {corpus}\nvectors = {vectors}\nout_dir = {out / 'matrix'}\nseed = 5\n"
+        )
+        vocab, records = out / "vocab.json", out / "recs.jsonl"
+        commands = [
+            ("split", "--in", corpus, "--out-dir", out / "splits", "--seed", 3),
+            ("build-vocab", "--corpus", corpus, "--out", vocab),
+            ("perturb", "--kind", "omit-name", "--in", corpus, "--vocab", vocab,
+             "--out", records, "--seed", 3),
+            ("gate", "--records", records, "--vectors", vectors),
+            ("augment", "--split", corpus, "--records", out / "recs.passed.jsonl", "--p", "0.25",
+             "--kind", "omission", "--seed", 3, "--out", out / "aug.jsonl"),
+            ("evaluate", "--preds", preds, "--refs", corpus, "--out-dir", out / "eval"),
+            ("stats", "--corpus", corpus, "--vocab", vocab, "--against", corpus,
+             "--variants", corpus, "--out", out / "stats.json"),
+            ("matrix", "--config", config),
+        ]
+        for argv in commands:
+            assert run(*argv) == 0, argv[0]
+        run_manifests = ("run_manifest.json", ".manifest.json")
+        return {name: data for name, data in tree(out).items() if not name.endswith(run_manifests)}
+
+    def test_every_command_reads_csv(self, workdir, tmp_path):
+        trees = {}
+        for suffix in ("jsonl", "csv"):
+            corpus = tmp_path / suffix / "in" / f"corpus.{suffix}"
+            save_corpus(load_corpus(workdir / "corpus.jsonl"), corpus)
+            trees[suffix] = self.outputs(corpus, workdir / "vectors.txt", tmp_path / suffix / "out")
+        assert (tmp_path / "csv" / "in" / "corpus.csv").read_text("utf-8").startswith("id,intent,")
+        assert "matrix/manifest.json" in trees["jsonl"] and len(trees["jsonl"]) > 20
+        assert trees["csv"] == trees["jsonl"]
+
+    def test_ingest_csv_to_jsonl(self, workdir, tmp_path):
+        as_csv, back = tmp_path / "x.csv", tmp_path / "y.jsonl"
+        assert run("ingest", "--in", workdir / "corpus.jsonl", "--out", as_csv) == 0
+        assert as_csv.read_text("utf-8").startswith("id,intent,snippet\n")
+        assert run("ingest", "--in", as_csv, "--out", back) == 0
+        assert back.read_bytes() == (workdir / "corpus.jsonl").read_bytes()
 
 
 class TestStats:

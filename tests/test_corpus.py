@@ -86,10 +86,31 @@ class TestLoad:
             ]
         )
         path = tmp_path / "c.csv"
-        save_corpus(corpus, path, format="csv")
-        loaded = load_corpus(path, format="csv")
+        save_corpus(corpus, path)
+        assert path.read_text("utf-8").splitlines()[0] == "id,intent,snippet"
+        loaded = load_corpus(path)
         assert [(s.id, s.intent, s.snippet) for s in loaded] == [
             (s.id, s.intent, s.snippet) for s in corpus
+        ]
+
+    @pytest.mark.parametrize(
+        "name, csv", [("c.csv", True), ("c.CSV", True), ("c.jsonl", False), ("c.txt", False)]
+    )
+    def test_suffix_picks_format(self, tmp_path, name, csv):
+        corpus = make_corpus(3)
+        path = tmp_path / name
+        save_corpus(corpus, path)
+        first = path.read_text("utf-8").splitlines()[0]
+        assert first == ("id,intent,snippet" if csv else json.dumps(
+            {"id": "s00000", "intent": "intent number 0", "snippet": "mov eax, 0"}
+        ))
+        assert load_corpus(path).samples == corpus.samples
+
+    def test_csv_byte_order_mark_is_not_part_of_the_id_column(self, tmp_path):
+        path = tmp_path / "excel.csv"
+        path.write_bytes(b"\xef\xbb\xbfid,intent,snippet\r\nx1,Push EAX.,push eax\r\n")
+        assert [(s.id, s.intent, s.snippet) for s in load_corpus(path)] == [
+            ("x1", "Push EAX.", "push eax")
         ]
 
 

@@ -27,7 +27,6 @@ _PATH_KEYS = ("corpus", "vectors", "stopwords", "registers", "comparison", "tag_
 # A value each key accepts; a path key's value is relative to the inputs.
 _VALID = {
     "corpus": "corpus.jsonl",
-    "format": "jsonl",
     "out_dir": "",
     "seed": "5",
     "vectors": "vectors.txt",

@@ -1,8 +1,15 @@
 import json
 
+import pytest
+
+import helpers
 from perturbe._util import read_data_lines, write_jsonl
 from perturbe.corpus import Corpus, Sample, save_corpus
+from perturbe.embedding import PrecomputedEncoder
+from perturbe.errors import DataError
+from perturbe.metrics import load_labels, load_predictions
 from perturbe.perturb import GATE_PASS, PerturbationRecord, PerturbKind, write_records
+from perturbe.postag import FileTagger
 
 # Non-ASCII text, quotes, backslashes, the two-character snippet marker, a
 # real newline and tab, control characters, Unicode line and space
@@ -38,6 +45,25 @@ class TestReadDataLines:
     def test_unset_path_reads_shipped_file(self):
         for unset in (None, ""):
             assert "the" in read_data_lines(unset, "stopwords.txt")
+
+
+class TestReadJsonl:
+    @pytest.mark.parametrize(
+        "read, fields",
+        [
+            (load_predictions, "id and prediction"),
+            (load_labels, "id and correct"),
+            (PrecomputedEncoder, "id and vec"),
+            (lambda path: FileTagger(path, fallback=helpers.shipped_tagger()), "id and tags"),
+        ],
+    )
+    def test_missing_field_names_the_line(self, tmp_path, read, fields):
+        path = tmp_path / "in.jsonl"
+        full = {"id": "a", "prediction": "nop", "correct": True, "vec": [1.0], "tags": ["NOUN"]}
+        path.write_text(json.dumps(full) + "\n" + json.dumps({"id": "b"}) + "\n")
+        with pytest.raises(DataError) as excinfo:
+            read(path)
+        assert str(excinfo.value) == f"{path}:2: expected {fields} fields"
 
 
 class TestWriteJsonl:

@@ -1,10 +1,12 @@
+import json
+import math
 import os
 import random
 
 import pytest
 
 from perturbe.corpus import load_corpus
-from perturbe.errors import DataError
+from perturbe.errors import ConfigError, DataError
 from perturbe.preprocess import load_stopwords
 from perturbe.vocab import (
     FrequencyTable,
@@ -103,6 +105,17 @@ class TestBuildVocabulary:
         with pytest.raises(DataError):
             build_vocabulary(FrequencyTable({}), FrequencyTable({"a": 1}), registers=set())
 
+    @pytest.mark.parametrize("threshold", [math.nan, -1.0, -0.5, math.inf, -math.inf])
+    def test_threshold_not_finite_or_negative_rejected(self, threshold):
+        codegen = FrequencyTable({"register": 3, "move": 1})
+        with pytest.raises(ConfigError, match="threshold"):
+            build_vocabulary(codegen, FrequencyTable({"move": 9}), threshold, registers=set())
+
+    def test_threshold_zero_accepted(self):
+        codegen = FrequencyTable({"register": 3, "move": 1})
+        vocab = build_vocabulary(codegen, FrequencyTable({"move": 9}), 0.0, registers=set())
+        assert vocab.structure_words == {"register", "move"}
+
 
 class TestBuildVocabularyDifferential:
     """One grouping pass gives the reference's vocabulary exactly."""
@@ -170,6 +183,13 @@ class TestMineVocabulary:
         assert vocab.structure_words == {"register", "stack"}
         assert vocab.name_words == {"EAX"}
 
+    def test_records_its_register_list(self, tmp_path):
+        comparison = tmp_path / "comparison.txt"
+        comparison.write_text("walk the dog\n")
+        vocab = mine_vocabulary(["push the EAX register"], {"the"}, {"eax", "push"}, comparison)
+        assert vocab.registers == {"eax", "push"}
+        assert vocab.name_words == {"EAX", "push"}
+
 
 class TestLoadRegisters:
     def test_user_file_comments_and_blank_lines(self, tmp_path):
@@ -217,6 +237,19 @@ class TestSerialization:
         assert loaded.structure_words == demo_vocab.structure_words
         assert loaded.name_words == demo_vocab.name_words
         assert loaded.ratio_threshold == demo_vocab.ratio_threshold
+        assert loaded.registers == demo_vocab.registers == load_registers()
+        assert loaded == demo_vocab
+
+    def test_registers_written_sorted(self, tmp_path):
+        path = tmp_path / "vocab.json"
+        save_vocabulary(Vocabulary(name_words={"ESI"}, registers={"esi", "eax", "ah"}), path)
+        assert json.loads(path.read_text())["registers"] == ["ah", "eax", "esi"]
+
+    def test_missing_registers_list_rejected(self, tmp_path):
+        path = tmp_path / "vocab.json"
+        path.write_text(json.dumps({"structure": ["stack"], "name": ["EAX"], "threshold": 50.0}))
+        with pytest.raises(DataError, match="missing 'registers' list"):
+            load_vocabulary(path)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "vocab.json"
