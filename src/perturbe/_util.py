@@ -92,6 +92,18 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tup
             yield lineno, obj
 
 
+def read_json_object(path: str | Path) -> dict:
+    """The JSON object a whole file holds; a DataError names the file when it
+    holds invalid JSON or another JSON value."""
+    try:
+        obj = json.loads(Path(path).read_text("utf-8"))
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: invalid JSON: {exc.msg}") from exc
+    if not isinstance(obj, dict):
+        raise DataError(f"{path}: expected a JSON object")
+    return obj
+
+
 # json.dumps(obj, ensure_ascii=False) builds an encoder with these settings on
 # every call; one shared encoder gives the same bytes.
 _encode_line = json.JSONEncoder(ensure_ascii=False).encode

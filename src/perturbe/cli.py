@@ -33,7 +33,7 @@ from perturbe import metrics as metrics_mod
 from perturbe import perturb as perturb_mod
 from perturbe import semgate as semgate_mod
 from perturbe import vocab as vocab_mod
-from perturbe._util import canonical_json, sha256_file, sha256_text, write_jsonl
+from perturbe._util import canonical_json, read_json_object, sha256_file, sha256_text, write_jsonl
 from perturbe.embedding import MeanVectorEncoder, PrecomputedEncoder, load_vectors
 from perturbe.errors import CheckerError, ConfigError, DataError, PerturbeError
 from perturbe.postag import FileTagger, LexiconTagger, load_tag_lexicon
@@ -380,7 +380,7 @@ def _cmd_evaluate(args) -> int:
     references = corpus_mod.load_corpus(args.refs)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    result: dict = {"model": args.model, "n": len(preds.entries)}
+    result: dict = {"model": args.model, "n": len(preds)}
     outputs: list[Path] = []
 
     if args.checker or args.auto_checker:
@@ -432,7 +432,7 @@ def _cmd_evaluate(args) -> int:
 def _cmd_report(args) -> int:
     cells = []
     for path in args.metrics:
-        payload = json.loads(Path(path).read_text("utf-8"))
+        payload = read_json_object(path)
         rob = payload.get("rob")
         cells.append(
             metrics_mod.CellMetrics(

@@ -15,9 +15,8 @@ bit-identical values.
 
 A store holds one float64 matrix, one row per distinct word in order of first
 appearance (a repeated word keeps its first position and its last values).
-The loader adopts the parsed matrix without copying it; building a store from
-a dict stacks the vectors once. The matrix is read-only and per-word vectors
-are row views of it.
+The store adopts the parsed matrix without copying it and makes it
+read-only.
 
 Neighbor search is exact and deterministic. One matrix-vector product in
 64-bit floats gives every cosine as ``(M @ q) / (norms * |q|)``; rows are not
@@ -64,27 +63,10 @@ class Neighbor:
 class VectorStore:
     """Immutable word -> vector map over one float64 matrix, one row per word."""
 
-    def __init__(self, vectors: dict[str, np.ndarray]):
-        if not vectors:
-            raise DataError("vector store is empty")
-        dims = {v.shape[0] for v in vectors.values()}
-        if len(dims) != 1:
-            raise DataError(f"inconsistent vector dimensions: {sorted(dims)}")
-        if any(not w for w in vectors):
-            raise DataError("vector store contains an empty word")
-        matrix = np.vstack([np.asarray(v, dtype=np.float64) for v in vectors.values()])
-        self._adopt(list(vectors), matrix)
-
-    @classmethod
-    def _from_matrix(cls, words: list[str], matrix: np.ndarray) -> VectorStore:
-        """Take ownership of a (len(words), D) float64 matrix without copying."""
-        store = cls.__new__(cls)
-        store._adopt(words, matrix)
-        return store
-
-    def _adopt(self, words: list[str], matrix: np.ndarray) -> None:
-        matrix.flags.writeable = False  # rows handed out are views of it
-        self.dimension = matrix.shape[1]
+    def __init__(self, words: list[str], matrix: np.ndarray):
+        """Adopt a (len(words), D) float64 matrix of distinct words without
+        copying it."""
+        matrix.flags.writeable = False  # the neighbor memo relies on fixed rows
         self._words = words
         self._rows = {w: i for i, w in enumerate(words)}
         self._matrix = matrix
@@ -100,14 +82,8 @@ class VectorStore:
         # same value, so no lock is needed.
         self._neighbor_memo: dict[tuple[str, int], tuple[Neighbor, ...]] = {}
 
-    def __len__(self) -> int:
-        return len(self._words)
-
     def __contains__(self, word: str) -> bool:
         return self.resolve(word) is not None
-
-    def words(self) -> list[str]:
-        return list(self._words)
 
     def resolve(self, word: str) -> str | None:
         """Exact lookup first, then lowercase fallback: intents capitalize
@@ -118,14 +94,6 @@ class VectorStore:
         if lowered in self._rows:
             return lowered
         return None
-
-    def vector(self, word: str) -> np.ndarray:
-        """The word's vector, as ``resolve`` finds it: a read-only row of the
-        store's matrix."""
-        key = self.resolve(word)
-        if key is None:
-            raise DataError(f"word not in vector store: {word!r}")
-        return self._matrix[self._rows[key]]
 
     def top_k(self, word: str, k: int) -> list[Neighbor]:
         return top_k_neighbors(word, k, self)
@@ -191,7 +159,7 @@ def load_vectors(path: str | Path) -> VectorStore:
         slots[word] = row  # keeps the first position, points at the last row
     if len(slots) < len(rows.words):
         matrix = matrix[list(slots.values())]
-    return VectorStore._from_matrix(list(slots), matrix)
+    return VectorStore(list(slots), matrix)
 
 
 def _header_dimension(line: str) -> int | None:
@@ -239,7 +207,7 @@ def _load_vectors_exact(path: Path) -> VectorStore:
             vectors[word] = vec
     if not vectors:
         raise DataError(f"{path}: no vectors loaded")
-    return VectorStore(vectors)
+    return VectorStore(list(vectors), np.array(list(vectors.values()), dtype=np.float64))
 
 
 def _norm(v: np.ndarray) -> float:

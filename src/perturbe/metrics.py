@@ -58,13 +58,6 @@ _BATCHABLE_RE = re.compile(r"[A-Za-z0-9_,+\-*\[\]() \t\n]*")
 
 
 @dataclass
-class PredictionSet:
-    """Model outputs keyed by sample id."""
-
-    entries: dict[str, str]
-
-
-@dataclass
 class SemLabelSet:
     """Per-sample semantic-correctness labels and their provenance."""
 
@@ -208,10 +201,10 @@ def _batch_failures(
     return failed or None
 
 
-def _prove_in_batch(preds: PredictionSet, checker: CheckerConfig) -> set[str]:
+def _prove_in_batch(preds: dict[str, str], checker: CheckerConfig) -> set[str]:
     """Ids of the snippets that a batched GNU as run proves to pass."""
     batch = []
-    for sample_id, prediction in sorted(preds.entries.items()):
+    for sample_id, prediction in sorted(preds.items()):
         code = _snippet_code(prediction)
         if prediction.strip() and _BATCHABLE_RE.fullmatch(code):
             batch.append((sample_id, code))
@@ -227,7 +220,7 @@ def _prove_in_batch(preds: PredictionSet, checker: CheckerConfig) -> set[str]:
     return set()
 
 
-def syntactic_accuracy(preds: PredictionSet, checker: CheckerConfig) -> SyntaxReport:
+def syntactic_accuracy(preds: dict[str, str], checker: CheckerConfig) -> SyntaxReport:
     """Fraction of predictions the external checker accepts (exit 0).
 
     Empty predictions count as incorrect without invoking the checker;
@@ -237,13 +230,13 @@ def syntactic_accuracy(preds: PredictionSet, checker: CheckerConfig) -> SyntaxRe
     argv0 = shlex.split(checker.template)[0]
     if shutil.which(argv0) is None:
         raise CheckerError(f"syntax checker not found: {argv0!r}")
-    if not preds.entries:
+    if not preds:
         raise DataError("empty prediction set")
 
     proven = set()
     if os.path.basename(argv0) == "as" and checker.scaffold == GAS_SCAFFOLD:
         proven = _prove_in_batch(preds, checker)
-    items = [item for item in sorted(preds.entries.items()) if item[0] not in proven]
+    items = [item for item in sorted(preds.items()) if item[0] not in proven]
 
     def check(item: tuple[str, str]) -> tuple[str, bool, str]:
         return (item[0], *_check_standalone(item[1], checker))
@@ -265,13 +258,13 @@ def _normalize_ws(text: str) -> str:
     return " ".join(text.split())
 
 
-def exact_match_labels(preds: PredictionSet, references: Corpus) -> SemLabelSet:
+def exact_match_labels(preds: dict[str, str], references: Corpus) -> SemLabelSet:
     """Automatic lower-bound proxy: correct iff the whitespace-normalized
     prediction equals the reference snippet. Equivalent-but-different code
     is counted wrong; real semantic labels come from human judgment files."""
     refs = {s.id: s.snippet for s in references}
     entries: dict[str, bool] = {}
-    for sample_id, prediction in preds.entries.items():
+    for sample_id, prediction in preds.items():
         if sample_id not in refs:
             raise DataError(f"prediction {sample_id!r} has no reference snippet")
         entries[sample_id] = _normalize_ws(prediction) == _normalize_ws(refs[sample_id])
@@ -399,26 +392,35 @@ def report(cells: list[CellMetrics], out_dir: str | Path) -> tuple[Path, Path]:
 def cohort_breakdown(
     verdicts: dict[str, bool], corpus: Corpus
 ) -> dict[str, dict[str, float | None]]:
-    """Split per-id boolean verdicts into single-line/multi-line cohorts."""
+    """Split per-id boolean verdicts into single-line/multi-line cohorts. An
+    id the corpus does not hold is a DataError."""
+    try:
+        multi_lines = [corpus.by_id(sid).multi_line for sid in verdicts]
+    except KeyError as exc:
+        raise DataError(f"id {exc.args[0]!r} is not in corpus {corpus.name!r}") from None
     out: dict[str, dict[str, float | None]] = {}
     for cohort, multi_line in (("single-line", False), ("multi-line", True)):
-        oks = [ok for sid, ok in verdicts.items() if corpus.by_id(sid).multi_line == multi_line]
+        oks = [ok for ok, multi in zip(verdicts.values(), multi_lines) if multi == multi_line]
         out[cohort] = {"n": float(len(oks)), "accuracy": sum(oks) / len(oks) if oks else None}
     return out
 
 
-def load_predictions(path: str | Path) -> PredictionSet:
-    entries: dict[str, str] = {}
+def load_predictions(path: str | Path) -> dict[str, str]:
+    """Model outputs keyed by sample id."""
+    preds: dict[str, str] = {}
     for _, record in read_jsonl(path, ("id", "prediction")):
-        entries[str(record["id"])] = str(record["prediction"])
-    return PredictionSet(entries=entries)
+        preds[str(record["id"])] = str(record["prediction"])
+    return preds
 
 
 def load_labels(path: str | Path) -> SemLabelSet:
     entries: dict[str, bool] = {}
     provenance = "human"
-    for _, record in read_jsonl(path, ("id", "correct")):
-        entries[str(record["id"])] = bool(record["correct"])
+    for lineno, record in read_jsonl(path, ("id", "correct")):
+        correct = record["correct"]
+        if not isinstance(correct, bool):
+            raise DataError(f"{path}:{lineno}: 'correct' must be true or false")
+        entries[str(record["id"])] = correct
         provenance = str(record.get("provenance", provenance))
     return SemLabelSet(entries=entries, provenance=provenance)
 

@@ -99,7 +99,6 @@ class PerturbationRecord:
     perturbed_intent: str
     changed_positions: list[int]
     similarity: float | None = None  # clipped to [0, 1] for reporting
-    raw_similarity: float | None = None  # unclipped cosine, not serialized
     gate_pass: str = GATE_UNEVALUATED
 
     def __post_init__(self) -> None:

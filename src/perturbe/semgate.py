@@ -3,7 +3,8 @@ stays close to the original's.
 
 Scores are cosine similarities between sentence embeddings, clipped to
 [0, 1] for reporting. A record passes the gate when its similarity is
-strictly greater than the threshold. Records whose intents cannot be
+strictly greater than the threshold; the threshold lies in [0, 1], so
+clipping never changes a verdict. Records whose intents cannot be
 encoded (every token out-of-vocabulary) are marked with NaN and always land
 in the failed partition: an unverifiable perturbation is not used.
 
@@ -64,10 +65,9 @@ def score_records(records: Sequence[PerturbationRecord], encoder) -> list[Pertur
                 except EncodingFailure:
                     pass
             if perturbed is None:
-                record.similarity = record.raw_similarity = math.nan
+                record.similarity = math.nan
             else:
-                record.raw_similarity = cosine(original, perturbed)
-                record.similarity = min(1.0, max(0.0, record.raw_similarity))
+                record.similarity = min(1.0, max(0.0, cosine(original, perturbed)))
     return list(records)
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable
 
-from perturbe._util import read_data_lines
+from perturbe._util import read_data_lines, read_json_object
 from perturbe.errors import ConfigError, DataError
 from perturbe.preprocess import tokenize
 
@@ -183,10 +183,7 @@ def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
-    try:
-        payload = json.loads(Path(path).read_text("utf-8"))
-    except json.JSONDecodeError as exc:
-        raise DataError(f"{path}: invalid vocabulary JSON: {exc.msg}") from exc
+    payload = read_json_object(path)
     for key in ("structure", "name", "registers"):
         if key not in payload:
             raise DataError(f"{path}: missing {key!r} list")

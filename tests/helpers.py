@@ -119,8 +119,18 @@ def golden_vectors() -> dict[str, np.ndarray]:
     return geom.words
 
 
+def store_of(vectors: dict[str, np.ndarray]) -> VectorStore:
+    """A store of the given words and vectors, in dict order."""
+    return VectorStore(list(vectors), np.array(list(vectors.values()), dtype=np.float64))
+
+
+def row_of(store: VectorStore, word: str) -> np.ndarray:
+    """The word's vector, as ``store.resolve`` finds it."""
+    return store._matrix[store._rows[store.resolve(word)]]
+
+
 def golden_store() -> VectorStore:
-    return VectorStore(golden_vectors())
+    return store_of(golden_vectors())
 
 
 def golden_vocabulary() -> Vocabulary:
@@ -186,7 +196,7 @@ def demo_vectors() -> dict[str, np.ndarray]:
 
 
 def demo_store() -> VectorStore:
-    return VectorStore(demo_vectors())
+    return store_of(demo_vectors())
 
 
 def write_vector_file(vectors: dict[str, np.ndarray], path: Path, header: bool = False) -> None:
@@ -288,7 +298,7 @@ def reference_load_vectors(path: str | Path) -> VectorStore:
             vectors[word] = vec
     if not vectors:
         raise DataError(f"{path}: no vectors loaded")
-    return VectorStore(vectors)
+    return store_of(vectors)
 
 
 def reference_build_vocabulary(
@@ -326,7 +336,7 @@ def reference_build_vocabulary(
 
 def reference_sentence_embedding(tokens: list[str], store: VectorStore) -> np.ndarray:
     """np.mean over the list of in-vocabulary token vectors, then normalized."""
-    vecs = [store.vector(t) for t in tokens if t in store]
+    vecs = [row_of(store, t) for t in tokens if t in store]
     if not vecs:
         raise EncodingFailure(f"no token has a vector: {tokens!r}")
     mean = np.mean(vecs, axis=0)
@@ -363,11 +373,8 @@ def reference_score(record: PerturbationRecord, encoder) -> PerturbationRecord:
         )
     except EncodingFailure:
         record.similarity = math.nan
-        record.raw_similarity = math.nan
         return record
-    raw = cosine(original, perturbed)
-    record.raw_similarity = raw
-    record.similarity = min(1.0, max(0.0, raw))
+    record.similarity = min(1.0, max(0.0, cosine(original, perturbed)))
     return record
 
 

@@ -28,7 +28,6 @@ from perturbe.corpus import Corpus, Sample, SplitSpec, load_corpus, save_corpus,
 from perturbe.embedding import MeanVectorEncoder, load_vectors
 from perturbe.errors import EncodingFailure
 from perturbe.metrics import (
-    PredictionSet,
     RobInput,
     SemLabelSet,
     detect_checker,
@@ -510,11 +509,11 @@ class TestCriterion8SyntaxChecker:
             self._mock_fallback()
             return
         the_slice = demo_corpus.samples[:50]
-        refs = PredictionSet({s.id: s.snippet for s in the_slice})
+        refs = {s.id: s.snippet for s in the_slice}
         report = syntactic_accuracy(refs, checker)
         assert report.accuracy == 1.0, f"reference snippets failed: {report.diagnostics}"
 
-        mutants = PredictionSet({s.id: self._drop_one_operand(s.snippet) for s in the_slice})
+        mutants = {s.id: self._drop_one_operand(s.snippet) for s in the_slice}
         mutated = syntactic_accuracy(mutants, checker)
         assert mutated.accuracy < 0.5, f"mutation suite too permissive: {mutated.accuracy}"
         announce(8, "assembler accepts references, rejects mutants")
@@ -531,9 +530,7 @@ class TestCriterion8SyntaxChecker:
             script.write_text("#!/bin/sh\ngrep -q ok \"$1\"\n")
             script.chmod(script.stat().st_mode | stat.S_IEXEC)
             checker = CheckerConfig(template=f"{script} {{file}}", scaffold="{code}\n")
-            report = syntactic_accuracy(
-                PredictionSet({"a": "ok", "b": "bad"}), checker
-            )
+            report = syntactic_accuracy({"a": "ok", "b": "bad"}, checker)
             assert report.verdicts == {"a": True, "b": False}
             slow = Path(tmp) / "slow"
             slow.write_text("#!/bin/sh\nsleep 5\n")
@@ -541,6 +538,6 @@ class TestCriterion8SyntaxChecker:
             timeout_checker = CheckerConfig(
                 template=f"{slow} {{file}}", scaffold="{code}\n", timeout=0.2
             )
-            timed = syntactic_accuracy(PredictionSet({"a": "x"}), timeout_checker)
+            timed = syntactic_accuracy({"a": "x"}, timeout_checker)
             assert timed.verdicts == {"a": False}
         announce(8, "checker mock exit-code and timeout paths (no assembler)")

@@ -613,6 +613,66 @@ class TestEvaluate:
         row = {"id": "échantillon-ü", "ok": False, "diagnostic": "snippet.s:1: Error: bad"}
         assert line == json.dumps(row, ensure_ascii=False)
 
+    @staticmethod
+    def one_sample_refs(tmp_path):
+        refs = tmp_path / "refs.jsonl"
+        refs.write_text(json.dumps({"id": "a", "intent": "Do it.", "snippet": "nop"}) + "\n")
+        preds = tmp_path / "preds.jsonl"
+        preds.write_text(
+            "".join(json.dumps({"id": sid, "prediction": "nop"}) + "\n" for sid in ("a", "zz"))
+        )
+        return refs, preds
+
+    def test_label_id_missing_from_refs_exit_2(self, tmp_path, capsys):
+        refs, preds = self.one_sample_refs(tmp_path)
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(
+            "".join(json.dumps({"id": sid, "correct": True}) + "\n" for sid in ("a", "zz"))
+        )
+        assert run(
+            "evaluate", "--preds", preds, "--refs", refs, "--labels", labels,
+            "--out-dir", tmp_path / "e",
+        ) == 2
+        assert capsys.readouterr().err == "data error: id 'zz' is not in corpus 'refs'\n"
+
+    def test_checked_prediction_missing_from_refs_exit_2(self, tmp_path, capsys):
+        script = tmp_path / "okcheck"
+        script.write_text("#!/bin/sh\nexit 0\n")
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        refs, preds = self.one_sample_refs(tmp_path)
+        assert run(
+            "evaluate", "--preds", preds, "--refs", refs, "--checker", f"{script} {{file}}",
+            "--out-dir", tmp_path / "e",
+        ) == 2
+        assert capsys.readouterr().err == "data error: id 'zz' is not in corpus 'refs'\n"
+
+    def test_non_boolean_label_exit_2(self, tmp_path, capsys):
+        refs, preds = self.one_sample_refs(tmp_path)
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(json.dumps({"id": "a", "correct": "false"}) + "\n")
+        assert run(
+            "evaluate", "--preds", preds, "--refs", refs, "--labels", labels,
+            "--out-dir", tmp_path / "e",
+        ) == 2
+        assert capsys.readouterr().err == (
+            f"data error: {labels}:1: 'correct' must be true or false\n"
+        )
+
+    @pytest.mark.parametrize(
+        "text, reason",
+        [
+            ("not json\n", "invalid JSON: Expecting value"),
+            ('["sem", 1.0]\n', "expected a JSON object"),
+        ],
+    )
+    def test_report_rejects_a_metrics_file_that_is_no_json_object(
+        self, tmp_path, capsys, text, reason
+    ):
+        metrics = tmp_path / "metrics.json"
+        metrics.write_text(text)
+        assert run("report", "--metrics", metrics, "--out-dir", tmp_path / "rep") == 2
+        assert capsys.readouterr().err == f"data error: {metrics}: {reason}\n"
+
 
 class TestCsvCorpus:
     """A corpus path ending in .csv is read as CSV by every command."""

@@ -33,13 +33,13 @@ class TestLoadVectors:
         path = tmp_path / "v.txt"
         path.write_text("a 1 0\nb 0 1\n")
         store = load_vectors(path)
-        assert store.dimension == 2 and len(store) == 2
+        assert store._matrix.shape == (2, 2)
 
     def test_header_line(self, tmp_path):
         path = tmp_path / "v.txt"
         path.write_text("2 3\na 1 0 0\nb 0 1 0\n")
         store = load_vectors(path)
-        assert store.dimension == 3 and len(store) == 2
+        assert store._matrix.shape == (2, 3)
 
     def test_dimension_error_reports_line(self, tmp_path):
         path = tmp_path / "v.txt"
@@ -58,7 +58,7 @@ class TestLoadVectors:
         path.write_text("a 1 0\na 0 1\n")
         with caplog.at_level("WARNING"):
             store = load_vectors(path)
-        assert list(store.vector("a")) == [0.0, 1.0]
+        assert list(helpers.row_of(store, "a")) == [0.0, 1.0]
         assert any("duplicate" in r.message for r in caplog.records)
 
 
@@ -80,8 +80,8 @@ def assert_loads_like_reference(path, caplog):
     assert error == ref_error
     assert warnings == ref_warnings
     if ref_store is not None:
-        assert store.words() == ref_store.words()
-        assert store.dimension == ref_store.dimension
+        assert store._words == ref_store._words
+        assert store._matrix.shape == ref_store._matrix.shape
         assert store._matrix.dtype == np.float64
         assert store._matrix.tobytes() == ref_store._matrix.tobytes()
     return store, error, warnings
@@ -130,7 +130,7 @@ class TestLoadVectorsDifferential:
         path = tmp_path / "v.txt"
         path.write_text(seeded_vector_text(seed, header), "utf-8")
         store, error, _ = assert_loads_like_reference(path, caplog)
-        assert error is None and len(store) > 0
+        assert error is None and len(store._words) > 0
 
     @pytest.mark.parametrize(
         "text",
@@ -163,6 +163,7 @@ class TestLoadVectorsDifferential:
             pytest.param("a 1 2\nb 1 x\nc 1 2\n", id="unparseable-float"),
             pytest.param("a 1 2\nb 1,5 2\n", id="comma-decimal"),
             pytest.param("a 1 2\na 1\n", id="duplicate-with-wrong-count"),
+            pytest.param("a 1 2\na 3 4\nb x\n", id="duplicate-then-bad-line"),
         ],
     )
     def test_edge_cases(self, tmp_path, caplog, text):
@@ -180,8 +181,8 @@ class TestLoadVectorsDifferential:
         path = tmp_path / "v.txt"
         path.write_text("a 1 2\nb 3 4\na 5 6\n")
         store, _, warnings = assert_loads_like_reference(path, caplog)
-        assert store.words() == ["a", "b"]
-        assert list(store.vector("a")) == [5.0, 6.0]
+        assert store._words == ["a", "b"]
+        assert list(helpers.row_of(store, "a")) == [5.0, 6.0]
         assert warnings == [f"{path}:3: duplicate token 'a', keeping last"]
 
     def test_well_formed_files_take_the_bulk_path(self, tmp_path, monkeypatch):
@@ -193,9 +194,9 @@ class TestLoadVectorsDifferential:
         for seed in range(4):
             for header in (False, True):
                 path.write_text(seeded_vector_text(seed, header), "utf-8")
-                assert len(load_vectors(path)) > 0
+                assert len(load_vectors(path)._words) > 0
         path.write_text("# 1 2\na nan inf\na 3 4\n")
-        assert load_vectors(path).words() == ["#", "a"]
+        assert load_vectors(path)._words == ["#", "a"]
 
     def test_demo_vector_file(self, tmp_path, caplog):
         path = tmp_path / "v.txt"
@@ -208,21 +209,20 @@ class TestStoreMatrix:
         path = tmp_path / "v.txt"
         path.write_text("a 1 2\nb 3 4\nc 5 6\n")
         store = load_vectors(path)
-        for row, word in enumerate(store.words()):
-            vec = store.vector(word)
+        assert store._words == ["a", "b", "c"]
+        for row, word in enumerate(store._words):
+            vec = helpers.row_of(store, word)
             assert np.array_equal(vec, store._matrix[row])
             assert np.shares_memory(vec, store._matrix)
             with pytest.raises(ValueError):
                 vec[0] = 0.0
-        assert np.array_equal(store.vector("B"), store._matrix[1])  # lowercase fallback
+        assert np.array_equal(helpers.row_of(store, "B"), store._matrix[1])  # lowercase fallback
 
-    def test_dict_store_copies_its_input(self):
-        source = {"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])}
-        store = VectorStore(source)
-        source["a"][0] = 9.0
-        assert list(store.vector("a")) == [1.0, 0.0]
-        with pytest.raises(ValueError):
-            store.vector("a")[1] = 9.0
+    def test_store_adopts_its_matrix_without_copying(self):
+        matrix = np.array([[1.0, 0.0], [0.0, 1.0]])
+        store = VectorStore(["a", "b"], matrix)
+        assert store._matrix is matrix
+        assert not matrix.flags.writeable
 
     def test_row_norms_match_one_full_call(self):
         rng = np.random.default_rng(5)
@@ -231,14 +231,13 @@ class TestStoreMatrix:
         matrix[[0, 4095, 4096, 8191, rows - 1]] = 0.0
         expected = np.linalg.norm(matrix, axis=1)
         expected[expected == 0.0] = np.nan
-        store = VectorStore._from_matrix([f"w{i}" for i in range(rows)], matrix)
+        store = VectorStore([f"w{i}" for i in range(rows)], matrix)
         assert store._norms.tobytes() == expected.tobytes()
 
     def test_get_missing_word(self):
-        store = VectorStore({"a": np.array([1.0])})
+        store = helpers.store_of({"a": np.array([1.0])})
         assert store.resolve("zzz") is None
-        with pytest.raises(DataError):
-            store.vector("zzz")
+        assert "zzz" not in store
 
 
 class TestCosine:
@@ -268,21 +267,21 @@ class TestCosine:
 
 class TestTopK:
     def test_tiny_store(self):
-        store = VectorStore(
+        store = helpers.store_of(
             {"q": np.array([1.0, 0.0]), "a": np.array([1.0, 0.01]), "b": np.array([0.0, 1.0])}
         )
         neighbors = top_k_neighbors("q", 1, store)
         assert [n.word for n in neighbors] == ["a"]
 
     def test_k_larger_than_vocab(self):
-        store = VectorStore(
+        store = helpers.store_of(
             {"q": np.array([1.0, 0.0]), "a": np.array([1.0, 0.1]), "b": np.array([1.0, 0.2])}
         )
         neighbors = top_k_neighbors("q", 10, store)
         assert len(neighbors) == 2
 
     def test_tie_break_lexicographic(self):
-        store = VectorStore(
+        store = helpers.store_of(
             {
                 "q": np.array([1.0, 0.0]),
                 "zeta": np.array([2.0, 0.0]),
@@ -293,19 +292,19 @@ class TestTopK:
         assert [n.word for n in neighbors] == ["alpha", "zeta"]
 
     def test_out_of_vocabulary(self):
-        store = VectorStore({"a": np.array([1.0])})
+        store = helpers.store_of({"a": np.array([1.0])})
         with pytest.raises(DataError):
             top_k_neighbors("missing", 1, store)
 
     def test_matches_exhaustive_scan(self):
         rng = np.random.default_rng(7)
         words = [f"w{i:03d}" for i in range(1000)]
-        store = VectorStore({w: rng.normal(size=12) for w in words})
+        store = helpers.store_of({w: rng.normal(size=12) for w in words})
         for query in ("w000", "w137", "w999"):
             got = top_k_neighbors(query, 15, store)
             expected = sorted(
                 (
-                    (cosine(store.vector(query), store.vector(w)), w)
+                    (cosine(helpers.row_of(store, query), helpers.row_of(store, w)), w)
                     for w in words
                     if w != query
                 ),
@@ -342,7 +341,7 @@ def tricky_store(seed: int) -> VectorStore:
     vectors["zero2"] = np.zeros(dim)
     order = rng.permutation(len(vectors))  # row order must not decide ties
     words = list(vectors)
-    return VectorStore({words[i]: vectors[words[i]] for i in order})
+    return helpers.store_of({words[i]: vectors[words[i]] for i in order})
 
 
 class TestTopKDifferential:
@@ -351,9 +350,9 @@ class TestTopKDifferential:
     @pytest.mark.parametrize("seed", range(8))
     def test_equals_reference(self, seed):
         store = tricky_store(seed)
-        size = len(store)
+        size = len(store._words)
         # Capitalized queries go through the lowercase fallback.
-        queries = [w for w in store.words() if not w.startswith("zero")] + ["Base", "TWIN"]
+        queries = [w for w in store._words if not w.startswith("zero")] + ["Base", "TWIN"]
         straddles = 0
         for query in queries:
             full = helpers.reference_top_k_neighbors(query, size, store)
@@ -378,9 +377,9 @@ class TestTopKDifferential:
 
     def test_zero_vectors_never_neighbors(self):
         store = tricky_store(1)
-        words = [n.word for n in top_k_neighbors("w001", len(store) + 3, store)]
+        words = [n.word for n in top_k_neighbors("w001", len(store._words) + 3, store)]
         assert "zero1" not in words and "zero2" not in words
-        assert len(words) == len(store) - 3  # query and two zero vectors excluded
+        assert len(words) == len(store._words) - 3  # query and two zero vectors excluded
 
 
 class TestTopKMemo:
@@ -406,7 +405,7 @@ class TestTopKMemo:
 
     def test_concurrent_queries_agree_with_reference(self):
         store = tricky_store(5)
-        queries = [w for w in store.words() if not w.startswith("zero")] * 8
+        queries = [w for w in store._words if not w.startswith("zero")] * 8
         expected = [helpers.reference_top_k_neighbors(q, 5, store) for q in queries]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -435,16 +434,16 @@ def sentence_embedding(tokens, store):
 
 class TestSentenceEmbedding:
     def test_single_token_is_normalized_vector(self):
-        store = VectorStore({"a": np.array([3.0, 4.0]), "b": np.array([0.0, 1.0])})
+        store = helpers.store_of({"a": np.array([3.0, 4.0]), "b": np.array([0.0, 1.0])})
         vec = sentence_embedding(["a"], store)
         assert np.allclose(vec, [0.6, 0.8])
 
     def test_duplicate_tokens_same_as_single(self):
-        store = VectorStore({"a": np.array([3.0, 4.0])})
+        store = helpers.store_of({"a": np.array([3.0, 4.0])})
         assert np.allclose(sentence_embedding(["a", "a"], store), sentence_embedding(["a"], store))
 
     def test_order_free(self):
-        store = VectorStore({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
+        store = helpers.store_of({"a": np.array([1.0, 0.0]), "b": np.array([0.0, 1.0])})
         assert np.allclose(
             sentence_embedding(["a", "b"], store), sentence_embedding(["b", "a"], store)
         )
@@ -454,12 +453,12 @@ class TestSentenceEmbedding:
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-9)
 
     def test_oov_skipped(self):
-        store = VectorStore({"a": np.array([1.0, 0.0])})
+        store = helpers.store_of({"a": np.array([1.0, 0.0])})
         vec = sentence_embedding(["a", "zzz"], store)
         assert np.allclose(vec, [1.0, 0.0])
 
     def test_all_oov_raises(self):
-        store = VectorStore({"a": np.array([1.0, 0.0])})
+        store = helpers.store_of({"a": np.array([1.0, 0.0])})
         with pytest.raises(EncodingFailure):
             sentence_embedding(["zzz", "yyy"], store)
 
@@ -519,7 +518,7 @@ class TestNormDifferential:
         # Capitalized words of their own: the exact form must win over the
         # lowercase fallback, as in VectorStore.resolve.
         vectors.update({f"W{i}": gen.standard_normal(dim) for i in range(0, 80, 3)})
-        store = VectorStore(vectors)
+        store = helpers.store_of(vectors)
         encoder = MeanVectorEncoder(store)
         oov = 0
         for _ in range(600):
@@ -548,7 +547,7 @@ class TestEncoders:
     def test_mean_encoder_matches_sentence_embedding(self):
         rng = random.Random(17)
         vectors = np.random.default_rng(17).standard_normal((60, 16))
-        store = VectorStore({f"w{i}": vectors[i] for i in range(60)})
+        store = helpers.store_of({f"w{i}": vectors[i] for i in range(60)})
         encoder = MeanVectorEncoder(store)
         oov = 0
         for _ in range(200):
@@ -571,7 +570,7 @@ class TestEncoders:
         # must give np.mean's bits, not just values within rounding.
         rng = random.Random(23)
         vectors = np.random.default_rng(23).standard_normal((400, 300)) * 3.0
-        store = VectorStore({f"w{i}": vectors[i] for i in range(400)})
+        store = helpers.store_of({f"w{i}": vectors[i] for i in range(400)})
         encoder = MeanVectorEncoder(store)
         for _ in range(600):
             tokens = [f"w{rng.randrange(400)}" for _ in range(rng.randint(1, 40))]
@@ -579,7 +578,7 @@ class TestEncoders:
             assert encoder.encode(" ".join(tokens)).tobytes() == expected.tobytes()
 
     def test_cancelling_vectors_fail(self):
-        store = VectorStore({"a": np.array([1.0, 2.0]), "b": np.array([-1.0, -2.0])})
+        store = helpers.store_of({"a": np.array([1.0, 2.0]), "b": np.array([-1.0, -2.0])})
         with pytest.raises(EncodingFailure):
             MeanVectorEncoder(store).encode("a b")
 

@@ -16,7 +16,6 @@ from perturbe.metrics import (
     NASM_SCAFFOLD,
     CheckerConfig,
     CellMetrics,
-    PredictionSet,
     RobInput,
     SemLabelSet,
     cohort_breakdown,
@@ -132,25 +131,25 @@ class TestSemanticAccuracy:
 class TestExactMatch:
     def test_identical(self):
         refs = Corpus([Sample("a", "two pushes", "push eax \\n push edx")])
-        preds = PredictionSet({"a": "push eax \\n push edx"})
+        preds = {"a": "push eax \\n push edx"}
         labels = exact_match_labels(preds, refs)
         assert labels.entries == {"a": True}
         assert labels.provenance == "exact-match-proxy"
 
     def test_whitespace_normalized(self):
         refs = Corpus([Sample("a", "subtract", "sub bl, al")])
-        preds = PredictionSet({"a": "sub  bl,   al"})
+        preds = {"a": "sub  bl,   al"}
         assert exact_match_labels(preds, refs).entries == {"a": True}
 
     def test_equivalent_but_different_is_false(self):
         refs = Corpus([Sample("a", "zero eax", "xor eax, eax")])
-        preds = PredictionSet({"a": "sub eax, eax"})  # equivalent, textually different
+        preds = {"a": "sub eax, eax"}  # equivalent, textually different
         assert exact_match_labels(preds, refs).entries == {"a": False}
 
     def test_missing_reference(self):
         refs = Corpus([Sample("a", "x", "y")])
         with pytest.raises(DataError):
-            exact_match_labels(PredictionSet({"zz": "y"}), refs)
+            exact_match_labels({"zz": "y"}, refs)
 
 
 class TestJsd:
@@ -246,7 +245,7 @@ class TestSyntaxChecker:
     def test_missing_binary(self):
         checker = CheckerConfig(template="definitely-not-a-real-assembler {file}")
         with pytest.raises(CheckerError):
-            syntactic_accuracy(PredictionSet({"a": "nop"}), checker)
+            syntactic_accuracy({"a": "nop"}, checker)
 
     def test_snippet_to_source_expands_marker(self):
         source = snippet_to_source("push eax \\n pop ebx", "{code}\n")
@@ -257,7 +256,7 @@ class TestSyntaxChecker:
         script.write_text("#!/bin/sh\ngrep -q GOOD \"$1\"\n")
         script.chmod(script.stat().st_mode | stat.S_IEXEC)
         checker = CheckerConfig(template=f"{script} {{file}}", scaffold="{code}\n", workers=2)
-        preds = PredictionSet({"a": "GOOD code", "b": "BAD code", "c": ""})
+        preds = {"a": "GOOD code", "b": "BAD code", "c": ""}
         got = syntactic_accuracy(preds, checker)
         assert got.verdicts == {"a": True, "b": False, "c": False}
         assert got.accuracy == pytest.approx(1 / 3)
@@ -270,21 +269,21 @@ class TestSyntaxChecker:
         checker = CheckerConfig(
             template=f"{script} {{file}}", scaffold="{code}\n", timeout=0.2, workers=1
         )
-        got = syntactic_accuracy(PredictionSet({"a": "nop"}), checker)
+        got = syntactic_accuracy({"a": "nop"}, checker)
         assert got.verdicts == {"a": False}
         assert "timed out" in got.diagnostics["a"]
 
     @pytest.mark.skipif(not HAVE_ASSEMBLER, reason="no x86 assembler installed")
     def test_real_assembler_accepts_references(self, demo_corpus):
         checker = detect_checker()
-        preds = PredictionSet({s.id: s.snippet for s in demo_corpus.samples[:20]})
+        preds = {s.id: s.snippet for s in demo_corpus.samples[:20]}
         got = syntactic_accuracy(preds, checker)
         assert got.accuracy == 1.0
 
     @pytest.mark.skipif(not HAVE_ASSEMBLER, reason="no x86 assembler installed")
     def test_real_assembler_rejects_malformed(self):
         checker = detect_checker()
-        preds = PredictionSet({"a": "xor ecx, ecx", "b": "xor ecx,"})
+        preds = {"a": "xor ecx, ecx", "b": "xor ecx,"}
         got = syntactic_accuracy(preds, checker)
         assert got.verdicts == {"a": True, "b": False}
         assert got.accuracy == 0.5
@@ -341,7 +340,7 @@ def seeded_mix(seed, corpus):
         else:
             text = rng.choice(["", "   ", " \\n "])
         entries[f"p{rng.randrange(10**6):06d}"] = text
-    return PredictionSet(entries)
+    return entries
 
 
 @pytest.mark.skipif(GNU_AS is None, reason="GNU as not installed")
@@ -362,7 +361,7 @@ class TestBatchedGnuAs:
         checker_runs.clear()
         got = syntactic_accuracy(preds, gas_checker("as", workers=2))
         assert got == expected
-        failing = [sid for sid, ok in expected.verdicts.items() if not ok and preds.entries[sid].strip()]
+        failing = [sid for sid, ok in expected.verdicts.items() if not ok and preds[sid].strip()]
         assert failing and any(expected.verdicts.values())
         # One batch fails on the mutants, the second proves the rest, and
         # only the mutants are assembled one by one.
@@ -370,7 +369,7 @@ class TestBatchedGnuAs:
         assert all("snippet.s:" in expected.diagnostics[sid] for sid in failing)
 
     def test_all_valid_needs_one_run(self, demo_corpus, checker_runs):
-        preds = PredictionSet({s.id: s.snippet for s in demo_corpus})
+        preds = {s.id: s.snippet for s in demo_corpus}
         got = syntactic_accuracy(preds, gas_checker("as", workers=2))
         assert got.accuracy == 1.0 and got.diagnostics == {}
         assert len(checker_runs) == 1
@@ -389,7 +388,7 @@ class TestBatchedGnuAs:
     )
     def test_adversarial_neighbors_match_standalone(self, entries, standalone):
         fillers = {"y1": "push eax", "y2": "xor ecx, ecx \\n inc ecx", "z": "pop ebx"}
-        preds = PredictionSet({**entries, **fillers})
+        preds = {**entries, **fillers}
         assert syntactic_accuracy(preds, gas_checker("as")) == syntactic_accuracy(preds, standalone)
 
 
@@ -420,9 +419,7 @@ class TestBatchedFakeAs:
     and ``gas`` (never batched); its log records how many code lines each
     run saw."""
 
-    PREDS = PredictionSet(
-        {"a": "nop", "b": "pushzz eax", "c": "push eax", "d": "", "e": "pop ebx"}
-    )
+    PREDS = {"a": "nop", "b": "pushzz eax", "c": "push eax", "d": "", "e": "pop ebx"}
 
     def fake(self, tmp_path, name, mode, timeout=10.0):
         folder = tmp_path / name
@@ -473,7 +470,7 @@ class TestBatchedFakeAs:
         script.write_text(f"#!/bin/sh\necho run >> {log}\ngrep -q GOOD \"$1\"\n")
         script.chmod(script.stat().st_mode | stat.S_IEXEC)
         checker = CheckerConfig(template=f"{script} {{file}}", scaffold=GAS_SCAFFOLD, workers=2)
-        preds = PredictionSet({"a": "GOOD code", "b": "BAD code", "c": "GOOD", "d": ""})
+        preds = {"a": "GOOD code", "b": "BAD code", "c": "GOOD", "d": ""}
         got = syntactic_accuracy(preds, checker)
         assert got.verdicts == {"a": True, "b": False, "c": True, "d": False}
         assert log.read_text().split() == ["run"] * 3

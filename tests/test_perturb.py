@@ -57,10 +57,9 @@ class TestEligibleWords:
     def test_unprotected_open_class_words(self, tagger, stopwords):
         import numpy as np
 
-        from perturbe.embedding import VectorStore
         from perturbe.vocab import Vocabulary
 
-        store = VectorStore({"clear": np.array([1.0, 0.0]), "contents": np.array([0.0, 1.0])})
+        store = helpers.store_of({"clear": np.array([1.0, 0.0]), "contents": np.array([0.0, 1.0])})
         vocab = Vocabulary(structure_words={"register"}, name_words={"EAX"})
         intent, tags = tagged("clear contents EAX register", tagger)
         assert eligible_words(intent.tokens, vocab, tags, store, stopwords) == {0, 1}
@@ -126,7 +125,7 @@ class TestSubstitution:
             tags = tagger.tag(original, sample_id=record.sample_id)
             for index in record.changed_positions:
                 old, new = original[index], perturbed[index]
-                sim = cosine(demo_store.vector(old), demo_store.vector(new))
+                sim = cosine(helpers.row_of(demo_store, old), helpers.row_of(demo_store, new))
                 assert sim >= cfg.tau - 1e-9
                 assert tagger.lexical_tag(new) is tags[index]
 

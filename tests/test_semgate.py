@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perturbe.embedding import MeanVectorEncoder, PrecomputedEncoder, VectorStore
+from perturbe.embedding import MeanVectorEncoder, PrecomputedEncoder
 from perturbe.errors import ConfigError, DataError
 from perturbe.perturb import (
     GATE_FAIL,
@@ -38,7 +38,7 @@ def make_record(sample_id="s", original="a b", perturbed="a c", similarity=None)
 
 class TestScore:
     def test_identical_token_multisets_score_one(self):
-        store = VectorStore({"push": np.array([1.0, 2.0]), "eax": np.array([0.5, 1.0])})
+        store = helpers.store_of({"push": np.array([1.0, 2.0]), "eax": np.array([0.5, 1.0])})
         encoder = MeanVectorEncoder(store)
         record = make_record(original="push eax", perturbed="eax push")
         [scored] = score_records([record], encoder)
@@ -46,7 +46,7 @@ class TestScore:
 
     def test_two_token_omission_hand_computed(self):
         # removing "b" ([1, 0.1]-ish direction close to the mean) keeps sim near 1
-        store = VectorStore({"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.1])})
+        store = helpers.store_of({"a": np.array([1.0, 0.0]), "b": np.array([1.0, 0.1])})
         encoder = MeanVectorEncoder(store)
         record = PerturbationRecord(
             sample_id="s",
@@ -67,8 +67,8 @@ class TestScore:
         encoder = MeanVectorEncoder(golden_store)
         record = make_record(original="store value", perturbed="save value")
         [scored] = score_records([record], encoder)
-        v_store = golden_store.vector("store")
-        v_save = golden_store.vector("save")
+        v_store = helpers.row_of(golden_store, "store")
+        v_save = helpers.row_of(golden_store, "save")
         # "value" has no vector in the golden store, so the mean is one word
         expected = float(
             np.dot(v_store, v_save) / (np.linalg.norm(v_store) * np.linalg.norm(v_save))
@@ -77,18 +77,17 @@ class TestScore:
         assert scored.similarity == pytest.approx(0.90, abs=1e-9)
 
     def test_all_oov_flags_unevaluable(self):
-        store = VectorStore({"x": np.array([1.0])})
+        store = helpers.store_of({"x": np.array([1.0])})
         encoder = MeanVectorEncoder(store)
         [scored] = score_records([make_record(original="q w", perturbed="q z")], encoder)
         assert math.isnan(scored.similarity)
         assert scored.gate_pass == "unevaluated"
 
     def test_similarity_clipped_to_unit_interval(self):
-        store = VectorStore({"a": np.array([1.0, 0.0]), "z": np.array([-1.0, 0.0])})
+        store = helpers.store_of({"a": np.array([1.0, 0.0]), "z": np.array([-1.0, 0.0])})
         encoder = MeanVectorEncoder(store)
         [scored] = score_records([make_record(original="a", perturbed="z")], encoder)
         assert scored.similarity == 0.0
-        assert scored.raw_similarity == pytest.approx(-1.0)  # raw kept internally
 
 
 class TestGate:
@@ -195,7 +194,7 @@ class CountingEncoder:
 
 
 def bits(record):
-    return record.similarity.hex(), record.raw_similarity.hex()
+    return record.similarity.hex()
 
 
 @pytest.fixture(scope="module")
@@ -252,7 +251,7 @@ class TestScoreRecordsMemo:
         assert encoder.oov_skipped == expected
 
     def test_unencodable_original_is_nan_for_every_kind(self):
-        store = VectorStore({"push": np.array([1.0, 2.0]), "eax": np.array([0.5, 1.0])})
+        store = helpers.store_of({"push": np.array([1.0, 2.0]), "eax": np.array([0.5, 1.0])})
         encoder = CountingEncoder(MeanVectorEncoder(store))
         records = [
             PerturbationRecord("s", kind, "frob the quux", f"frob {kind.value}", [1])
@@ -261,7 +260,6 @@ class TestScoreRecordsMemo:
         records.insert(1, make_record(sample_id="t", original="push eax", perturbed="push"))
         scored = score_records(records, encoder)
         assert [math.isnan(r.similarity) for r in scored] == [True, False, True, True]
-        assert all(math.isnan(r.raw_similarity) for r in scored if r.sample_id == "s")
         assert encoder.calls[("s", "frob the quux")] == 1
         assert not any(key.startswith("s#") for key, _ in encoder.calls)
         passed, failed = gate(scored, GateConfig(threshold=0.0))
@@ -297,7 +295,7 @@ class TestScoreRecordsMemo:
             for kind in (PerturbKind.OMIT_ACTION, PerturbKind.OMIT_STRUCTURE, PerturbKind.OMIT_NAME)
         ]
         scored = score_records(records, encoder)
-        sims = [r.raw_similarity for r in scored]
+        sims = [r.similarity for r in scored]
         assert sims[0] == pytest.approx(math.sqrt(0.5))
         assert math.isnan(sims[1])  # no embedding for s1#omit-structure
         assert sims[2] == 0.0

@@ -253,6 +253,7 @@ class TestSerialization:
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "vocab.json"
-        path.write_text("{not json")
-        with pytest.raises(DataError):
-            load_vocabulary(path)
+        for text, reason in (("{not json", "invalid JSON"), ("5", "expected a JSON object")):
+            path.write_text(text)
+            with pytest.raises(DataError, match=reason):
+                load_vocabulary(path)
