@@ -3,9 +3,9 @@
 Augmentation never grows a dataset: exactly round(p * N) samples have their
 intent replaced by a gate-passing perturbed version; snippets are never
 touched. The experiment matrix materializes the cells behind the three
-research questions (perturbed-test robustness, augmented training against
-perturbed tests, augmented training against the original test) and writes
-a manifest whose digest is reproducible for a fixed seed.
+research questions from one augmentation per family, split and ratio, so
+cells that share a split share its file, and writes a manifest whose digest
+is reproducible for a fixed seed.
 """
 
 from __future__ import annotations
@@ -50,11 +50,6 @@ class AugmentPlan:
         if not (0.0 <= self.ratio_p <= 1.0):
             raise ConfigError(f"augmentation ratio must be in [0, 1], got {self.ratio_p}")
 
-    def matching_kinds(self) -> set[PerturbKind]:
-        if isinstance(self.kind, KindFamily):
-            return _FAMILY_KINDS[self.kind]
-        return {self.kind}
-
 
 @dataclass
 class ExperimentCell:
@@ -76,36 +71,17 @@ def augment_split(
     """Replace the intents of exactly round(p * N) seeded-chosen samples.
 
     All records must have passed the gate. When the plan names a kind
-    family, the variant used for each chosen sample is drawn uniformly among
-    the categories that have a passing record for it. This is
-    ``_index_passed`` followed by ``_materialize``; ``build_matrix`` indexes
-    each split's records once per family and materializes every cell from
-    that index.
+    family, each chosen sample's variant is drawn uniformly among the kinds
+    that have a passing record for it. The draws depend on the plan's seed
+    and kind only, never on the split's name. Samples not chosen are kept.
     """
-    return _materialize(split, _index_passed(records, plan.matching_kinds()), plan)
-
-
-def _index_passed(
-    records: list[PerturbationRecord], kinds: set[PerturbKind]
-) -> dict[str, dict[str, PerturbationRecord]]:
-    """sample id -> kind value -> record, for the records of the given kinds.
-    Every record, of any kind, must have passed the gate."""
+    _require_passed(records)
+    kinds = _FAMILY_KINDS.get(plan.kind, {plan.kind})
     by_id: dict[str, dict[str, PerturbationRecord]] = {}
     for record in records:
-        if record.gate_pass != GATE_PASS:
-            raise DataError(
-                f"record {record.sample_id!r} ({record.kind.value}) has not passed the gate"
-            )
         if record.kind in kinds:
             by_id.setdefault(record.sample_id, {})[record.kind.value] = record
-    return by_id
 
-
-def _materialize(
-    split: Corpus, by_id: dict[str, dict[str, PerturbationRecord]], plan: AugmentPlan
-) -> Corpus:
-    """The split with round(p * N) seeded-chosen intents replaced from an
-    ``_index_passed`` index. Samples not chosen are kept as they are."""
     need = round_half_away(plan.ratio_p * len(split))
     split_ids = set(split.ids())
     covered = sorted(sid for sid in by_id if sid in split_ids)
@@ -116,7 +92,8 @@ def _materialize(
             f"(short by {need - len(covered)})"
         )
 
-    rng = random.Random(plan.seed)
+    # Derived, so the draws are independent of split_corpus's Random(seed).
+    rng = random.Random(stable_seed(plan.seed, "augment", plan.kind.value))
     chosen = set(rng.sample(covered, need))
     replacement: dict[str, PerturbationRecord] = {}
     for sid in sorted(chosen):
@@ -132,6 +109,14 @@ def _materialize(
         else:
             out.append(Sample(id=sample.id, intent=record.perturbed_intent, snippet=sample.snippet))
     return Corpus(out, name=split.name)
+
+
+def _require_passed(records: list[PerturbationRecord]) -> None:
+    for record in records:
+        if record.gate_pass != GATE_PASS:
+            raise DataError(
+                f"record {record.sample_id!r} ({record.kind.value}) has not passed the gate"
+            )
 
 
 def vocab_growth(variants: list[Corpus], stoplist: set[str]) -> list[int]:
@@ -173,19 +158,19 @@ def build_matrix(
     """Materialize every experiment cell under out_dir and write a manifest.
 
     Returns the cells and the manifest digest. Reruns with identical inputs
-    and seed produce byte-identical trees and digests. Each split's records
-    are checked and indexed once per family, when a cell first needs them,
-    and every cell split is materialized from that index; the result equals
-    one ``augment_split`` call per cell split.
+    and seed produce byte-identical trees and digests. Every record is
+    checked before the first file is written. Each distinct (family, split,
+    p > 0) is augmented once, by ``augment_split`` with ``seed``, and written
+    to every cell that uses it; a split at p = 0 is written as given.
     """
     for name in ("train", "val", "test"):
         if name not in splits:
             raise ConfigError(f"missing split {name!r}")
+    for name in splits:
+        _require_passed(records_by_split.get(name, []))
     out_dir = Path(out_dir)
     cells: list[ExperimentCell] = []
-    # (split, family) -> index of that split's records of that family. The
-    # "none" cells index the substitution family, as augment_split would.
-    indexes: dict[tuple[str, KindFamily], dict[str, dict[str, PerturbationRecord]]] = {}
+    augmented: dict[tuple[str, str, float], Corpus] = {}
     for kind_label, train_p, test_p in _cell_inventory(kinds, ratios):
         cell_id = _cell_id(kind_label, train_p, test_p)
         cell_dir = out_dir / "cells" / cell_id
@@ -193,25 +178,16 @@ def build_matrix(
         cell = ExperimentCell(
             cell_id=cell_id, kind=kind_label, train_ratio_p=train_p, test_ratio_p=test_p
         )
-        family = KindFamily(kind_label) if kind_label != "none" else None
         for split_name, split in splits.items():
-            if family is None or (split_name == "val" and not apply_to_validation):
+            p = test_p if split_name == "test" else train_p
+            if split_name == "val" and not apply_to_validation:
                 p = 0.0
-            elif split_name == "test":
-                p = test_p
-            else:
-                p = train_p
-            plan_kind = family if family is not None else KindFamily.SUBSTITUTION
-            plan = AugmentPlan(
-                ratio_p=p, kind=plan_kind, seed=stable_seed(seed, cell_id, split_name)
-            )
-            by_id = indexes.get((split_name, plan_kind))
-            if by_id is None:
-                by_id = _index_passed(records_by_split.get(split_name, []), plan.matching_kinds())
-                indexes[(split_name, plan_kind)] = by_id
-            materialized = _materialize(split, by_id, plan)
+            key = (kind_label, split_name, p)
+            if p > 0.0 and key not in augmented:
+                plan = AugmentPlan(ratio_p=p, kind=KindFamily(kind_label), seed=seed)
+                augmented[key] = augment_split(split, records_by_split.get(split_name, []), plan)
             target = cell_dir / f"{split_name}.jsonl"
-            save_corpus(materialized, target)
+            save_corpus(augmented.get(key, split), target)
             cell.paths[split_name] = str(target.relative_to(out_dir))
             cell.digests[split_name] = sha256_file(target)
         cells.append(cell)
@@ -234,7 +210,6 @@ def build_matrix(
     }
     digest = sha256_text(canonical_json(manifest))
     manifest["digest"] = digest
-    out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
     )

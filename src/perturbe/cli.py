@@ -8,8 +8,8 @@ produce byte-identical output trees.
 ``perturb_split``, ``score_records`` and ``gate``), so chaining ``split``,
 ``build-vocab`` on the full corpus, ``perturb`` for each kind in the order
 subst-constrained, omit-action, omit-structure, omit-name, and ``gate``
-reproduces its vocabulary and records byte for byte. Its augmentation seeds
-are derived per cell and split.
+reproduces its vocabulary and records byte for byte. ``augment`` of a split
+with the config's seed, a family and a p > 0 writes every cell file of those.
 
 A corpus path ending in ``.csv`` (any case) is CSV, any other JSONL. Every
 tagger takes its register list from the vocabulary, which records it.
@@ -221,21 +221,14 @@ def _cmd_gate(args) -> int:
     return 0
 
 
-def _parse_plan_kind(text: str):
-    try:
-        return augment_mod.KindFamily(text)
-    except ValueError:
-        pass
-    try:
-        return perturb_mod.PerturbKind(text)
-    except ValueError as exc:
-        raise ConfigError(f"unknown perturbation kind or family {text!r}") from exc
+# What `augment --kind` names: a family, or a single perturbation kind.
+_PLAN_KINDS = {k.value: k for k in (*augment_mod.KindFamily, *perturb_mod.PerturbKind)}
 
 
 def _cmd_augment(args) -> int:
     split = corpus_mod.load_corpus(args.split)
     records = perturb_mod.read_records(args.records)
-    plan = augment_mod.AugmentPlan(ratio_p=args.p, kind=_parse_plan_kind(args.kind), seed=args.seed)
+    plan = augment_mod.AugmentPlan(ratio_p=args.p, kind=_PLAN_KINDS[args.kind], seed=args.seed)
     augmented = augment_mod.augment_split(split, records, plan)
     out = Path(args.out)
     corpus_mod.save_corpus(augmented, out)
@@ -264,7 +257,10 @@ def _families(text: str) -> list[augment_mod.KindFamily]:
 
 def _augment_ratios(text: str) -> list[float]:
     family = augment_mod.KindFamily.SUBSTITUTION  # AugmentPlan checks each ratio
-    return [augment_mod.AugmentPlan(p, family).ratio_p for p in _parse_floats(text)]
+    ratios = [augment_mod.AugmentPlan(p, family).ratio_p for p in _parse_floats(text)]
+    if len({round(p * 100) for p in ratios}) < len(set(ratios)):
+        raise ValueError(f"two ratios in {text!r} share a cell id, which names p in whole percents")
+    return ratios
 
 
 def _true_or_false(text: str) -> bool:
@@ -429,10 +425,39 @@ def _cmd_evaluate(args) -> int:
     return 0
 
 
+def _is_number(value, *also) -> bool:
+    """Whether ``value`` is a JSON number (a bool is not one) or one of ``also``."""
+    return value in also or (isinstance(value, (int, float)) and not isinstance(value, bool))
+
+
+def _is_cohorts(value) -> bool:
+    return isinstance(value, dict) and all(
+        isinstance(c, dict) and all(_is_number(v, None) for v in c.values())
+        for c in value.values()
+    )
+
+
+# The metrics.json keys `report` reads: a test that a present value must
+# pass, and what that test asks for.
+_REPORT_KEYS = {
+    "model": (lambda v: isinstance(v, str), "a string"),
+    "kind": (lambda v: isinstance(v, str), "a string"),
+    "train_p": (_is_number, "a number"),
+    "test_p": (_is_number, "a number"),
+    "syn": (lambda v: _is_number(v, None), "a number or null"),
+    "sem": (lambda v: _is_number(v, None), "a number or null"),
+    "rob": (lambda v: _is_number(v, None, "undefined"), 'a number, null or "undefined"'),
+    "sem_cohorts": (_is_cohorts, "an object of objects of numbers or nulls"),
+}
+
+
 def _cmd_report(args) -> int:
     cells = []
     for path in args.metrics:
         payload = read_json_object(path)
+        for key, (valid, what) in _REPORT_KEYS.items():
+            if key in payload and not valid(payload[key]):
+                raise DataError(f"{path}: {key!r} must be {what}")
         rob = payload.get("rob")
         cells.append(
             metrics_mod.CellMetrics(
@@ -539,7 +564,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", required=True)
     p.add_argument("--records", required=True, help="gate-passing records")
     p.add_argument("--p", type=float, required=True)
-    p.add_argument("--kind", required=True, help="kind or family (substitution/omission)")
+    p.add_argument("--kind", required=True, choices=_PLAN_KINDS, help="kind or family")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True)
 

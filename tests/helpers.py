@@ -408,9 +408,13 @@ def reference_cosine(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def reference_augment_split(split: Corpus, records, plan: AugmentPlan) -> Corpus:
-    """Check and index the records, choose round(p * N) samples, and rebuild
-    every sample of the split."""
-    wanted_kinds = plan.matching_kinds()
+    """Check and index the records, choose round(p * N) samples with an RNG
+    seeded from the plan's seed and kind, and rebuild every sample of the split."""
+    if isinstance(plan.kind, KindFamily):
+        prefix = {KindFamily.SUBSTITUTION: "subst-", KindFamily.OMISSION: "omit-"}[plan.kind]
+        wanted_kinds = {kind for kind in PerturbKind if kind.value.startswith(prefix)}
+    else:
+        wanted_kinds = {plan.kind}
     by_id = {}
     for record in records:
         if record.gate_pass != GATE_PASS:
@@ -430,7 +434,7 @@ def reference_augment_split(split: Corpus, records, plan: AugmentPlan) -> Corpus
             f"(short by {need - len(covered)})"
         )
 
-    rng = random.Random(plan.seed)
+    rng = random.Random(stable_seed(plan.seed, "augment", plan.kind.value))
     chosen = set(rng.sample(covered, need))
     replacement = {}
     for sid in sorted(chosen):
@@ -475,9 +479,7 @@ def reference_build_matrix(
             else:
                 p = train_p
             plan_kind = family if family is not None else KindFamily.SUBSTITUTION
-            plan = AugmentPlan(
-                ratio_p=p, kind=plan_kind, seed=stable_seed(seed, cell_id, split_name)
-            )
+            plan = AugmentPlan(ratio_p=p, kind=plan_kind, seed=seed)
             materialized = reference_augment_split(
                 split, records_by_split.get(split_name, []), plan
             )

@@ -446,12 +446,14 @@ class TestCriterion7Determinism:
         self._check_chain(tmp_path / "custom", demo_corpus, seed, custom, ratios="0,0.5")
         shipped_records = (tmp_path / "shipped" / "out" / "records_train.jsonl").read_bytes()
         assert (tmp_path / "custom" / "out" / "records_train.jsonl").read_bytes() != shipped_records
-        announce(7, "split, build-vocab, perturb and gate chained reproduce matrix byte for byte")
+        announce(7, "split, build-vocab, perturb, gate and augment chained reproduce matrix")
 
     @staticmethod
     def _check_chain(root, demo_corpus, seed, files, ratios="0,0.25,0.5,1.0"):
         """Run matrix with the config's ``files`` keys, then the subcommand
-        chain with the same files, and compare their outputs."""
+        chain with the same files, and compare their outputs: ``augment`` runs
+        once for each (family, split, p > 0) and must equal every cell file
+        that uses it."""
         root.mkdir()
         corpus_path, vectors_path, config = _write_matrix_inputs(
             root, list(demo_corpus.samples), seed, ratios
@@ -483,9 +485,29 @@ class TestCriterion7Determinism:
             matrix_records = (out / f"records_{name}.jsonl").read_bytes()
             assert matrix_records
             assert passed == matrix_records, (root.name, name)
+            (chain / f"{name}.passed.jsonl").write_bytes(passed)
             cell_split = out / "cells" / "none_train000_test000" / f"{name}.jsonl"
             assert (splits / f"{name}.jsonl").read_bytes() == cell_split.read_bytes(), name
         assert vocab_path.read_bytes() == (out / "vocab.json").read_bytes()
+
+        augmented = {}  # (family, split, p) -> the augment output
+        for cell in json.loads((out / "manifest.json").read_text())["cells"]:
+            for name, rel in cell["paths"].items():
+                p = cell["test_p"] if name == "test" else cell["train_p"]
+                if p == 0.0:
+                    continue
+                key = (cell["kind"], name, p)
+                if key not in augmented:
+                    target = chain / "augment" / f"{cell['kind']}_{name}_{p}.jsonl"
+                    assert cli_main(["augment", "--split", str(splits / f"{name}.jsonl"),
+                                     "--records", str(chain / f"{name}.passed.jsonl"),
+                                     "--p", str(p), "--kind", cell["kind"], "--seed", str(seed),
+                                     "--out", str(target)]) == 0
+                    augmented[key] = target.read_bytes()
+                assert augmented[key] == (out / rel).read_bytes(), (root.name, cell["id"], name)
+        # Per family: the test split at p = 1, train and val at each p > 0.
+        positive = [r for r in ratios.split(",") if float(r) > 0]
+        assert len(augmented) == 2 * (1 + 2 * len(positive))
 
 
 class TestCriterion8SyntaxChecker:

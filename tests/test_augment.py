@@ -256,7 +256,7 @@ def _tree(root):
 
 
 class TestBuildMatrixDifferential:
-    """build_matrix indexes each split's records once per family; the cells
+    """build_matrix augments each distinct (family, split, p) once; the cells
     must equal one reference augment_split per cell split, byte for byte."""
 
     KINDS = [KindFamily.SUBSTITUTION, KindFamily.OMISSION]
@@ -313,7 +313,7 @@ class TestBuildMatrixDifferential:
             helpers.reference_build_matrix(splits, broken, self.KINDS, [0.0, 0.5], 11, tmp_path / "ref")
         assert str(new.value) == str(ref.value)
         assert "has not passed the gate" in str(new.value)
-        assert _tree(tmp_path / "new") == _tree(tmp_path / "ref")
+        assert not (tmp_path / "new").exists()  # checked before any cell file
 
     def test_unreplaced_samples_are_kept_as_given(self, demo_matrix_inputs):
         splits, records = demo_matrix_inputs
@@ -324,3 +324,34 @@ class TestBuildMatrixDifferential:
         for before, after, same in zip(train, out, kept):
             assert (after.intent == before.intent) == same
             assert after.snippet == before.snippet
+
+
+class TestSharedCellSplits:
+    """One augmentation per (family, split, p): cells that use it hold the
+    same file, whatever their cell ids."""
+
+    KINDS = [KindFamily.SUBSTITUTION, KindFamily.OMISSION]
+
+    def _cell_files(self, tmp_path, demo_matrix_inputs):
+        splits, records = demo_matrix_inputs
+        build_matrix(splits, records, self.KINDS, [0.0, 0.25, 0.5, 1.0], 11, tmp_path)
+        return _tree(tmp_path / "cells")
+
+    def test_test100_cells_share_one_test_split(self, tmp_path, demo_matrix_inputs):
+        tree = self._cell_files(tmp_path, demo_matrix_inputs)
+        for family in self.KINDS:
+            tests = {
+                name: data for name, data in tree.items()
+                if name.startswith(f"{family.value}_") and name.endswith("_test100/test.jsonl")
+            }
+            assert len(tests) == 4
+            assert len(set(tests.values())) == 1, family
+            assert tree["none_train000_test000/test.jsonl"] not in tests.values()
+
+    def test_train50_cells_share_train_and_val(self, tmp_path, demo_matrix_inputs):
+        tree = self._cell_files(tmp_path, demo_matrix_inputs)
+        for family in self.KINDS:
+            for split_name in ("train", "val"):
+                original = tree[f"{family.value}_train050_test000/{split_name}.jsonl"]
+                assert original == tree[f"{family.value}_train050_test100/{split_name}.jsonl"]
+                assert original != tree[f"none_train000_test000/{split_name}.jsonl"]

@@ -10,7 +10,7 @@ import pytest
 
 import perturbe
 from perturbe._util import read_data_lines, sha256_file
-from perturbe.cli import build_parser, main, read_config
+from perturbe.cli import _MATRIX_KEYS, build_parser, main, read_config
 from perturbe.corpus import SplitSpec, load_corpus, save_corpus
 from perturbe.metrics import CheckerConfig, detect_checker
 from perturbe.perturb import SubstitutionConfig
@@ -340,6 +340,13 @@ class TestAugmentCommand:
         assert changed == 67  # round(0.5 * 133) half away from zero
         assert [s.snippet for s in augmented] == [s.snippet for s in base]
 
+    def test_unknown_kind_exit_1(self, workdir, tmp_path, capsys):
+        assert run(
+            "augment", "--split", workdir / "corpus.jsonl", "--records", workdir / "none.jsonl",
+            "--p", "0.5", "--kind", "bogus", "--seed", 3, "--out", tmp_path / "aug.jsonl",
+        ) == 1
+        assert "argument --kind: invalid choice: 'bogus'" in capsys.readouterr().err
+
 
 class TestMatrix:
     def write_config(self, workdir, out_dir, seed=5):
@@ -440,6 +447,13 @@ class TestMatrix:
         assert "unknown matrix config key(s): gate.treshold, subst.tua" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_readme_key_table_names_every_matrix_key(self):
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        table = readme.split("| Key | Default | Meaning |\n", 1)[1].split("\n\n", 1)[0]
+        rows = table.splitlines()[1:]  # below the | --- | rule
+        keys = [row.split("|")[1].strip().strip("`") for row in rows]
+        assert keys == list(_MATRIX_KEYS)
+
     def test_matrix_accepts_every_known_key(self, workdir, tmp_path):
         # Every key set to the value matrix uses when it is absent.
         shipped = {}
@@ -479,6 +493,7 @@ class TestMatrix:
             ("apply_to_validation", "nope"),
             ("split.ratios", "0.8,0.2"),
             ("ratios", "0,0.5,2"),
+            ("ratios", "0.33,0.333"),  # both would be cells *_train033_test100
             ("vocab.threshold", "nan"),
             ("vocab.threshold", "-1"),
         ],
@@ -672,6 +687,25 @@ class TestEvaluate:
         metrics.write_text(text)
         assert run("report", "--metrics", metrics, "--out-dir", tmp_path / "rep") == 2
         assert capsys.readouterr().err == f"data error: {metrics}: {reason}\n"
+
+    @pytest.mark.parametrize(
+        "payload, reason",
+        [
+            ({"model": "m", "train_p": "x"}, "'train_p' must be a number"),
+            ({"model": "m", "syn": "high"}, "'syn' must be a number or null"),
+            ({"model": "m", "test_p": True}, "'test_p' must be a number"),
+            ({"model": "m", "rob": "none"}, "'rob' must be a number, null or \"undefined\""),
+            ({"model": 3}, "'model' must be a string"),
+            ({"sem_cohorts": {"multi-line": {"n": "2"}}}, "'sem_cohorts' must be an object of"),
+        ],
+    )
+    def test_report_rejects_a_mistyped_metric(self, tmp_path, capsys, payload, reason):
+        good, bad = tmp_path / "good.json", tmp_path / "bad.json"
+        good.write_text(json.dumps({"model": "m", "syn": 0.5, "rob": "undefined"}))
+        bad.write_text(json.dumps(payload))
+        assert run("report", "--metrics", good, bad, "--out-dir", tmp_path / "rep") == 2
+        assert capsys.readouterr().err.startswith(f"data error: {bad}: {reason}")
+        assert not (tmp_path / "rep").exists()
 
 
 class TestCsvCorpus:

@@ -1,5 +1,6 @@
 """Property tests over the CLI's configuration surface."""
 
+import json
 import tempfile
 from pathlib import Path
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from perturbe._util import sha256_file
 from perturbe.cli import _MATRIX_KEYS, main
 from perturbe.corpus import Corpus, save_corpus
 
@@ -23,6 +25,12 @@ _JUNK = st.one_of(
     st.integers(min_value=-(2**70), max_value=2**70).map(str),
     st.floats().map(str),
 )
+# Augmentation ratios in [0, 1], as any float or in thousandths as configs
+# write them; two may share a cell id, which names p in whole percents.
+_RATIO = st.one_of(
+    st.floats(min_value=0.0, max_value=1.0), st.integers(0, 1000).map(lambda n: n / 1000)
+)
+_RATIOS = st.lists(_RATIO, max_size=4).map(lambda ratios: ",".join(map(str, ratios)))
 _PATH_KEYS = ("corpus", "vectors", "stopwords", "registers", "comparison", "tag_lexicon")
 # A value each key accepts; a path key's value is relative to the inputs.
 _VALID = {
@@ -57,9 +65,9 @@ def matrix_inputs(tmp_path_factory):
 
 @st.composite
 def _config_values(draw):
-    """Every key at its valid value, except up to two that are absent (None)
-    or hold drawn text or numbers."""
-    values = dict(_VALID)
+    """Every key at its valid value, except drawn ``ratios`` and up to two
+    keys that are absent (None) or hold drawn text or numbers."""
+    values = dict(_VALID, ratios=draw(_RATIOS))
     for key in draw(st.lists(st.sampled_from(sorted(_VALID)), max_size=2, unique=True)):
         values[key] = draw(st.one_of(st.none(), _JUNK))
     return values
@@ -71,7 +79,7 @@ def test_valid_values_cover_every_key():
 
 @settings(
     derandomize=True,
-    max_examples=40,
+    max_examples=80,
     deadline=None,
     suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
 )
@@ -89,4 +97,12 @@ def test_matrix_never_ends_in_a_traceback(matrix_inputs, values):
             lines.append(f"{key} = {value}\n")
         config = Path(tmp) / "exp.cfg"
         config.write_text("".join(lines), "utf-8")
-        assert main(["matrix", "--config", str(config)]) in (0, 1, 2)
+        code = main(["matrix", "--config", str(config)])
+        assert code in (0, 1, 2)
+        if code == 0:
+            out = Path(f"{tmp}/out/{values['out_dir']}")
+            cells = json.loads((out / "manifest.json").read_text())["cells"]
+            assert len({cell["id"] for cell in cells}) == len(cells)
+            for cell in cells:
+                for split_name, rel in cell["paths"].items():
+                    assert sha256_file(out / rel) == cell["sha256"][split_name]
