@@ -258,6 +258,8 @@ def _families(text: str) -> list[augment_mod.KindFamily]:
 def _augment_ratios(text: str) -> list[float]:
     family = augment_mod.KindFamily.SUBSTITUTION  # AugmentPlan checks each ratio
     ratios = [augment_mod.AugmentPlan(p, family).ratio_p for p in _parse_floats(text)]
+    if not ratios:
+        raise ValueError("expected at least one ratio")
     if len({round(p * 100) for p in ratios}) < len(set(ratios)):
         raise ValueError(f"two ratios in {text!r} share a cell id, which names p in whole percents")
     return ratios

@@ -6,22 +6,28 @@ Semantic correctness is a human judgment consumed as a label file; the
 exact-match proxy here is a clearly-labeled automatic lower bound, never a
 silent substitute.
 
-Syntactic accuracy runs the checker once per snippet, each wrapped in its
-scaffold, in a temporary file. A diagnostic is the checker's last stderr
-line with that file's path replaced by ``snippet<suffix>`` (``snippet.s``
-for GNU as), so verdict files are byte-identical across runs. When the
-checker is GNU ``as`` (argv0's basename is ``as``) with ``GAS_SCAFFOLD``,
-passing snippets are first proven in bulk: every snippet made only of
-letters, digits, ``_ , + - * [ ] ( )``, blanks and newlines goes into one
-file under a single scaffold header. These characters cannot spell a label,
-a symbol assignment, a directive, a comment, a string or a statement
-separator, so no snippet in the file can change how another assembles, and
-an exit status of 0 proves every one of them passes. On failure the snippets
-that the ``snippet.s:<line>: Error:`` lines point at are dropped and the
-rest are assembled once more. A second failure, a timeout or a stderr line
-that names no snippet proves nothing. Every snippet not proven this way gets
-the standalone check, so each failing verdict and each diagnostic comes from
-a standalone run. NASM is never batched.
+Syntactic accuracy checks each snippet wrapped in its scaffold, in a
+temporary file. A diagnostic is the checker's last stderr line with that
+file's path replaced by ``snippet<suffix>`` (``snippet.s`` for GNU as), so
+verdict files are byte-identical across runs. When the checker is GNU ``as``
+(argv0's basename is ``as``) with ``GAS_SCAFFOLD``, snippets are first
+settled in bulk: every snippet made only of letters, digits,
+``_ , + - * [ ] ( )``, blanks and newlines goes into one file under a single
+scaffold header. These characters cannot spell a label, a symbol
+assignment, a directive, a comment, a string or a statement separator, so
+no snippet in the file can change how another assembles. Each
+``snippet.s:<n>: Error:`` or ``Warning:`` line of that run is mapped to a
+snippet and a line within it. A snippet an error line points at fails, and
+its diagnostic is its last message in stderr order, renumbered to
+``snippet.s:<first_line + i>``: line ``i`` of the snippet sits there in its
+own scaffolded file. GNU as prints parse-phase messages in line order and
+write-phase messages after them, so one snippet's messages keep their order
+in the batch, and this is the line a standalone run ends with. The other
+snippets are assembled once more, and only an exit status of 0 there makes
+the verdicts of both runs count. A timeout, a stderr line that names no
+snippet, a second failure or a batch of fewer than two snippets settles
+nothing. Every snippet not settled this way gets the standalone check, the
+reference path: one checker run per snippet. NASM is never batched.
 """
 
 from __future__ import annotations
@@ -171,61 +177,72 @@ def _check_standalone(prediction: str, checker: CheckerConfig) -> tuple[bool, st
 
 def _batch_failures(
     batch: list[tuple[str, str]], checker: CheckerConfig
-) -> set[str] | None:
+) -> dict[str, str] | None:
     """Assemble every (id, code) pair in one file under the scaffold header.
-    Returns the ids that the error lines point at (empty when the file
-    assembles), or None when the run proves nothing: a timeout, or a failure
-    with a stderr line that names no snippet."""
+    Returns the diagnostic of each snippet that an error line points at
+    (empty when the file assembles), or None when the run proves nothing: a
+    timeout, or a failure with a stderr line that names no snippet."""
     header, _, footer = checker.scaffold.partition("{code}")
-    owner: list[str] = []  # owner[i]: the id whose code is on line i + first_line
-    for sample_id, code in batch:
-        owner.extend([sample_id] * (code.count("\n") + 1))
     first_line = header.count("\n") + 1
+    place: list[tuple[str, int]] = []  # place[k]: (id, line in its snippet) of line k + first_line
+    for sample_id, code in batch:
+        place.extend((sample_id, i) for i in range(code.count("\n") + 1))
     status, stderr = _assemble(header + "\n".join(code for _, code in batch) + footer, checker)
     if status == 0:
-        return set()
+        return {}
     if status is None:
         return None
-    name = re.escape("snippet" + checker.file_suffix)
-    message = re.compile(rf"{name}: Assembler messages:|{name}:(\d+): (Error|Warning): .*")
+    name = "snippet" + checker.file_suffix
+    message = re.compile(
+        rf"{re.escape(name)}: Assembler messages:|{re.escape(name)}:(\d+): ((Error|Warning): .*)"
+    )
+    last: dict[str, str] = {}
     failed: set[str] = set()
     for line in stderr.splitlines():
         match = message.fullmatch(line)
         if match is None:
             return None
-        if match.group(2) == "Error":
-            index = int(match.group(1)) - first_line
-            if not 0 <= index < len(owner):
-                return None
-            failed.add(owner[index])
-    return failed or None
+        if match.group(1) is None:
+            continue
+        index = int(match.group(1)) - first_line
+        if not 0 <= index < len(place):
+            return None
+        sample_id, i = place[index]
+        last[sample_id] = f"{name}:{first_line + i}: {match.group(2)}".rstrip()
+        if match.group(3) == "Error":
+            failed.add(sample_id)
+    return {sample_id: last[sample_id] for sample_id in failed} or None
 
 
-def _prove_in_batch(preds: dict[str, str], checker: CheckerConfig) -> set[str]:
-    """Ids of the snippets that a batched GNU as run proves to pass."""
+def _check_in_batch(preds: dict[str, str], checker: CheckerConfig) -> dict[str, tuple[bool, str]]:
+    """Verdict and diagnostic of each snippet that batched GNU as runs settle."""
     batch = []
     for sample_id, prediction in sorted(preds.items()):
         code = _snippet_code(prediction)
         if prediction.strip() and _BATCHABLE_RE.fullmatch(code):
             batch.append((sample_id, code))
-    for _ in range(2):
-        if len(batch) < 2:
-            return set()
-        failed = _batch_failures(batch, checker)
-        if failed is None:
-            return set()
-        if not failed:
-            return {sample_id for sample_id, _ in batch}
-        batch = [item for item in batch if item[0] not in failed]
-    return set()
+    if len(batch) < 2:
+        return {}
+    failures = _batch_failures(batch, checker)
+    if failures is None:
+        return {}
+    rest = [item for item in batch if item[0] not in failures]
+    if failures and (len(rest) < 2 or _batch_failures(rest, checker) != {}):
+        return {}
+    settled = {sample_id: (True, "") for sample_id, _ in rest}
+    settled.update((sample_id, (False, diagnostic)) for sample_id, diagnostic in failures.items())
+    return settled
 
 
 def syntactic_accuracy(preds: dict[str, str], checker: CheckerConfig) -> SyntaxReport:
     """Fraction of predictions the external checker accepts (exit 0).
 
     Empty predictions count as incorrect without invoking the checker;
-    timeouts count as incorrect with a diagnostic. Snippets a batched GNU as
-    run proves (see the module docstring) skip their standalone run.
+    timeouts count as incorrect with a diagnostic. Snippets that batched GNU
+    as runs settle (see the module docstring) take their verdict and their
+    diagnostic from those runs, renumbered to their own file's lines; the
+    rest are checked standalone on a pool of ``checker.workers`` threads,
+    which is only built when some snippet needs it.
     """
     argv0 = shlex.split(checker.template)[0]
     if shutil.which(argv0) is None:
@@ -233,17 +250,18 @@ def syntactic_accuracy(preds: dict[str, str], checker: CheckerConfig) -> SyntaxR
     if not preds:
         raise DataError("empty prediction set")
 
-    proven = set()
+    settled: dict[str, tuple[bool, str]] = {}
     if os.path.basename(argv0) == "as" and checker.scaffold == GAS_SCAFFOLD:
-        proven = _prove_in_batch(preds, checker)
-    items = [item for item in sorted(preds.items()) if item[0] not in proven]
+        settled = _check_in_batch(preds, checker)
+    results = [(sample_id, *verdict) for sample_id, verdict in settled.items()]
+    items = [item for item in sorted(preds.items()) if item[0] not in settled]
 
     def check(item: tuple[str, str]) -> tuple[str, bool, str]:
         return (item[0], *_check_standalone(item[1], checker))
 
-    with ThreadPoolExecutor(max_workers=checker.workers) as pool:
-        results = list(pool.map(check, items))
-    results.extend((sample_id, True, "") for sample_id in proven)
+    if items:
+        with ThreadPoolExecutor(max_workers=checker.workers) as pool:
+            results.extend(pool.map(check, items))
 
     report = SyntaxReport(accuracy=0.0)
     for sample_id, ok, diagnostic in sorted(results):

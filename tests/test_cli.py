@@ -494,6 +494,7 @@ class TestMatrix:
             ("split.ratios", "0.8,0.2"),
             ("ratios", "0,0.5,2"),
             ("ratios", "0.33,0.333"),  # both would be cells *_train033_test100
+            ("ratios", ""),
             ("vocab.threshold", "nan"),
             ("vocab.threshold", "-1"),
         ],

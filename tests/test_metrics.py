@@ -363,9 +363,9 @@ class TestBatchedGnuAs:
         assert got == expected
         failing = [sid for sid, ok in expected.verdicts.items() if not ok and preds[sid].strip()]
         assert failing and any(expected.verdicts.values())
-        # One batch fails on the mutants, the second proves the rest, and
-        # only the mutants are assembled one by one.
-        assert len(checker_runs) == 2 + len(failing)
+        # One batch fails on the mutants and gives their diagnostics, the
+        # second proves the rest; nothing is assembled on its own.
+        assert len(checker_runs) == 2
         assert all("snippet.s:" in expected.diagnostics[sid] for sid in failing)
 
     def test_all_valid_needs_one_run(self, demo_corpus, checker_runs):
@@ -391,6 +391,71 @@ class TestBatchedGnuAs:
         preds = {**entries, **fillers}
         assert syntactic_accuracy(preds, gas_checker("as")) == syntactic_accuracy(preds, standalone)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_seeded_failing_mix_matches_standalone(self, seed, standalone):
+        rng = random.Random(seed)
+        preds = {f"f{i:02d}": rng.choice(FAILING_MIX) for i in range(rng.randint(2, 14))}
+        assert syntactic_accuracy(preds, gas_checker("as")) == syntactic_accuracy(preds, standalone)
+
+    def test_failing_diagnostics_come_from_the_batch(self, standalone, checker_runs):
+        preds = {f"f{i:02d}": text for i, text in enumerate(FAILING_MIX) if text.strip()}
+        batchable = {sid: text for sid, text in preds.items() if ";" not in text and "." not in text}
+        expected = syntactic_accuracy(batchable, standalone)
+        checker_runs.clear()
+        got = syntactic_accuracy(batchable, gas_checker("as"))
+        assert got == expected
+        assert len(checker_runs) == 2
+        # The write-phase error of foo-bar after a parse error, the warning
+        # that follows an error and the last of several errors.
+        assert set(got.diagnostics.values()) >= {
+            "snippet.s:6: Error: can't resolve foo - bar",
+            "snippet.s:6: Warning: 0x12c shortened to 0x2c",
+            "snippet.s:7: Error: no such instruction: `inczz ecx'",
+        }
+
+    @pytest.mark.parametrize(
+        "preds",
+        [
+            {"a": "pushzz eax", "b": "mov eax, (1", "c": "mov eax, foo-bar"},
+            {"a": "pushzz eax", "b": "int 300", "c": "push eax"},
+        ],
+        ids=["all-failing", "one-survivor"],
+    )
+    def test_small_second_batch_falls_back(self, preds, standalone, checker_runs):
+        expected = syntactic_accuracy(preds, standalone)
+        checker_runs.clear()
+        assert syntactic_accuracy(preds, gas_checker("as")) == expected
+        assert len(checker_runs) == 1 + len(preds)
+
+
+# Snippets whose messages test the batched diagnostics: write-phase errors
+# (foo-bar) before and after parse errors, warnings before and after errors,
+# several errors in one snippet, lone prefixes, and two that are never
+# batched.
+FAILING_MIX = [
+    "mov eax, foo-bar",
+    "movzz eax, 1 \\n mov eax, foo-bar",
+    "mov eax, foo-bar \\n movzz eax, 1",
+    "movzz eax, 1 \\n mov al, 300",
+    "mov al, 300 \\n xorzz eax, eax",
+    "mov al, 300",
+    "pushzz eax \\n popzz ebx \\n inczz ecx",
+    "mov eax, foo-bar \\n mov ebx, baz-qux \\n pushzz eax",
+    "int 300",
+    "mov eax, (1",
+    "mov eax, [ebx+ecx*3]",
+    "foo bar baz",
+    "rep",
+    "lock",
+    "push eax \\n \\n pop ebx",
+    "xor ecx, ecx \\n inc ecx",
+    "mov eax, [ebx+ecx*4+8]",
+    "nop",
+    "",
+    "mov eax, 1 ; comment",
+    ".byte 300",
+]
+
 
 FAKE_AS = """\
 #!/bin/sh
@@ -404,12 +469,14 @@ if [ "$lines" -gt 5 ]; then
         header) echo "$1:2: Error: junk" >&2; exit 1 ;;
         last) echo "$1:$lines: Error: junk" >&2; exit 1 ;;
         warn) echo "$1:5: Warning: harmless" >&2 ;;
+        outside) extra="$1:$((lines + 1)): Error: junk" ;;
     esac
 fi
 errors=$(grep -n zz "$1" | cut -d: -f1)
-[ -z "$errors" ] && exit 0
+[ -z "$errors$extra" ] && exit 0
 echo "$1: Assembler messages:" >&2
 for n in $errors; do echo "$1:$n: Error: no such instruction" >&2; done
+[ -n "$extra" ] && echo "$extra" >&2
 exit 1
 """
 
@@ -443,15 +510,15 @@ class TestBatchedFakeAs:
         return log.read_text().split()
 
     def test_batch_proves_the_rest(self, tmp_path):
-        assert self.run_both(tmp_path, "plain") == ["4", "3", "1"]
+        assert self.run_both(tmp_path, "plain") == ["4", "3"]
 
     def test_warnings_drop_nothing(self, tmp_path):
-        assert self.run_both(tmp_path, "warn") == ["4", "3", "1"]
+        assert self.run_both(tmp_path, "warn") == ["4", "3"]
 
     def test_timeout_falls_back(self, tmp_path):
         assert self.run_both(tmp_path, "timeout", timeout=0.5) == ["4"] + ["1"] * 4
 
-    @pytest.mark.parametrize("mode", ["garbage", "header"])
+    @pytest.mark.parametrize("mode", ["garbage", "header", "outside"])
     def test_unattributed_stderr_falls_back(self, tmp_path, mode):
         assert self.run_both(tmp_path, mode) == ["4"] + ["1"] * 4
 
