@@ -5,7 +5,9 @@ intent replaced by a gate-passing perturbed version; snippets are never
 touched. The experiment matrix materializes the cells behind the three
 research questions from one augmentation per family, split and ratio, so
 cells that share a split share its file, and writes a manifest whose digest
-is reproducible for a fixed seed.
+is reproducible for a fixed seed. A cell exists only as the JSON object the
+manifest lists; its id names the family and both ratios in whole percents
+(``ratio_label``).
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from perturbe._util import canonical_json, round_half_away, sha256_file, sha256_text, stable_seed
@@ -49,20 +51,6 @@ class AugmentPlan:
     def __post_init__(self) -> None:
         if not (0.0 <= self.ratio_p <= 1.0):
             raise ConfigError(f"augmentation ratio must be in [0, 1], got {self.ratio_p}")
-
-
-@dataclass
-class ExperimentCell:
-    cell_id: str
-    kind: str
-    train_ratio_p: float
-    test_ratio_p: float
-    paths: dict[str, str] = field(default_factory=dict)
-    digests: dict[str, str] = field(default_factory=dict)
-
-    def __post_init__(self) -> None:
-        if self.test_ratio_p not in (0.0, 1.0):
-            raise ConfigError("test sets are either original (0) or fully perturbed (1)")
 
 
 def augment_split(
@@ -128,22 +116,35 @@ def vocab_growth(variants: list[Corpus], stoplist: set[str]) -> list[int]:
     ]
 
 
+def ratio_label(p: float) -> str:
+    """How a cell id names a ratio: p in whole percents, three digits."""
+    return f"{round(p * 100):03d}"
+
+
 def _cell_inventory(
     kinds: list[KindFamily], ratios: list[float]
-) -> list[tuple[str, float, float]]:
-    """Deterministic (kind, train_p, test_p) inventory covering the three
-    research questions, duplicates removed."""
-    cells: list[tuple[str, float, float]] = [("none", 0.0, 0.0)]
+) -> list[tuple[KindFamily | None, float, float]]:
+    """Deterministic (family, train_p, test_p) inventory covering the three
+    research questions; the baseline cell has no family."""
+    cells: list[tuple[KindFamily | None, float, float]] = [(None, 0.0, 0.0)]
     for family in kinds:
-        for p in sorted(set(ratios)):
-            cells.append((family.value, p, 1.0))
+        cells.extend((family, p, 1.0) for p in sorted(ratios))
         if 0.5 in ratios:
-            cells.append((family.value, 0.5, 0.0))
+            cells.append((family, 0.5, 0.0))
     return cells
 
 
-def _cell_id(kind: str, train_p: float, test_p: float) -> str:
-    return f"{kind}_train{int(round(train_p * 100)):03d}_test{int(round(test_p * 100)):03d}"
+def _cell(family: KindFamily | None, train_p: float, test_p: float) -> dict:
+    """A manifest cell object, before its split files fill paths and sha256."""
+    kind = family.value if family else "none"
+    return {
+        "id": f"{kind}_train{ratio_label(train_p)}_test{ratio_label(test_p)}",
+        "kind": kind,
+        "train_p": train_p,
+        "test_p": test_p,
+        "paths": {},
+        "sha256": {},
+    }
 
 
 def build_matrix(
@@ -154,14 +155,16 @@ def build_matrix(
     seed: int,
     out_dir: str | Path,
     apply_to_validation: bool = True,
-) -> tuple[list[ExperimentCell], str]:
+) -> tuple[list[dict], str]:
     """Materialize every experiment cell under out_dir and write a manifest.
 
-    Returns the cells and the manifest digest. Reruns with identical inputs
-    and seed produce byte-identical trees and digests. Every record is
-    checked before the first file is written. Each distinct (family, split,
-    p > 0) is augmented once, by ``augment_split`` with ``seed``, and written
-    to every cell that uses it; a split at p = 0 is written as given.
+    Returns the manifest's cell objects (``id``, ``kind``, ``train_p``,
+    ``test_p``, and ``paths`` and ``sha256`` by split) and its digest. Reruns
+    with identical inputs and seed produce byte-identical trees and digests.
+    Every record is checked before the first file is written. Each distinct
+    (family, split, p > 0) is augmented once, by ``augment_split`` with
+    ``seed``, and written to every cell that uses it; a split at p = 0 is
+    written as given.
     """
     for name in ("train", "val", "test"):
         if name not in splits:
@@ -169,44 +172,31 @@ def build_matrix(
     for name in splits:
         _require_passed(records_by_split.get(name, []))
     out_dir = Path(out_dir)
-    cells: list[ExperimentCell] = []
-    augmented: dict[tuple[str, str, float], Corpus] = {}
-    for kind_label, train_p, test_p in _cell_inventory(kinds, ratios):
-        cell_id = _cell_id(kind_label, train_p, test_p)
-        cell_dir = out_dir / "cells" / cell_id
+    cells: list[dict] = []
+    augmented: dict[tuple[KindFamily | None, str, float], Corpus] = {}
+    for family, train_p, test_p in _cell_inventory(kinds, ratios):
+        cell = _cell(family, train_p, test_p)
+        cell_dir = out_dir / "cells" / cell["id"]
         cell_dir.mkdir(parents=True, exist_ok=True)
-        cell = ExperimentCell(
-            cell_id=cell_id, kind=kind_label, train_ratio_p=train_p, test_ratio_p=test_p
-        )
         for split_name, split in splits.items():
             p = test_p if split_name == "test" else train_p
             if split_name == "val" and not apply_to_validation:
                 p = 0.0
-            key = (kind_label, split_name, p)
+            key = (family, split_name, p)
             if p > 0.0 and key not in augmented:
-                plan = AugmentPlan(ratio_p=p, kind=KindFamily(kind_label), seed=seed)
+                plan = AugmentPlan(ratio_p=p, kind=family, seed=seed)
                 augmented[key] = augment_split(split, records_by_split.get(split_name, []), plan)
             target = cell_dir / f"{split_name}.jsonl"
             save_corpus(augmented.get(key, split), target)
-            cell.paths[split_name] = str(target.relative_to(out_dir))
-            cell.digests[split_name] = sha256_file(target)
+            cell["paths"][split_name] = str(target.relative_to(out_dir))
+            cell["sha256"][split_name] = sha256_file(target)
         cells.append(cell)
 
     manifest = {
         "seed": seed,
         "kinds": [k.value for k in kinds],
-        "ratios": sorted(set(ratios)),
-        "cells": [
-            {
-                "id": c.cell_id,
-                "kind": c.kind,
-                "train_p": c.train_ratio_p,
-                "test_p": c.test_ratio_p,
-                "paths": c.paths,
-                "sha256": c.digests,
-            }
-            for c in cells
-        ],
+        "ratios": sorted(ratios),
+        "cells": cells,
     }
     digest = sha256_text(canonical_json(manifest))
     manifest["digest"] = digest

@@ -81,8 +81,9 @@ _COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def read_config(path: str | Path) -> dict[str, str]:
-    """Flat key = value lines. '#' starts a comment at the start of a line or
-    after whitespace, so a value such as ``runs#3/corpus.jsonl`` keeps its '#'."""
+    """Flat key = value lines, each key at most once. '#' starts a comment at
+    the start of a line or after whitespace, so a value such as
+    ``runs#3/corpus.jsonl`` keeps its '#'."""
     config: dict[str, str] = {}
     text = Path(path).read_text("utf-8")
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -90,9 +91,12 @@ def read_config(path: str | Path) -> dict[str, str]:
         if not line:
             continue
         key, sep, value = line.partition("=")
+        key = key.strip()
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value")
-        config[key.strip()] = value.strip()
+        if key in config:
+            raise ConfigError(f"{path}:{lineno}: key {key!r} is set twice")
+        config[key] = value.strip()
     return config
 
 
@@ -195,6 +199,7 @@ def _cmd_perturb(args) -> int:
 
 
 def _cmd_gate(args) -> int:
+    thresholds = _parsed("--sweep", _parse_floats, args.sweep) if args.sweep else None
     records = perturb_mod.read_records(args.records)
     if args.embeddings:
         encoder = PrecomputedEncoder(args.embeddings)
@@ -211,8 +216,7 @@ def _cmd_gate(args) -> int:
     perturb_mod.write_records(passed, out_passed)
     perturb_mod.write_records(failed, out_failed)
     outputs = [out_passed, out_failed]
-    if args.sweep:
-        thresholds = _parsed("--sweep", _parse_floats, args.sweep)
+    if thresholds is not None:
         sweep_path = Path(args.sweep_out) if args.sweep_out else records_path.with_suffix(".sweep.csv")
         semgate_mod.write_sweep_csv(scored, thresholds, sweep_path)
         outputs.append(sweep_path)
@@ -260,7 +264,7 @@ def _augment_ratios(text: str) -> list[float]:
     ratios = [augment_mod.AugmentPlan(p, family).ratio_p for p in _parse_floats(text)]
     if not ratios:
         raise ValueError("expected at least one ratio")
-    if len({round(p * 100) for p in ratios}) < len(set(ratios)):
+    if len({augment_mod.ratio_label(p) for p in ratios}) < len(ratios):
         raise ValueError(f"two ratios in {text!r} share a cell id, which names p in whole percents")
     return ratios
 
@@ -341,10 +345,9 @@ def _cmd_matrix(args) -> int:
         threshold=settings["vocab.threshold"],
     )
     tagger = _load_tagger(settings["tag_lexicon"], vocabulary.registers)
-    vocab_mod.save_vocabulary(vocabulary, out_dir / "vocab.json")
-
     store = load_vectors(settings["vectors"])
     encoder = MeanVectorEncoder(store)
+    vocab_mod.save_vocabulary(vocabulary, out_dir / "vocab.json")
 
     records_by_split: dict[str, list[perturb_mod.PerturbationRecord]] = {}
     for split_name, part in splits.items():
@@ -460,19 +463,7 @@ def _cmd_report(args) -> int:
         for key, (valid, what) in _REPORT_KEYS.items():
             if key in payload and not valid(payload[key]):
                 raise DataError(f"{path}: {key!r} must be {what}")
-        rob = payload.get("rob")
-        cells.append(
-            metrics_mod.CellMetrics(
-                model_name=payload.get("model", ""),
-                kind=payload.get("kind", "-"),
-                train_p=float(payload.get("train_p", 0.0)),
-                test_p=float(payload.get("test_p", 0.0)),
-                syn=payload.get("syn"),
-                sem=payload.get("sem"),
-                rob=None if rob in (None, "undefined") else float(rob),
-                cohorts=payload.get("sem_cohorts", {}),
-            )
-        )
+        cells.append(payload)
     csv_path, summary_path = metrics_mod.report(cells, args.out_dir)
     outputs = [csv_path, summary_path]
     _write_run_manifest(args, Path(args.out_dir) / "run_manifest.json", None, outputs)

@@ -24,8 +24,9 @@ own scaffolded file. GNU as prints parse-phase messages in line order and
 write-phase messages after them, so one snippet's messages keep their order
 in the batch, and this is the line a standalone run ends with. The other
 snippets are assembled once more, and only an exit status of 0 there makes
-the verdicts of both runs count. A timeout, a stderr line that names no
-snippet, a second failure or a batch of fewer than two snippets settles
+the verdicts of both runs count; when every snippet failed, there is no
+second run. A batch of one snippet is byte for byte its standalone source. A
+timeout, a stderr line that names no snippet or a second failure settles
 nothing. Every snippet not settled this way gets the standalone check, the
 reference path: one checker run per snippet. NASM is never batched.
 """
@@ -221,13 +222,11 @@ def _check_in_batch(preds: dict[str, str], checker: CheckerConfig) -> dict[str, 
         code = _snippet_code(prediction)
         if prediction.strip() and _BATCHABLE_RE.fullmatch(code):
             batch.append((sample_id, code))
-    if len(batch) < 2:
-        return {}
-    failures = _batch_failures(batch, checker)
+    failures = _batch_failures(batch, checker) if batch else None
     if failures is None:
         return {}
     rest = [item for item in batch if item[0] not in failures]
-    if failures and (len(rest) < 2 or _batch_failures(rest, checker) != {}):
+    if failures and rest and _batch_failures(rest, checker) != {}:
         return {}
     settled = {sample_id: (True, "") for sample_id, _ in rest}
     settled.update((sample_id, (False, diagnostic)) for sample_id, diagnostic in failures.items())
@@ -354,55 +353,37 @@ def omission_rate_stats(
     return {category: total / len(corpus) for category, total in totals.items()}
 
 
-@dataclass
-class CellMetrics:
-    """Evaluated metrics for one experiment cell."""
-
-    model_name: str
-    kind: str
-    train_p: float
-    test_p: float
-    syn: float | None = None
-    sem: float | None = None
-    rob: float | None = None
-    cohorts: dict[str, dict[str, float | None]] = field(default_factory=dict)
+def _fmt(value: float | str | None) -> str:
+    """A score to four places; null and "undefined" print as '-'."""
+    return "-" if value in (None, "undefined") else f"{value:.4f}"
 
 
-def _fmt(value: float | None) -> str:
-    return "-" if value is None else f"{value:.4f}"
-
-
-def report(cells: list[CellMetrics], out_dir: str | Path) -> tuple[Path, Path]:
-    """Write metrics.csv plus a readable summary; returns both paths."""
+def report(cells: list[dict], out_dir: str | Path) -> tuple[Path, Path]:
+    """Write metrics.csv plus a readable summary of metrics objects as
+    ``evaluate`` writes them to metrics.json; returns both paths. An absent
+    ``model`` is empty, an absent ``kind`` is '-', an absent p is 0.0 and an
+    absent score is '-'."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     csv_path = out_dir / "metrics.csv"
+    lines = ["Evaluation summary", "=================="]
     with open(csv_path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["model", "kind", "train_p", "test_p", "SYN", "SEM", "ROB"])
         for cell in cells:
-            writer.writerow(
-                [
-                    cell.model_name,
-                    cell.kind,
-                    cell.train_p,
-                    cell.test_p,
-                    _fmt(cell.syn),
-                    _fmt(cell.sem),
-                    _fmt(cell.rob),
-                ]
+            model, kind = cell.get("model", ""), cell.get("kind", "-")
+            # float(): an integer p prints as 1.0, never 1.
+            train_p, test_p = float(cell.get("train_p", 0.0)), float(cell.get("test_p", 0.0))
+            syn, sem, rob = (_fmt(cell.get(key)) for key in ("syn", "sem", "rob"))
+            writer.writerow([model, kind, train_p, test_p, syn, sem, rob])
+            lines.append(
+                f"{model or '-'} | {kind} | train {train_p:.0%} | test {test_p:.0%} "
+                f"| SYN {syn} | SEM {sem} | ROB {rob}"
             )
+            for cohort, values in sorted(cell.get("sem_cohorts", {}).items()):
+                parts = " | ".join(f"{k} {_fmt(v)}" for k, v in sorted(values.items()))
+                lines.append(f"    {cohort}: {parts}")
     summary_path = out_dir / "summary.txt"
-    lines = ["Evaluation summary", "=================="]
-    for cell in cells:
-        lines.append(
-            f"{cell.model_name or '-'} | {cell.kind} | train {cell.train_p:.0%} "
-            f"| test {cell.test_p:.0%} | SYN {_fmt(cell.syn)} | SEM {_fmt(cell.sem)} "
-            f"| ROB {_fmt(cell.rob)}"
-        )
-        for cohort, values in sorted(cell.cohorts.items()):
-            parts = " | ".join(f"{k} {_fmt(v)}" for k, v in sorted(values.items()))
-            lines.append(f"    {cohort}: {parts}")
     summary_path.write_text("\n".join(lines) + "\n", "utf-8")
     return csv_path, summary_path
 

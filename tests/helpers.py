@@ -38,7 +38,7 @@ from pathlib import Path
 import numpy as np
 
 from perturbe._util import canonical_json, round_half_away, sha256_file, sha256_text, stable_seed
-from perturbe.augment import AugmentPlan, ExperimentCell, KindFamily, _cell_id, _cell_inventory
+from perturbe.augment import AugmentPlan, KindFamily, _cell, _cell_inventory
 from perturbe.corpus import Corpus, Sample, save_corpus
 from perturbe.embedding import Neighbor, VectorStore, cosine
 from perturbe.errors import DataError, EncodingFailure, NoEligibleWords
@@ -463,14 +463,10 @@ def reference_build_matrix(
     """One reference_augment_split call per cell split, then the manifest."""
     out_dir = Path(out_dir)
     cells = []
-    for kind_label, train_p, test_p in _cell_inventory(kinds, ratios):
-        cell_id = _cell_id(kind_label, train_p, test_p)
-        cell_dir = out_dir / "cells" / cell_id
+    for family, train_p, test_p in _cell_inventory(kinds, ratios):
+        cell = _cell(family, train_p, test_p)
+        cell_dir = out_dir / "cells" / cell["id"]
         cell_dir.mkdir(parents=True, exist_ok=True)
-        cell = ExperimentCell(
-            cell_id=cell_id, kind=kind_label, train_ratio_p=train_p, test_ratio_p=test_p
-        )
-        family = KindFamily(kind_label) if kind_label != "none" else None
         for split_name, split in splits.items():
             if family is None or (split_name == "val" and not apply_to_validation):
                 p = 0.0
@@ -485,25 +481,15 @@ def reference_build_matrix(
             )
             target = cell_dir / f"{split_name}.jsonl"
             save_corpus(materialized, target)
-            cell.paths[split_name] = str(target.relative_to(out_dir))
-            cell.digests[split_name] = sha256_file(target)
+            cell["paths"][split_name] = str(target.relative_to(out_dir))
+            cell["sha256"][split_name] = sha256_file(target)
         cells.append(cell)
 
     manifest = {
         "seed": seed,
         "kinds": [k.value for k in kinds],
-        "ratios": sorted(set(ratios)),
-        "cells": [
-            {
-                "id": c.cell_id,
-                "kind": c.kind,
-                "train_p": c.train_ratio_p,
-                "test_p": c.test_ratio_p,
-                "paths": c.paths,
-                "sha256": c.digests,
-            }
-            for c in cells
-        ],
+        "ratios": sorted(ratios),
+        "cells": cells,
     }
     digest = sha256_text(canonical_json(manifest))
     manifest["digest"] = digest

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 
 import pytest
 
@@ -190,7 +191,8 @@ class TestBuildMatrix:
         kinds = [KindFamily.SUBSTITUTION, KindFamily.OMISSION]
         ratios = [0.0, 0.25, 0.5, 1.0]
         cells, digest = build_matrix(splits, records, kinds, ratios, 7, tmp_path)
-        ids = [c.cell_id for c in cells]
+        assert cells == json.loads((tmp_path / "manifest.json").read_text())["cells"]
+        ids = [c["id"] for c in cells]
         assert len(ids) == 1 + 2 * (4 + 1)  # baseline + per kind: 4 test-perturbed + RQ3
         assert "none_train000_test000" in ids
         assert "substitution_train050_test000" in ids
@@ -201,7 +203,7 @@ class TestBuildMatrix:
         cells, _ = build_matrix(
             splits, records, [KindFamily.SUBSTITUTION], [0.0], 7, tmp_path
         )
-        assert [c.cell_id for c in cells] == [
+        assert [c["id"] for c in cells] == [
             "none_train000_test000",
             "substitution_train000_test100",
         ]
@@ -224,7 +226,7 @@ class TestBuildMatrix:
         splits, records = self._inputs()
         cells, _ = build_matrix(splits, records, [KindFamily.OMISSION], [0.0, 1.0], 3, tmp_path)
         for cell in cells:
-            for split_name, rel in cell.paths.items():
+            for split_name, rel in cell["paths"].items():
                 assert (tmp_path / rel).exists()
         assert (tmp_path / "manifest.json").exists()
 

@@ -10,7 +10,8 @@ import pytest
 
 import perturbe
 from perturbe._util import read_data_lines, sha256_file
-from perturbe.cli import _MATRIX_KEYS, build_parser, main, read_config
+from perturbe.augment import KindFamily
+from perturbe.cli import _MATRIX_KEYS, _matrix_settings, build_parser, main, read_config
 from perturbe.corpus import SplitSpec, load_corpus, save_corpus
 from perturbe.metrics import CheckerConfig, detect_checker
 from perturbe.perturb import SubstitutionConfig
@@ -318,6 +319,21 @@ class TestVocabPerturbGate:
         rates = [float(line.split(",")[2]) for line in sweep[1:]]
         assert rates == sorted(rates, reverse=True)
 
+    def test_gate_bad_sweep_exit_1_before_any_output(self, workdir, tmp_path, capsys):
+        vocab, records = tmp_path / "vocab.json", tmp_path / "recs.jsonl"
+        save_vocabulary(Vocabulary(structure_words={"register"}, name_words={"EAX"}), vocab)
+        assert run(
+            "perturb", "--kind", "omit-name", "--in", workdir / "corpus.jsonl",
+            "--vocab", vocab, "--out", records, "--seed", 1,
+        ) == 0
+        assert run(
+            "gate", "--records", records, "--vectors", workdir / "vectors.txt",
+            "--sweep", "0.7,abc",
+        ) == 1
+        assert "error: --sweep: expected comma-separated numbers" in capsys.readouterr().err
+        assert not (tmp_path / "recs.passed.jsonl").exists()
+        assert not (tmp_path / "recs.failed.jsonl").exists()
+
     def test_gate_needs_encoder(self, workdir):
         assert run("gate", "--records", workdir / "recs_name.jsonl") == 1
 
@@ -434,6 +450,21 @@ class TestMatrix:
         config.write_text("corpus = runs#3/corpus.jsonl # the third run\n")
         assert read_config(config) == {"corpus": "runs#3/corpus.jsonl"}
 
+    def test_config_repeated_key_exit_1(self, workdir, tmp_path, capsys):
+        config = tmp_path / "twice.cfg"
+        config.write_text(self.write_config(workdir, tmp_path / "out").read_text() + "seed = 2\n")
+        assert run("matrix", "--config", config) == 1
+        assert capsys.readouterr().err == f"error: {config}:7: key 'seed' is set twice\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_matrix_missing_vectors_writes_nothing(self, workdir, tmp_path, capsys):
+        config, missing = tmp_path / "exp.cfg", tmp_path / "missing.txt"
+        valid = self.write_config(workdir, tmp_path / "out").read_text()
+        config.write_text(valid.replace(str(workdir / "vectors.txt"), str(missing)))
+        assert run("matrix", "--config", config) == 2
+        assert capsys.readouterr().err == f"data error: {missing}: file not found\n"
+        assert not (tmp_path / "out").exists()
+
     def test_matrix_missing_key_exit_1(self, workdir, tmp_path):
         config = tmp_path / "broken.cfg"
         config.write_text("corpus = whatever\n")
@@ -453,6 +484,15 @@ class TestMatrix:
         rows = table.splitlines()[1:]  # below the | --- | rule
         keys = [row.split("|")[1].strip().strip("`") for row in rows]
         assert keys == list(_MATRIX_KEYS)
+
+    def test_readme_config_example_parses(self, tmp_path):
+        readme = (Path(__file__).parents[1] / "README.md").read_text("utf-8")
+        config = tmp_path / "exp.cfg"
+        config.write_text(readme.split("after\nwhitespace:\n\n```\n", 1)[1].split("```", 1)[0])
+        settings = _matrix_settings(read_config(config), str(config))
+        assert settings["seed"] == 42
+        assert settings["kinds"] == list(KindFamily)
+        assert settings["ratios"] == [0.0, 0.25, 0.5, 1.0]
 
     def test_matrix_accepts_every_known_key(self, workdir, tmp_path):
         # Every key set to the value matrix uses when it is absent.
@@ -494,6 +534,7 @@ class TestMatrix:
             ("split.ratios", "0.8,0.2"),
             ("ratios", "0,0.5,2"),
             ("ratios", "0.33,0.333"),  # both would be cells *_train033_test100
+            ("ratios", "0.5,0.5"),
             ("ratios", ""),
             ("vocab.threshold", "nan"),
             ("vocab.threshold", "-1"),
@@ -501,8 +542,9 @@ class TestMatrix:
     )
     def test_matrix_malformed_value_exit_1(self, workdir, tmp_path, capsys, key, value):
         config = tmp_path / "bad.cfg"
-        valid = self.write_config(workdir, tmp_path / "out").read_text()
-        config.write_text(valid + f"{key} = {value}\n")
+        valid = self.write_config(workdir, tmp_path / "out").read_text().splitlines()
+        kept = [line for line in valid if not line.startswith(f"{key} =")]  # a key is set once
+        config.write_text("".join(f"{line}\n" for line in kept) + f"{key} = {value}\n")
         assert run("matrix", "--config", config) == 1
         assert f"error: {config}: {key}: " in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
@@ -707,6 +749,48 @@ class TestEvaluate:
         assert run("report", "--metrics", good, bad, "--out-dir", tmp_path / "rep") == 2
         assert capsys.readouterr().err.startswith(f"data error: {bad}: {reason}")
         assert not (tmp_path / "rep").exists()
+
+    def test_report_golden(self, tmp_path):
+        # Integer p and scores, absent keys, "undefined" and null ROB, cohorts.
+        payloads = [
+            {
+                "model": "seq2seq", "kind": "substitution", "train_p": 0.5, "test_p": 1,
+                "syn": 0.91, "sem": 1, "rob": 0.85,
+                "sem_cohorts": {
+                    "single-line": {"n": 3.0, "accuracy": 1.0},
+                    "multi-line": {"n": 0, "accuracy": None},
+                },
+            },
+            {},
+            {
+                "model": "codet5+", "kind": "omission", "train_p": 0, "test_p": 0.25,
+                "syn": 0, "sem": None, "rob": "undefined",
+            },
+            {"model": "", "train_p": 1, "rob": None, "sem_cohorts": {}},
+        ]
+        paths = []
+        for i, payload in enumerate(payloads):
+            paths.append(tmp_path / f"metrics{i}.json")
+            paths[-1].write_text(json.dumps(payload))
+        assert run("report", "--metrics", *paths, "--out-dir", tmp_path / "rep") == 0
+        assert (tmp_path / "rep" / "metrics.csv").read_bytes() == (
+            b"model,kind,train_p,test_p,SYN,SEM,ROB\r\n"
+            b"seq2seq,substitution,0.5,1.0,0.9100,1.0000,0.8500\r\n"
+            b",-,0.0,0.0,-,-,-\r\n"
+            b"codet5+,omission,0.0,0.25,0.0000,-,-\r\n"
+            b",-,1.0,0.0,-,-,-\r\n"
+        )
+        assert (tmp_path / "rep" / "summary.txt").read_bytes() == (
+            b"Evaluation summary\n"
+            b"==================\n"
+            b"seq2seq | substitution | train 50% | test 100% | SYN 0.9100 | SEM 1.0000 "
+            b"| ROB 0.8500\n"
+            b"    multi-line: accuracy - | n 0.0000\n"
+            b"    single-line: accuracy 1.0000 | n 3.0000\n"
+            b"- | - | train 0% | test 0% | SYN - | SEM - | ROB -\n"
+            b"codet5+ | omission | train 0% | test 25% | SYN 0.0000 | SEM - | ROB -\n"
+            b"- | - | train 100% | test 0% | SYN - | SEM - | ROB -\n"
+        )
 
 
 class TestCsvCorpus:

@@ -15,7 +15,6 @@ from perturbe.metrics import (
     GAS_SCAFFOLD,
     NASM_SCAFFOLD,
     CheckerConfig,
-    CellMetrics,
     RobInput,
     SemLabelSet,
     cohort_breakdown,
@@ -414,18 +413,21 @@ class TestBatchedGnuAs:
         }
 
     @pytest.mark.parametrize(
-        "preds",
+        "preds, runs",
         [
-            {"a": "pushzz eax", "b": "mov eax, (1", "c": "mov eax, foo-bar"},
-            {"a": "pushzz eax", "b": "int 300", "c": "push eax"},
+            ({"a": "pushzz eax", "b": "mov eax, (1", "c": "mov eax, foo-bar"}, 1),
+            ({"a": "pushzz eax", "b": "int 300", "c": "push eax"}, 2),
+            ({"a": "pushzz eax"}, 1),
+            ({"a": "mov eax, foo-bar"}, 1),
         ],
-        ids=["all-failing", "one-survivor"],
+        ids=["all-failing", "one-survivor", "lone-parse-error", "lone-write-error"],
     )
-    def test_small_second_batch_falls_back(self, preds, standalone, checker_runs):
+    def test_small_batches_are_settled_in_batch(self, preds, runs, standalone, checker_runs):
+        # No survivor needs no second run; a batch of one is its standalone file.
         expected = syntactic_accuracy(preds, standalone)
         checker_runs.clear()
         assert syntactic_accuracy(preds, gas_checker("as")) == expected
-        assert len(checker_runs) == 1 + len(preds)
+        assert len(checker_runs) == runs
 
 
 # Snippets whose messages test the batched diagnostics: write-phase errors
@@ -546,8 +548,10 @@ class TestBatchedFakeAs:
 class TestReport:
     def test_csv_and_summary(self, tmp_path):
         cells = [
-            CellMetrics("seq2seq", "substitution", 0.5, 1.0, syn=0.91, sem=0.57, rob=0.85),
-            CellMetrics("seq2seq", "omission", 0.0, 1.0, syn=0.81, sem=0.33, rob=None),
+            {"model": "seq2seq", "kind": "substitution", "train_p": 0.5, "test_p": 1.0,
+             "syn": 0.91, "sem": 0.57, "rob": 0.85},
+            {"model": "seq2seq", "kind": "omission", "train_p": 0.0, "test_p": 1.0,
+             "syn": 0.81, "sem": 0.33, "rob": None},
         ]
         csv_path, summary_path = report(cells, tmp_path)
         lines = csv_path.read_text().strip().splitlines()
