@@ -13,7 +13,6 @@ from perturbe.errors import (
     CheckerError,
     ConfigError,
     DataError,
-    EncodingFailure,
     NoEligibleWords,
 )
 
@@ -21,7 +20,6 @@ __all__ = [
     "CheckerError",
     "ConfigError",
     "DataError",
-    "EncodingFailure",
     "NoEligibleWords",
     "__version__",
 ]

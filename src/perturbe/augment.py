@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import json
 import random
+import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -147,6 +148,11 @@ def _cell(family: KindFamily | None, train_p: float, test_p: float) -> dict:
     }
 
 
+# What a cell split holds: the family, split and ratio it was augmented
+# with, or (None, split, 0.0) for the split as given.
+_SplitKey = tuple[KindFamily | None, str, float]
+
+
 def build_matrix(
     splits: dict[str, Corpus],
     records_by_split: dict[str, list[PerturbationRecord]],
@@ -161,46 +167,65 @@ def build_matrix(
     Returns the manifest's cell objects (``id``, ``kind``, ``train_p``,
     ``test_p``, and ``paths`` and ``sha256`` by split) and its digest. Reruns
     with identical inputs and seed produce byte-identical trees and digests.
-    Every record is checked before the first file is written. Each distinct
-    (family, split, p > 0) is augmented once, by ``augment_split`` with
-    ``seed``, and written to every cell that uses it; a split at p = 0 is
-    written as given.
+    Each distinct (family, split, p > 0) is augmented once, by
+    ``augment_split`` with ``seed``; a split at p = 0 is used as given, by
+    every family. Every record is checked and every augmentation is made, in
+    cell order, before the first directory is created, so a ``DataError``
+    leaves nothing behind. Each distinct split file is then saved once with
+    ``save_corpus`` and hashed once; the other cells that use it get a copy
+    of its bytes and its sha256.
     """
     for name in ("train", "val", "test"):
         if name not in splits:
             raise ConfigError(f"missing split {name!r}")
     for name in splits:
         _require_passed(records_by_split.get(name, []))
-    out_dir = Path(out_dir)
-    cells: list[dict] = []
-    augmented: dict[tuple[KindFamily | None, str, float], Corpus] = {}
+    cells: list[tuple[dict, dict[str, _SplitKey]]] = []
+    contents: dict[_SplitKey, Corpus] = {}
     for family, train_p, test_p in _cell_inventory(kinds, ratios):
-        cell = _cell(family, train_p, test_p)
-        cell_dir = out_dir / "cells" / cell["id"]
-        cell_dir.mkdir(parents=True, exist_ok=True)
+        sources: dict[str, _SplitKey] = {}
         for split_name, split in splits.items():
             p = test_p if split_name == "test" else train_p
             if split_name == "val" and not apply_to_validation:
                 p = 0.0
-            key = (family, split_name, p)
-            if p > 0.0 and key not in augmented:
-                plan = AugmentPlan(ratio_p=p, kind=family, seed=seed)
-                augmented[key] = augment_split(split, records_by_split.get(split_name, []), plan)
+            if p == 0.0:
+                key = (None, split_name, 0.0)
+                contents[key] = split
+            else:
+                key = (family, split_name, p)
+                if key not in contents:
+                    plan = AugmentPlan(ratio_p=p, kind=family, seed=seed)
+                    records = records_by_split.get(split_name, [])
+                    contents[key] = augment_split(split, records, plan)
+            sources[split_name] = key
+        cells.append((_cell(family, train_p, test_p), sources))
+
+    out_dir = Path(out_dir)
+    saved: dict[_SplitKey, tuple[Path, str]] = {}
+    for cell, sources in cells:
+        cell_dir = out_dir / "cells" / cell["id"]
+        cell_dir.mkdir(parents=True, exist_ok=True)
+        for split_name, key in sources.items():
             target = cell_dir / f"{split_name}.jsonl"
-            save_corpus(augmented.get(key, split), target)
+            if key in saved:
+                first, digest = saved[key]
+                shutil.copyfile(first, target)
+            else:
+                save_corpus(contents[key], target)
+                digest = sha256_file(target)
+                saved[key] = (target, digest)
             cell["paths"][split_name] = str(target.relative_to(out_dir))
-            cell["sha256"][split_name] = sha256_file(target)
-        cells.append(cell)
+            cell["sha256"][split_name] = digest
 
     manifest = {
         "seed": seed,
         "kinds": [k.value for k in kinds],
         "ratios": sorted(ratios),
-        "cells": cells,
+        "cells": [cell for cell, _ in cells],
     }
     digest = sha256_text(canonical_json(manifest))
     manifest["digest"] = digest
     (out_dir / "manifest.json").write_text(
         json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
     )
-    return cells, digest
+    return manifest["cells"], digest

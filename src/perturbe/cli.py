@@ -334,8 +334,7 @@ def _cmd_matrix(args) -> int:
     train, val, test = corpus_mod.split_corpus(corpus, spec)
     splits = {"train": train, "val": val, "test": test}
 
-    # The vocabulary is mined over the whole corpus, test split included. Every
-    # input is read before the first output is written.
+    # The vocabulary is mined over the whole corpus, test split included.
     stoplist = load_stopwords(settings["stopwords"])
     vocabulary = vocab_mod.mine_vocabulary(
         (s.intent for s in corpus),
@@ -347,7 +346,6 @@ def _cmd_matrix(args) -> int:
     tagger = _load_tagger(settings["tag_lexicon"], vocabulary.registers)
     store = load_vectors(settings["vectors"])
     encoder = MeanVectorEncoder(store)
-    vocab_mod.save_vocabulary(vocabulary, out_dir / "vocab.json")
 
     records_by_split: dict[str, list[perturb_mod.PerturbationRecord]] = {}
     for split_name, part in splits.items():
@@ -358,8 +356,9 @@ def _cmd_matrix(args) -> int:
         ).records
         passed, _ = semgate_mod.gate(semgate_mod.score_records(records, encoder), gate_cfg)
         records_by_split[split_name] = passed
-        perturb_mod.write_records(passed, out_dir / f"records_{split_name}.jsonl")
 
+    # build_matrix makes every augmentation before it writes a file, so an
+    # error anywhere up to here leaves out_dir as it was.
     cells, digest = augment_mod.build_matrix(
         splits,
         records_by_split,
@@ -369,6 +368,9 @@ def _cmd_matrix(args) -> int:
         out_dir,
         apply_to_validation=settings["apply_to_validation"],
     )
+    vocab_mod.save_vocabulary(vocabulary, out_dir / "vocab.json")
+    for split_name, passed in records_by_split.items():
+        perturb_mod.write_records(passed, out_dir / f"records_{split_name}.jsonl")
     outputs = [out_dir / "manifest.json", out_dir / "vocab.json"]
     outputs.extend(out_dir / f"records_{name}.jsonl" for name in splits)
     _write_run_manifest(args, out_dir / "run_manifest.json", seed, outputs, config)

@@ -1,4 +1,4 @@
-"""Word-vector store: file loading, cosine similarity, exact top-k neighbor
+"""Word-vector store: file loading, batched cosines, exact top-k neighbor
 search, and the sentence encoders used by the semantic gate.
 
 Loading parses every component in one call to numpy's C text reader
@@ -29,24 +29,31 @@ memoizes its answers per (resolved word, k): a corpus asks about the same few
 intent words over and over, so the memo is bounded by the words that occur
 in intents.
 
-The default sentence encoder resolves each token to a row once, gathers the
-rows and reduces them in one call. The semantic gate encodes each original
-intent once per ``score_records`` call, however many kinds perturbed it, so
-the encoder's out-of-vocabulary count covers only the encodes performed.
+Sentence encoders take a batch of texts and return one row per text plus a
+mask of the texts they could encode; the semantic gate calls them once per
+chunk of records. The default encoder resolves each token to a row once,
+gathers the rows of the whole batch in one index and reduces each text's own
+slice of them in one call; the mean, the norm and the unit division are then
+array operations over the batch. ``cosines`` scores row pairs the same way.
+Every norm and dot is a stacked ``(1, D) @ (D, 1)`` product, which numpy
+hands to the same BLAS dot as ``np.dot`` of two vectors, so a batch gives
+each row the bits of that row computed on its own. The gate encodes each
+original intent once per ``score_records`` call, however many kinds
+perturbed it, so the encoder's out-of-vocabulary count covers only the
+encodes performed.
 """
 
 from __future__ import annotations
 
 import itertools
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from perturbe._util import read_jsonl
-from perturbe.errors import DataError, EncodingFailure
+from perturbe.errors import DataError
 from perturbe.preprocess import tokenize
 
 logger = logging.getLogger(__name__)
@@ -210,25 +217,25 @@ def _load_vectors_exact(path: Path) -> VectorStore:
     return VectorStore(list(vectors), np.array(list(vectors.values()), dtype=np.float64))
 
 
-def _norm(v: np.ndarray) -> float:
-    """``np.linalg.norm(v)`` for a float64 array without its dispatch: numpy
-    computes the 2-norm as ``sqrt(x.dot(x))`` over the flattened array, and
-    both square roots are correctly rounded, so the result is bit-identical."""
-    flat = v.ravel(order="K")
-    return math.sqrt(flat.dot(flat))
+def _row_norms(rows: np.ndarray) -> np.ndarray:
+    """2-norm of every row of a C-contiguous float64 (n, D) array. Each row's
+    ``(1, D) @ (D, 1)`` product in the stack goes to the BLAS dot that
+    ``np.linalg.norm`` uses on one vector (``sqrt(x.dot(x))``), and both
+    square roots are correctly rounded, so every norm is bit-identical to
+    ``np.linalg.norm`` of its row."""
+    return np.sqrt((rows[:, None, :] @ rows[:, :, None]).ravel())
 
 
-def cosine(a: np.ndarray, b: np.ndarray) -> float:
-    """Cosine of the angle between two vectors, in 64-bit floats."""
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape:
-        raise DataError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    norm_a = _norm(a)
-    norm_b = _norm(b)
-    if norm_a == 0.0 or norm_b == 0.0:
+def cosines(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Cosine of the angle between each row of ``a`` and the same row of
+    ``b`` (C-contiguous float64 arrays of one shape), as
+    ``dot / (|a| * |b|)`` in 64-bit floats, every dot and norm a stacked
+    product as in ``_row_norms``."""
+    norms_a = _row_norms(a)
+    norms_b = _row_norms(b)
+    if not (np.all(norms_a != 0.0) and np.all(norms_b != 0.0)):
         raise DataError("cosine undefined for zero-norm vector")
-    return float(np.dot(a, b) / (norm_a * norm_b))
+    return (a[:, None, :] @ b[:, :, None]).ravel() / (norms_a * norms_b)
 
 
 def top_k_neighbors(word: str, k: int, store: VectorStore) -> list[Neighbor]:
@@ -271,12 +278,15 @@ class MeanVectorEncoder:
     """Default sentence encoder: L2-normalized mean of the in-vocabulary token
     vectors (bag of words).
 
-    Each token is resolved to a row once, exact word first and then its
-    lowercase form, as ``VectorStore.resolve`` does. The mean is one
-    reduction over the gathered rows, bit-identical to ``np.mean`` over the
-    list of row vectors, and its norm is ``sqrt(mean . mean)``, bit-identical
-    to ``np.linalg.norm``. ``oov_skipped`` counts the out-of-vocabulary
-    tokens of every encode performed, as a diagnostic;
+    ``encode`` takes a batch of texts. Each text is tokenized once and each
+    token resolved to a row once, exact word first and then its lowercase
+    form, as ``VectorStore.resolve`` does. The rows of the whole batch are
+    gathered in one fancy index; each text's sum is one ``np.add.reduce``
+    over its own contiguous slice of them, so it equals ``np.mean``'s sum
+    over the list of its row vectors bit for bit. The division by the token
+    count, the norms (``_row_norms``) and the division by the norm are then
+    one array operation each for the batch. ``oov_skipped`` counts the
+    out-of-vocabulary tokens of every text encoded, as a diagnostic;
     ``semgate.score_records`` encodes each original intent once per call, so
     a shared original counts once.
     """
@@ -287,43 +297,65 @@ class MeanVectorEncoder:
         self.store = store
         self.oov_skipped = 0
 
-    def encode(self, text: str, key: str | None = None) -> np.ndarray:
-        tokens = tokenize(text).tokens
+    def encode(
+        self, texts: list[str], keys: list[str] | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Unit embeddings of ``texts``, one row each, and a boolean array
+        that is False where a text has no in-vocabulary token or its token
+        vectors cancel out to zero (that row holds zeros). ``keys`` are not
+        used."""
         row_of = self.store._rows.get
-        rows = []
-        for token in tokens:  # VectorStore.resolve's rule, inlined
-            row = row_of(token)
-            if row is None:
-                row = row_of(token.lower())
-            if row is not None:
-                rows.append(row)
-        self.oov_skipped += len(tokens) - len(rows)
-        if not rows:
-            raise EncodingFailure(f"no token has a vector: {tokens!r}")
-        mean = np.add.reduce(self.store._matrix[rows], axis=0) / len(rows)
-        norm = _norm(mean)
-        if norm == 0.0:
-            raise EncodingFailure("token vectors cancel out to the zero vector")
-        return mean / norm
+        rows: list[int] = []
+        starts = [0]
+        for text in texts:
+            tokens = tokenize(text).tokens
+            for token in tokens:  # VectorStore.resolve's rule, inlined
+                row = row_of(token)
+                if row is None:
+                    row = row_of(token.lower())
+                if row is not None:
+                    rows.append(row)
+            self.oov_skipped += len(tokens) - (len(rows) - starts[-1])
+            starts.append(len(rows))
+        gathered = self.store._matrix[rows]
+        sums = np.zeros((len(texts), self.store._matrix.shape[1]))
+        for i, (start, stop) in enumerate(zip(starts, starts[1:])):
+            if stop > start:
+                sums[i] = np.add.reduce(gathered[start:stop], axis=0)
+        counts = np.diff(starts)
+        means = sums / np.maximum(counts, 1)[:, None]
+        norms = _row_norms(means)
+        encoded = (counts > 0) & (norms != 0.0)
+        return means / np.where(encoded, norms, 1.0)[:, None], encoded
 
 
 class PrecomputedEncoder:
     """Looks up per-intent embeddings computed by an external model.
 
-    File format: JSONL {"id": str, "vec": [floats]}. Originals are keyed by
-    sample id; perturbed intents by "<sample_id>#<kind>".
+    File format: JSONL {"id": str, "vec": [floats]}, every vector of one
+    length. Originals are keyed by sample id; perturbed intents by
+    "<sample_id>#<kind>".
     """
 
     name = "precomputed-file"
 
     def __init__(self, path: str | Path):
-        self._embeddings: dict[str, np.ndarray] = {}
+        vectors: dict[str, np.ndarray] = {}
         for _, record in read_jsonl(path, ("id", "vec")):
-            self._embeddings[str(record["id"])] = np.asarray(record["vec"], dtype=np.float64)
-        if not self._embeddings:
+            vec = np.asarray(record["vec"], dtype=np.float64)
+            if vectors and vec.shape != shape:
+                raise DataError(f"dimension mismatch: {shape} vs {vec.shape}")
+            shape = vec.shape
+            vectors[str(record["id"])] = vec
+        if not vectors:
             raise DataError(f"{path}: no embeddings loaded")
+        self._rows = {key: i for i, key in enumerate(vectors)}
+        self._matrix = np.array(list(vectors.values()))
 
-    def encode(self, text: str, key: str | None = None) -> np.ndarray:
-        if key is None or key not in self._embeddings:
-            raise EncodingFailure(f"no precomputed embedding for key {key!r}")
-        return self._embeddings[key]
+    def encode(self, texts: list[str], keys: list[str]) -> tuple[np.ndarray, np.ndarray]:
+        """The stored vectors of ``keys``, one row each, and a boolean array
+        that is False where a key has no vector (that row holds zeros).
+        ``texts`` are not used."""
+        found = np.array([self._rows.get(key, -1) for key in keys], dtype=np.intp)
+        encoded = found >= 0
+        return np.where(encoded[:, None], self._matrix[found], 0.0), encoded

@@ -27,7 +27,3 @@ class NoEligibleWords(PerturbeError):
     Not a data defect: it signals "this sample has no word the perturbation
     may touch" and is collected into skip reports by corpus-level drivers.
     """
-
-
-class EncodingFailure(PerturbeError):
-    """A sentence could not be embedded (e.g. every token out-of-vocabulary)."""

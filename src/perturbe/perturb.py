@@ -225,7 +225,7 @@ def substitute_words(
     return PerturbationRecord(
         sample_id=intent.source_id,
         kind=kind,
-        original_intent=detokenize(intent.tokens),
+        original_intent=intent.text,
         perturbed_intent=detokenize(new_tokens),
         changed_positions=sorted(changed),
     )
@@ -272,7 +272,7 @@ def omit_words(
     return PerturbationRecord(
         sample_id=intent.source_id,
         kind=category.kind,
-        original_intent=detokenize(intent.tokens),
+        original_intent=intent.text,
         perturbed_intent=detokenize(kept),
         changed_positions=sorted(indices),
     )

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 from perturbe._util import read_data_lines
@@ -42,6 +43,12 @@ class TokenizedIntent:
     def __post_init__(self) -> None:
         if any(not t for t in self.tokens):
             raise DataError(f"intent {self.source_id!r}: empty token")
+
+    @cached_property
+    def text(self) -> str:
+        """``detokenize(tokens)``, computed once: every perturbation kind of
+        a sample records it as the original intent."""
+        return detokenize(self.tokens)
 
 
 def tokenize(text: str, source_id: str = "") -> TokenizedIntent:

@@ -8,12 +8,17 @@ clipping never changes a verdict. Records whose intents cannot be
 encoded (every token out-of-vocabulary) are marked with NaN and always land
 in the failed partition: an unverifiable perturbation is not used.
 
-``score_records`` encodes each original intent once per call, however many
-kinds perturbed it: records are grouped by sample id and original text, and
-an original that cannot be encoded gives NaN for its whole group. Each
-perturbed intent is encoded once. The scalar ``cosine`` is kept per record,
-because ``similarity`` is serialized and a changed last bit could flip the
-strict ``> threshold`` comparison.
+``score_records`` groups records by sample id and original text and scores
+the groups in chunks of about ``CHUNK_TEXTS`` texts, which bounds the
+arrays a chunk holds. Per chunk the encoder is called twice, on the
+originals (one per group) and on the perturbed intents of the groups whose
+original could be encoded; an original that cannot be encoded gives NaN for
+its whole group. Every cosine of the chunk is then one ``cosines`` call,
+whose dots and norms are the BLAS dots of the per-pair formula, and each
+similarity is clipped with Python's ``min`` and ``max``. So every
+``similarity``, which is serialized and compared strictly with the
+threshold, has the bits of one pair scored on its own: a NaN cosine clips
+to 0.0 and ``-0.0`` to ``0.0``.
 """
 
 from __future__ import annotations
@@ -24,11 +29,16 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
-from perturbe.embedding import cosine
-from perturbe.errors import ConfigError, DataError, EncodingFailure
+import numpy as np
+
+from perturbe.embedding import cosines
+from perturbe.errors import ConfigError, DataError
 from perturbe.perturb import GATE_FAIL, GATE_PASS, PerturbationRecord
 
 DEFAULT_THRESHOLD = 0.80
+
+# Texts (originals plus perturbed intents) per scoring chunk.
+CHUNK_TEXTS = 128
 
 
 @dataclass(frozen=True)
@@ -40,6 +50,9 @@ class GateConfig:
             raise ConfigError(f"gate threshold must be in [0, 1], got {self.threshold}")
 
 
+_Group = tuple[str, str, list[PerturbationRecord]]
+
+
 def score_records(records: Sequence[PerturbationRecord], encoder) -> list[PerturbationRecord]:
     """Fill in the similarity of every record, in place and in order; the
     gate verdicts stay unevaluated. Records that share a sample id and
@@ -49,26 +62,39 @@ def score_records(records: Sequence[PerturbationRecord], encoder) -> list[Pertur
     groups: dict[tuple[str, str], list[PerturbationRecord]] = {}
     for record in records:
         groups.setdefault((record.sample_id, record.original_intent), []).append(record)
+    chunk: list[_Group] = []
+    texts = 0
     for (sample_id, original_intent), group in groups.items():
-        # One group at a time, so only one original embedding is alive.
-        try:
-            original = encoder.encode(original_intent, key=sample_id)
-        except EncodingFailure:
-            original = None
-        for record in group:
-            perturbed = None
-            if original is not None:
-                try:
-                    perturbed = encoder.encode(
-                        record.perturbed_intent, key=f"{sample_id}#{record.kind.value}"
-                    )
-                except EncodingFailure:
-                    pass
-            if perturbed is None:
-                record.similarity = math.nan
-            else:
-                record.similarity = min(1.0, max(0.0, cosine(original, perturbed)))
+        chunk.append((sample_id, original_intent, group))
+        texts += 1 + len(group)
+        if texts >= CHUNK_TEXTS:
+            _score_chunk(chunk, encoder)
+            chunk, texts = [], 0
+    if chunk:
+        _score_chunk(chunk, encoder)
     return list(records)
+
+
+def _score_chunk(chunk: list[_Group], encoder) -> None:
+    originals, encoded = encoder.encode(
+        [original for _, original, _ in chunk], [sample_id for sample_id, _, _ in chunk]
+    )
+    pairs: list[tuple[int, PerturbationRecord]] = []
+    for index, ((_, _, group), ok) in enumerate(zip(chunk, encoded.tolist())):
+        if ok:
+            pairs.extend((index, record) for record in group)
+        else:
+            for record in group:
+                record.similarity = math.nan
+    perturbed, encoded = encoder.encode(
+        [record.perturbed_intent for _, record in pairs],
+        [f"{record.sample_id}#{record.kind.value}" for _, record in pairs],
+    )
+    scored = np.flatnonzero(encoded)
+    owners = np.array([index for index, _ in pairs], dtype=np.intp)
+    sims = iter(cosines(originals[owners[scored]], perturbed[scored]).tolist())
+    for (_, record), ok in zip(pairs, encoded.tolist()):
+        record.similarity = min(1.0, max(0.0, next(sims))) if ok else math.nan
 
 
 def gate(

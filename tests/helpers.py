@@ -14,11 +14,13 @@ The reference_* functions are the plain implementations that the fast paths
 must reproduce exactly: reference_top_k_neighbors() the full-sort neighbor
 search, reference_load_vectors() the per-component float() loader,
 reference_build_vocabulary() the variant-rescanning vocabulary builder,
-reference_sentence_embedding() the np.mean sentence encoder,
-reference_lexical_tag() the unmemoized context-free tagger,
-reference_score() the per-record gate scoring, which reference_gated_records()
-uses in the matrix's per-kind perturb, score and gate loop,
-reference_cosine() the np.linalg.norm cosine, reference_augment_split()
+reference_sentence_embedding() the np.mean sentence encoder, which
+ReferenceMeanEncoder encodes one text at a time as ReferencePrecomputedEncoder
+looks up one key at a time, reference_lexical_tag() the unmemoized
+context-free tagger, reference_score() the per-record gate scoring with one
+of those per-text encoders, which reference_gated_records() uses in the
+matrix's per-kind perturb, score and gate loop, reference_cosine() the
+np.linalg.norm cosine of one pair, reference_augment_split()
 with reference_build_matrix() the matrix builder that checks, indexes and
 rebuilds every sample for each of its cell splits, reference_jsd() and
 reference_vocab_growth() the per-corpus token loops, reference_omission_rates()
@@ -40,8 +42,8 @@ import numpy as np
 from perturbe._util import canonical_json, round_half_away, sha256_file, sha256_text, stable_seed
 from perturbe.augment import AugmentPlan, KindFamily, _cell, _cell_inventory
 from perturbe.corpus import Corpus, Sample, save_corpus
-from perturbe.embedding import Neighbor, VectorStore, cosine
-from perturbe.errors import DataError, EncodingFailure, NoEligibleWords
+from perturbe.embedding import Neighbor, VectorStore
+from perturbe.errors import DataError, NoEligibleWords
 from perturbe.metrics import jsd_from_counts
 from perturbe.perturb import (
     DEFAULT_K_CONSTRAINED,
@@ -334,6 +336,10 @@ def reference_build_vocabulary(
     )
 
 
+class EncodingFailure(Exception):
+    """A per-text reference encoder could not embed its text."""
+
+
 def reference_sentence_embedding(tokens: list[str], store: VectorStore) -> np.ndarray:
     """np.mean over the list of in-vocabulary token vectors, then normalized."""
     vecs = [row_of(store, t) for t in tokens if t in store]
@@ -363,9 +369,38 @@ def reference_lexical_tag(tagger: LexiconTagger, word: str) -> PosTag:
     return PosTag.NOUN
 
 
+class ReferenceMeanEncoder:
+    """The mean-of-word-vectors encoder, one text per call: the unit vector of
+    reference_sentence_embedding(), or EncodingFailure. Counts the
+    out-of-vocabulary tokens of every text it encodes."""
+
+    def __init__(self, store: VectorStore):
+        self.store = store
+        self.oov_skipped = 0
+
+    def encode(self, text: str, key: str | None = None) -> np.ndarray:
+        tokens = tokenize(text).tokens
+        self.oov_skipped += sum(1 for t in tokens if t not in self.store)
+        return reference_sentence_embedding(tokens, self.store)
+
+
+class ReferencePrecomputedEncoder:
+    """Precomputed embeddings looked up one key per call; a missing key is an
+    EncodingFailure. Vectors of different lengths are kept as given."""
+
+    def __init__(self, vectors: dict[str, list[float]]):
+        self.vectors = {key: np.asarray(vec, dtype=np.float64) for key, vec in vectors.items()}
+
+    def encode(self, text: str, key: str | None = None) -> np.ndarray:
+        if key not in self.vectors:
+            raise EncodingFailure(f"no precomputed embedding for key {key!r}")
+        return self.vectors[key]
+
+
 def reference_score(record: PerturbationRecord, encoder) -> PerturbationRecord:
     """Fill in one record's similarity from its own encodes of the original
-    and the perturbed intent; NaN when either cannot be encoded."""
+    and the perturbed intent, with a per-text reference encoder; NaN when
+    either cannot be encoded."""
     try:
         original = encoder.encode(record.original_intent, key=record.sample_id)
         perturbed = encoder.encode(
@@ -374,15 +409,15 @@ def reference_score(record: PerturbationRecord, encoder) -> PerturbationRecord:
     except EncodingFailure:
         record.similarity = math.nan
         return record
-    record.similarity = min(1.0, max(0.0, cosine(original, perturbed)))
+    record.similarity = min(1.0, max(0.0, reference_cosine(original, perturbed)))
     return record
 
 
-def reference_gated_records(
-    splits, kinds, cfg, vocabulary, store, tagger, stoplist, gate_cfg, encoder
-):
-    """Per split, per kind: perturb, score each record on its own, gate, and
-    keep the passing records in kind order."""
+def reference_gated_records(splits, kinds, cfg, vocabulary, store, tagger, stoplist, gate_cfg):
+    """Per split, per kind: perturb, score each record on its own with a
+    ReferenceMeanEncoder over the store, gate, and keep the passing records
+    in kind order."""
+    encoder = ReferenceMeanEncoder(store)
     records_by_split = {}
     for split_name, part in splits.items():
         gathered = []

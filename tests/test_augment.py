@@ -248,7 +248,6 @@ def demo_matrix_inputs(demo_corpus, demo_store, demo_vocab, tagger, stopwords):
         tagger,
         stopwords,
         GateConfig(),
-        MeanVectorEncoder(demo_store),
     )
     return splits, records
 
@@ -304,6 +303,7 @@ class TestBuildMatrixDifferential:
             helpers.reference_build_matrix(splits, no_val, self.KINDS, [0.5], 11, tmp_path / "ref")
         assert str(new.value) == str(ref.value)
         assert "augmentation needs" in str(new.value)
+        assert not (tmp_path / "new").exists()
 
     def test_ungated_record_raises_the_same_error(self, tmp_path, demo_matrix_inputs):
         splits, records = demo_matrix_inputs

@@ -12,7 +12,7 @@ import perturbe
 from perturbe._util import read_data_lines, sha256_file
 from perturbe.augment import KindFamily
 from perturbe.cli import _MATRIX_KEYS, _matrix_settings, build_parser, main, read_config
-from perturbe.corpus import SplitSpec, load_corpus, save_corpus
+from perturbe.corpus import Corpus, Sample, SplitSpec, load_corpus, save_corpus
 from perturbe.metrics import CheckerConfig, detect_checker
 from perturbe.perturb import SubstitutionConfig
 from perturbe.preprocess import tokenize
@@ -385,8 +385,6 @@ class TestMatrix:
     def test_matrix_twenty_sample_smoke(self, workdir, tmp_path):
         small = tmp_path / "small.jsonl"
         corpus = load_corpus(workdir / "corpus.jsonl")
-        from perturbe.corpus import Corpus
-
         save_corpus(Corpus(corpus.samples[:20], name="small"), small)
         config = tmp_path / "exp.cfg"
         config.write_text(
@@ -463,6 +461,23 @@ class TestMatrix:
         config.write_text(valid.replace(str(workdir / "vectors.txt"), str(missing)))
         assert run("matrix", "--config", config) == 2
         assert capsys.readouterr().err == f"data error: {missing}: file not found\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_matrix_uncovered_test_split_writes_nothing(self, workdir, tmp_path, capsys):
+        # The demo corpus with the config seed of the benchmark's matrix_paper
+        # seed 1, plus 20 intents that no kind can perturb: a test-100% cell
+        # then needs samples that no gate-passing record covers.
+        corpus = load_corpus(workdir / "corpus.jsonl")
+        luck = [Sample(f"luck{i:02d}", "Good luck, friend.", "nop") for i in range(20)]
+        save_corpus(Corpus(corpus.samples + luck), tmp_path / "corpus.jsonl")
+        config = tmp_path / "exp.cfg"
+        valid = self.write_config(workdir, tmp_path / "out", seed=234336023).read_text()
+        config.write_text(valid.replace(str(workdir / "corpus.jsonl"), str(tmp_path / "corpus.jsonl")))
+        assert run("matrix", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            "data error: augmentation needs 15 perturbable samples but only 13 are covered "
+            "by gate-passing records (short by 2)\n"
+        )
         assert not (tmp_path / "out").exists()
 
     def test_matrix_missing_key_exit_1(self, workdir, tmp_path):

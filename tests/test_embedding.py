@@ -11,14 +11,46 @@ from perturbe.embedding import (
     MeanVectorEncoder,
     PrecomputedEncoder,
     VectorStore,
-    cosine,
+    cosines,
     load_vectors,
     top_k_neighbors,
 )
-from perturbe.errors import DataError, EncodingFailure
+from perturbe.errors import DataError
 from perturbe.preprocess import tokenize
 
 import helpers
+from helpers import EncodingFailure
+
+
+def cosine(a, b):
+    """One pair through the batched ``cosines``."""
+    return float(cosines(np.array([a], dtype=np.float64), np.array([b], dtype=np.float64))[0])
+
+
+def encode_one(encoder, text):
+    """One text through the batched ``encode``: its unit vector, or
+    EncodingFailure where the encoder marks it as not encoded."""
+    vectors, encoded = encoder.encode([text])
+    if not encoded[0]:
+        raise EncodingFailure(text)
+    return vectors[0]
+
+
+def assert_batch_matches_reference(encoder, texts, store):
+    """Encode ``texts`` in one batch; each row must have the bytes of
+    reference_sentence_embedding, and a row is marked not encoded exactly
+    where the reference raises."""
+    vectors, encoded = encoder.encode(texts)
+    assert vectors.shape == (len(texts), store._matrix.shape[1])
+    for text, vector, ok in zip(texts, vectors, encoded):
+        try:
+            expected = helpers.reference_sentence_embedding(tokenize(text).tokens, store)
+        except EncodingFailure:
+            assert not ok
+            assert not vector.any()
+        else:
+            assert ok
+            assert vector.tobytes() == expected.tobytes()
 
 
 def brute_force_cosine(a, b):
@@ -429,7 +461,7 @@ class TestTopKMemo:
 
 
 def sentence_embedding(tokens, store):
-    return MeanVectorEncoder(store).encode(" ".join(tokens))
+    return encode_one(MeanVectorEncoder(store), " ".join(tokens))
 
 
 class TestSentenceEmbedding:
@@ -464,9 +496,10 @@ class TestSentenceEmbedding:
 
 
 class TestNormDifferential:
-    """cosine and MeanVectorEncoder.encode take norms as sqrt(v . v); they must
-    equal np.linalg.norm bit for bit at every size and scale, strided views
-    included."""
+    """The batched norms, cosines and encodes take each norm as a stacked
+    ``sqrt(v . v)`` product; every row must equal the one-vector reference
+    (np.linalg.norm, reference_cosine, reference_sentence_embedding) bit for
+    bit at every size and scale."""
 
     SCALES = [1e-160, 1e-150, 1e-8, 1.0, 3.7, 1e8, 1e150, 1e155]
 
@@ -486,7 +519,15 @@ class TestNormDifferential:
         for _ in range(2000):
             v = gen.standard_normal(rng.randint(1, 301)) * rng.choice(self.SCALES)
             for view in (v, v[::2], v[::-1]):
-                assert self._bits(embedding._norm(view)) == self._bits(np.linalg.norm(view))
+                row = np.ascontiguousarray(view)
+                got = embedding._row_norms(row[None, :])
+                assert self._bits(got[0]) == self._bits(np.linalg.norm(row))
+        for size in (1, 2, 57, 128, 300):
+            rows = gen.standard_normal((40, size)) * np.array(
+                [rng.choice(self.SCALES) for _ in range(40)]
+            )[:, None]
+            got = embedding._row_norms(rows)
+            assert [self._bits(x) for x in got] == [self._bits(np.linalg.norm(r)) for r in rows]
 
     def test_cosine_matches_reference(self):
         rng = random.Random(37)
@@ -498,16 +539,16 @@ class TestNormDifferential:
             b = gen.standard_normal(size) * rng.choice(self.SCALES)
             try:
                 expected = helpers.reference_cosine(a, b)
-            except DataError:
-                with pytest.raises(DataError):
+            except DataError as exc:
+                with pytest.raises(DataError, match=str(exc)):
                     cosine(a, b)
                 continue
             assert self._bits(cosine(a, b)) == self._bits(expected)
             checked += 1
-        columns = gen.standard_normal((50, 40)) * 1e-150  # non-contiguous columns
-        for j in range(39):
-            a, b = columns[:, j], columns[:, j + 1]
-            assert self._bits(cosine(a, b)) == self._bits(helpers.reference_cosine(a, b))
+        rows = (gen.standard_normal((50, 40)) * 1e-150).T.copy()  # one batch of 39 pairs
+        got = cosines(rows[:-1].copy(), rows[1:].copy())
+        expected = [helpers.reference_cosine(rows[j], rows[j + 1]) for j in range(39)]
+        assert [self._bits(x) for x in got] == [self._bits(x) for x in expected]
         assert checked > 1400
 
     def test_encode_matches_reference(self):
@@ -520,28 +561,22 @@ class TestNormDifferential:
         vectors.update({f"W{i}": gen.standard_normal(dim) for i in range(0, 80, 3)})
         store = helpers.store_of(vectors)
         encoder = MeanVectorEncoder(store)
-        oov = 0
-        for _ in range(600):
-            words = [
+        texts = [
+            " ".join(
                 rng.choice([f"w{rng.randrange(80)}", f"W{rng.randrange(80)}", "zzz"])
                 for _ in range(rng.randint(1, 30))
-            ]
-            tokens = tokenize(" ".join(words)).tokens
-            oov += sum(1 for t in tokens if t not in store)
-            try:
-                expected = helpers.reference_sentence_embedding(tokens, store)
-            except EncodingFailure:
-                with pytest.raises(EncodingFailure):
-                    encoder.encode(" ".join(words))
-                continue
-            assert encoder.encode(" ".join(words)).tobytes() == expected.tobytes()
+            )
+            for _ in range(600)
+        ]
+        oov = sum(1 for text in texts for t in tokenize(text).tokens if t not in store)
+        assert_batch_matches_reference(encoder, texts, store)
         assert encoder.oov_skipped == oov > 0
 
 
 class TestEncoders:
     def test_mean_encoder_counts_oov(self, demo_store):
         encoder = MeanVectorEncoder(demo_store)
-        encoder.encode("Store the unknownword in EAX")
+        encoder.encode(["Store the unknownword in EAX"])
         assert encoder.oov_skipped >= 2  # "the" and "unknownword" and "in"
 
     def test_mean_encoder_matches_sentence_embedding(self):
@@ -549,38 +584,39 @@ class TestEncoders:
         vectors = np.random.default_rng(17).standard_normal((60, 16))
         store = helpers.store_of({f"w{i}": vectors[i] for i in range(60)})
         encoder = MeanVectorEncoder(store)
-        oov = 0
-        for _ in range(200):
-            words = [rng.choice([f"w{rng.randrange(60)}", f"W{rng.randrange(60)}", "zzz"])
-                     for _ in range(rng.randint(1, 12))]
-            text = " ".join(words)
-            tokens = tokenize(text).tokens
-            oov += sum(1 for t in tokens if t not in store)
-            try:
-                expected = helpers.reference_sentence_embedding(tokens, store).tobytes()
-            except EncodingFailure:
-                with pytest.raises(EncodingFailure):
-                    encoder.encode(text)
-            else:
-                assert encoder.encode(text).tobytes() == expected
+        texts = [
+            " ".join(
+                rng.choice([f"w{rng.randrange(60)}", f"W{rng.randrange(60)}", "zzz"])
+                for _ in range(rng.randint(1, 12))
+            )
+            for _ in range(200)
+        ]
+        oov = sum(1 for text in texts for t in tokenize(text).tokens if t not in store)
+        for start in range(0, 200, 70):  # batches of several sizes, one of them short
+            assert_batch_matches_reference(encoder, texts[start : start + 70], store)
         assert encoder.oov_skipped == oov > 0
 
     def test_row_reduction_matches_np_mean_bit_for_bit(self):
-        # Wide rows, long texts and repeated words: the gathered-row reduction
-        # must give np.mean's bits, not just values within rounding.
+        # Wide rows, long texts and repeated words: each text's slice of the
+        # gathered rows must give np.mean's bits, not just values within
+        # rounding.
         rng = random.Random(23)
         vectors = np.random.default_rng(23).standard_normal((400, 300)) * 3.0
         store = helpers.store_of({f"w{i}": vectors[i] for i in range(400)})
-        encoder = MeanVectorEncoder(store)
-        for _ in range(600):
-            tokens = [f"w{rng.randrange(400)}" for _ in range(rng.randint(1, 40))]
-            expected = helpers.reference_sentence_embedding(tokens, store)
-            assert encoder.encode(" ".join(tokens)).tobytes() == expected.tobytes()
+        texts = [
+            " ".join(f"w{rng.randrange(400)}" for _ in range(rng.randint(1, 40)))
+            for _ in range(600)
+        ]
+        assert_batch_matches_reference(MeanVectorEncoder(store), texts, store)
+
+    def test_empty_batch(self, demo_store):
+        vectors, encoded = MeanVectorEncoder(demo_store).encode([])
+        assert vectors.shape == (0, demo_store._matrix.shape[1]) and encoded.shape == (0,)
 
     def test_cancelling_vectors_fail(self):
         store = helpers.store_of({"a": np.array([1.0, 2.0]), "b": np.array([-1.0, -2.0])})
         with pytest.raises(EncodingFailure):
-            MeanVectorEncoder(store).encode("a b")
+            encode_one(MeanVectorEncoder(store), "a b")
 
     def test_precomputed_encoder(self, tmp_path):
         path = tmp_path / "emb.jsonl"
@@ -588,7 +624,12 @@ class TestEncoders:
             '{"id": "s1", "vec": [1.0, 0.0]}\n{"id": "s1#omit-name", "vec": [0.0, 1.0]}\n'
         )
         encoder = PrecomputedEncoder(path)
-        assert np.allclose(encoder.encode("ignored", key="s1"), [1.0, 0.0])
-        assert np.allclose(encoder.encode("ignored", key="s1#omit-name"), [0.0, 1.0])
-        with pytest.raises(EncodingFailure):
-            encoder.encode("ignored", key="missing")
+        vectors, encoded = encoder.encode(["ignored"] * 3, ["s1#omit-name", "missing", "s1"])
+        assert encoded.tolist() == [True, False, True]
+        assert vectors.tolist() == [[0.0, 1.0], [0.0, 0.0], [1.0, 0.0]]
+
+    def test_precomputed_lengths_must_agree(self, tmp_path):
+        path = tmp_path / "emb.jsonl"
+        path.write_text('{"id": "s1", "vec": [1.0, 0.0]}\n{"id": "s1#omit-name", "vec": [0, 1, 2]}\n')
+        with pytest.raises(DataError, match=r"^dimension mismatch: \(2,\) vs \(3,\)$"):
+            PrecomputedEncoder(path)

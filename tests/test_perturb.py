@@ -4,7 +4,7 @@ import pytest
 
 from perturbe._util import per_sample_rng
 from perturbe.corpus import Corpus, Sample
-from perturbe.embedding import cosine, load_vectors
+from perturbe.embedding import load_vectors
 from perturbe.errors import ConfigError, DataError, NoEligibleWords
 from perturbe.perturb import (
     OmissionCategory,
@@ -125,7 +125,9 @@ class TestSubstitution:
             tags = tagger.tag(original, sample_id=record.sample_id)
             for index in record.changed_positions:
                 old, new = original[index], perturbed[index]
-                sim = cosine(helpers.row_of(demo_store, old), helpers.row_of(demo_store, new))
+                sim = helpers.reference_cosine(
+                    helpers.row_of(demo_store, old), helpers.row_of(demo_store, new)
+                )
                 assert sim >= cfg.tau - 1e-9
                 assert tagger.lexical_tag(new) is tags[index]
 

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 
@@ -19,6 +20,7 @@ from perturbe.perturb import (
     SubstitutionConfig,
     perturb_split,
 )
+from perturbe import semgate
 from perturbe.preprocess import tokenize
 from perturbe.semgate import GateConfig, gate, score_records, threshold_sweep, write_sweep_csv
 
@@ -182,15 +184,17 @@ class TestScoreRecords:
 
 
 class CountingEncoder:
-    """Records every (key, text) it is asked to encode."""
+    """Records every (key, text) it is asked to encode, and each batch."""
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = Counter()
+        self.batches = []
 
-    def encode(self, text, key=None):
-        self.calls[(key, text)] += 1
-        return self.inner.encode(text, key=key)
+    def encode(self, texts, keys):
+        self.calls.update(zip(keys, texts))
+        self.batches.append(len(texts))
+        return self.inner.encode(texts, keys)
 
 
 def bits(record):
@@ -221,9 +225,8 @@ def mixed_records(demo_corpus, demo_store, demo_vocab, tagger, stopwords):
 class TestScoreRecordsMemo:
     def test_matches_per_record_score_bit_for_bit(self, mixed_records, demo_store):
         batch = score_records([replace(r) for r in mixed_records], MeanVectorEncoder(demo_store))
-        single = [
-            helpers.reference_score(replace(r), MeanVectorEncoder(demo_store)) for r in mixed_records
-        ]
+        reference = helpers.ReferenceMeanEncoder(demo_store)
+        single = [helpers.reference_score(replace(r), reference) for r in mixed_records]
         assert len({r.kind for r in batch}) == len(PerturbKind)
         assert [bits(r) for r in batch] == [bits(r) for r in single]
         assert sum(math.isnan(r.similarity) for r in batch) >= 3
@@ -273,7 +276,7 @@ class TestScoreRecordsMemo:
             make_record(sample_id="s", original="clear value", perturbed="save value"),
         ]
         batch = score_records([replace(r) for r in records], encoder)
-        reference = MeanVectorEncoder(golden_store)
+        reference = helpers.ReferenceMeanEncoder(golden_store)
         single = [helpers.reference_score(replace(r), reference) for r in records]
         assert [bits(r) for r in batch] == [bits(r) for r in single]
         assert batch[0].similarity != batch[1].similarity
@@ -301,3 +304,149 @@ class TestScoreRecordsMemo:
         assert sims[2] == 0.0
         assert all(math.isnan(s) for s in sims[3:])  # s2's original has no embedding
         assert encoder.calls[("s1", "same text")] == encoder.calls[("s2", "same text")] == 1
+
+
+def precomputed_pair(tmp_path, vectors):
+    """The batched PrecomputedEncoder over a file holding ``vectors``, and the
+    per-key reference over the same dict."""
+    path = tmp_path / "emb.jsonl"
+    path.write_text("".join(json.dumps({"id": k, "vec": v}) + "\n" for k, v in vectors.items()))
+    return PrecomputedEncoder(path), helpers.ReferencePrecomputedEncoder(vectors)
+
+
+def random_records(seed, words, samples, max_tokens):
+    """Records over ``words`` plus an out-of-vocabulary word: each sample has
+    1 to 3 kinds, intents of 1 to ``max_tokens`` tokens, and some samples
+    reuse an id with another original."""
+    rng = random.Random(seed)
+    kinds = [PerturbKind.OMIT_ACTION, PerturbKind.OMIT_STRUCTURE, PerturbKind.OMIT_NAME]
+
+    def intent():
+        if rng.random() < 0.05:
+            return "zzz qq"  # no token has a vector
+        return " ".join(rng.choice(words + ["zzz"]) for _ in range(rng.randint(1, max_tokens)))
+
+    records = []
+    for i in range(samples):
+        sample_id = f"s{i // 2 if rng.random() < 0.2 else i}"
+        original = intent()
+        for kind in rng.sample(kinds, rng.randint(1, 3)):
+            perturbed = intent()
+            if perturbed != original:
+                records.append(PerturbationRecord(sample_id, kind, original, perturbed, [0]))
+    rng.shuffle(records)
+    return records
+
+
+def assert_same_bits(records, encoder, reference):
+    batch = score_records([replace(r) for r in records], encoder)
+    single = [helpers.reference_score(replace(r), reference) for r in records]
+    assert [bits(r) for r in batch] == [bits(r) for r in single]
+    return batch
+
+
+class TestBatchedScoreDifferential:
+    """Batched ``score_records`` against one pair scored at a time
+    (``helpers.reference_score``), compared by ``float.hex``."""
+
+    @pytest.mark.parametrize("dim", [128, 300])
+    def test_seeded_stores(self, dim):
+        # Up to 40 in-vocabulary tokens per intent: the per-text reduction
+        # must add rows in np.mean's order.
+        gen = np.random.default_rng(dim)
+        words = [f"w{i}" for i in range(150)]
+        store = helpers.store_of({w: gen.standard_normal(dim) * 2.5 for w in words})
+        records = random_records(dim, words, 400, 40)
+        encoder = MeanVectorEncoder(store)
+        reference = helpers.ReferenceMeanEncoder(store)
+        batch = assert_same_bits(records, encoder, reference)
+        assert encoder.oov_skipped > 0
+        assert 0 < sum(math.isnan(r.similarity) for r in batch) < len(batch)
+
+    @pytest.mark.parametrize("chunk", [1, 2, 3, 7, 64])
+    def test_groups_straddle_chunk_boundaries(self, chunk, mixed_records, demo_store, monkeypatch):
+        monkeypatch.setattr(semgate, "CHUNK_TEXTS", chunk)
+        encoder = CountingEncoder(MeanVectorEncoder(demo_store))
+        assert_same_bits(mixed_records, encoder, helpers.ReferenceMeanEncoder(demo_store))
+        # Two encodes per chunk, originals first; a chunk closes at the first
+        # group that reaches the limit, so it holds at most `chunk` originals.
+        originals = encoder.batches[::2]
+        groups = len({(r.sample_id, r.original_intent) for r in mixed_records})
+        assert sum(originals) == groups and max(originals) <= chunk
+        assert len(originals) >= groups / chunk
+
+    def test_negative_zero_cosine_clips_to_zero(self, tmp_path):
+        vectors = {"s": [2.0, 0.0], "s#subst-constrained": [-5e-324, 2.0]}
+        assert math.copysign(1.0, helpers.reference_cosine(*vectors.values())) == -1.0
+        encoder, reference = precomputed_pair(tmp_path, vectors)
+        [scored] = assert_same_bits([make_record(sample_id="s")], encoder, reference)
+        assert bits(scored) == "0x0.0p+0"
+
+    def test_nan_component_clips_to_zero(self, tmp_path):
+        vectors = {"s": [1.0, math.nan], "s#subst-constrained": [1.0, 0.0], "t": [1.0, 1.0],
+                   "t#subst-constrained": [1.0, 0.5]}
+        encoder, reference = precomputed_pair(tmp_path, vectors)
+        records = [make_record(sample_id="s"), make_record(sample_id="t")]
+        scored = assert_same_bits(records, encoder, reference)
+        assert scored[0].similarity == 0.0 and 0.9 < scored[1].similarity < 1.0
+
+    def test_missing_keys_are_nan(self, tmp_path):
+        vectors = {"s": [1.0, 0.0], "t#subst-constrained": [1.0, 0.0], "u": [0.0, 1.0],
+                   "u#subst-constrained": [1.0, 1.0]}
+        encoder, reference = precomputed_pair(tmp_path, vectors)
+        records = [make_record(sample_id=sid) for sid in ("s", "t", "u")]
+        scored = assert_same_bits(records, encoder, reference)
+        assert [math.isnan(r.similarity) for r in scored] == [True, True, False]
+
+    @pytest.mark.parametrize(
+        "vectors",
+        [
+            {"s": [1.0, 0.0], "s#subst-constrained": [1.0, 0.0, 0.0]},
+            {"s": [1.0, 0.0], "s#subst-constrained": [0.0, 0.0]},
+            {"s": [0.0, 0.0], "s#subst-constrained": [1.0, 0.0]},
+        ],
+        ids=["length-mismatch", "zero-perturbed", "zero-original"],
+    )
+    def test_errors_have_the_reference_text(self, tmp_path, vectors):
+        with pytest.raises(DataError) as ref:
+            helpers.reference_score(
+                make_record(sample_id="s"), helpers.ReferencePrecomputedEncoder(vectors)
+            )
+        with pytest.raises(DataError) as new:
+            encoder, _ = precomputed_pair(tmp_path, vectors)
+            score_records([make_record(sample_id="s")], encoder)
+        assert str(new.value) == str(ref.value)
+
+    def test_zero_vector_without_a_partner_is_not_an_error(self, tmp_path):
+        vectors = {"s": [0.0, 0.0], "t#subst-constrained": [0.0, 0.0], "u": [1.0, 0.0],
+                   "u#subst-constrained": [1.0, 0.0]}
+        encoder, reference = precomputed_pair(tmp_path, vectors)
+        records = [make_record(sample_id=sid) for sid in ("s", "t", "u")]
+        scored = assert_same_bits(records, encoder, reference)
+        assert scored[2].similarity == 1.0
+
+    def test_chunking_bounds_peak_memory(self):
+        # About 5 MB in chunks; scored in one piece, 5,000 records at D = 300
+        # peak above 100 MB.
+        gen = np.random.default_rng(3)
+        words = [f"w{i}" for i in range(300)]
+        store = helpers.store_of({w: gen.standard_normal(300) for w in words})
+        rng = random.Random(3)
+        records = [
+            PerturbationRecord(
+                f"s{i // 4}",
+                PerturbKind.OMIT_NAME,
+                " ".join(words[(i // 4 + j) % 300] for j in range(8)),
+                " ".join(rng.choice(words) for _ in range(6)),
+                [0],
+            )
+            for i in range(5000)
+        ]
+        encoder = MeanVectorEncoder(store)
+        tracemalloc.start()
+        try:
+            score_records(records, encoder)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, peak
