@@ -341,8 +341,10 @@ class PrecomputedEncoder:
 
     def __init__(self, path: str | Path):
         vectors: dict[str, np.ndarray] = {}
-        for _, record in read_jsonl(path, ("id", "vec")):
+        for lineno, record in read_jsonl(path, ("id", "vec")):
             vec = np.asarray(record["vec"], dtype=np.float64)
+            if vec.ndim != 1:
+                raise DataError(f'{path}:{lineno}: "vec" must be a list of numbers')
             if vectors and vec.shape != shape:
                 raise DataError(f"dimension mismatch: {shape} vs {vec.shape}")
             shape = vec.shape

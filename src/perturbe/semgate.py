@@ -38,7 +38,7 @@ from perturbe.perturb import GATE_FAIL, GATE_PASS, PerturbationRecord
 DEFAULT_THRESHOLD = 0.80
 
 # Texts (originals plus perturbed intents) per scoring chunk.
-CHUNK_TEXTS = 128
+CHUNK_TEXTS = 64
 
 
 @dataclass(frozen=True)

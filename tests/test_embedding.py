@@ -633,3 +633,10 @@ class TestEncoders:
         path.write_text('{"id": "s1", "vec": [1.0, 0.0]}\n{"id": "s1#omit-name", "vec": [0, 1, 2]}\n')
         with pytest.raises(DataError, match=r"^dimension mismatch: \(2,\) vs \(3,\)$"):
             PrecomputedEncoder(path)
+
+    @pytest.mark.parametrize("vec", ["1.0", "[[1.0, 0.0]]"])
+    def test_precomputed_vec_must_be_a_list_of_numbers(self, tmp_path, vec):
+        path = tmp_path / "emb.jsonl"
+        path.write_text(f'{{"id": "s1", "vec": [1.0]}}\n{{"id": "s2", "vec": {vec}}}\n')
+        with pytest.raises(DataError, match='emb.jsonl:2: "vec" must be a list of numbers'):
+            PrecomputedEncoder(path)
