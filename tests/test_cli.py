@@ -472,7 +472,9 @@ class TestMatrix:
         save_corpus(Corpus(corpus.samples + luck), tmp_path / "corpus.jsonl")
         config = tmp_path / "exp.cfg"
         valid = self.write_config(workdir, tmp_path / "out", seed=234336023).read_text()
-        config.write_text(valid.replace(str(workdir / "corpus.jsonl"), str(tmp_path / "corpus.jsonl")))
+        config.write_text(
+            valid.replace(str(workdir / "corpus.jsonl"), str(tmp_path / "corpus.jsonl"))
+        )
         assert run("matrix", "--config", config) == 2
         assert capsys.readouterr().err == (
             "data error: augmentation needs 15 perturbable samples but only 13 are covered "

@@ -630,7 +630,9 @@ class TestEncoders:
 
     def test_precomputed_lengths_must_agree(self, tmp_path):
         path = tmp_path / "emb.jsonl"
-        path.write_text('{"id": "s1", "vec": [1.0, 0.0]}\n{"id": "s1#omit-name", "vec": [0, 1, 2]}\n')
+        path.write_text(
+            '{"id": "s1", "vec": [1.0, 0.0]}\n{"id": "s1#omit-name", "vec": [0, 1, 2]}\n'
+        )
         with pytest.raises(DataError, match=r"^dimension mismatch: \(2,\) vs \(3,\)$"):
             PrecomputedEncoder(path)
 

@@ -383,16 +383,24 @@ class TestBatchedScoreDifferential:
         assert bits(scored) == "0x0.0p+0"
 
     def test_nan_component_clips_to_zero(self, tmp_path):
-        vectors = {"s": [1.0, math.nan], "s#subst-constrained": [1.0, 0.0], "t": [1.0, 1.0],
-                   "t#subst-constrained": [1.0, 0.5]}
+        vectors = {
+            "s": [1.0, math.nan],
+            "s#subst-constrained": [1.0, 0.0],
+            "t": [1.0, 1.0],
+            "t#subst-constrained": [1.0, 0.5],
+        }
         encoder, reference = precomputed_pair(tmp_path, vectors)
         records = [make_record(sample_id="s"), make_record(sample_id="t")]
         scored = assert_same_bits(records, encoder, reference)
         assert scored[0].similarity == 0.0 and 0.9 < scored[1].similarity < 1.0
 
     def test_missing_keys_are_nan(self, tmp_path):
-        vectors = {"s": [1.0, 0.0], "t#subst-constrained": [1.0, 0.0], "u": [0.0, 1.0],
-                   "u#subst-constrained": [1.0, 1.0]}
+        vectors = {
+            "s": [1.0, 0.0],
+            "t#subst-constrained": [1.0, 0.0],
+            "u": [0.0, 1.0],
+            "u#subst-constrained": [1.0, 1.0],
+        }
         encoder, reference = precomputed_pair(tmp_path, vectors)
         records = [make_record(sample_id=sid) for sid in ("s", "t", "u")]
         scored = assert_same_bits(records, encoder, reference)
@@ -418,8 +426,12 @@ class TestBatchedScoreDifferential:
         assert str(new.value) == str(ref.value)
 
     def test_zero_vector_without_a_partner_is_not_an_error(self, tmp_path):
-        vectors = {"s": [0.0, 0.0], "t#subst-constrained": [0.0, 0.0], "u": [1.0, 0.0],
-                   "u#subst-constrained": [1.0, 0.0]}
+        vectors = {
+            "s": [0.0, 0.0],
+            "t#subst-constrained": [0.0, 0.0],
+            "u": [1.0, 0.0],
+            "u#subst-constrained": [1.0, 0.0],
+        }
         encoder, reference = precomputed_pair(tmp_path, vectors)
         records = [make_record(sample_id=sid) for sid in ("s", "t", "u")]
         scored = assert_same_bits(records, encoder, reference)
