@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import json
 import random
-import shutil
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -148,11 +147,6 @@ def _cell(family: KindFamily | None, train_p: float, test_p: float) -> dict:
     }
 
 
-# What a cell split holds: the family, split and ratio it was augmented
-# with, or (None, split, 0.0) for the split as given.
-_SplitKey = tuple[KindFamily | None, str, float]
-
-
 def build_matrix(
     splits: dict[str, Corpus],
     records_by_split: dict[str, list[PerturbationRecord]],
@@ -168,54 +162,40 @@ def build_matrix(
     ``test_p``, and ``paths`` and ``sha256`` by split) and its digest. Reruns
     with identical inputs and seed produce byte-identical trees and digests.
     Each distinct (family, split, p > 0) is augmented once, by
-    ``augment_split`` with ``seed``; a split at p = 0 is used as given, by
-    every family. Every record is checked and every augmentation is made, in
-    cell order, before the first directory is created, so a ``DataError``
-    leaves nothing behind. Each distinct split file is then saved once with
-    ``save_corpus`` and hashed once; the other cells that use it get a copy
-    of its bytes and its sha256.
+    ``augment_split`` with ``seed``, and written to every cell that uses it; a
+    split at p = 0 is written as given. Every record is checked and every
+    augmentation is made, in cell order, before the first directory is
+    created, so a ``DataError`` leaves nothing behind.
     """
     for name in ("train", "val", "test"):
         if name not in splits:
             raise ConfigError(f"missing split {name!r}")
     for name in splits:
         _require_passed(records_by_split.get(name, []))
-    cells: list[tuple[dict, dict[str, _SplitKey]]] = []
-    contents: dict[_SplitKey, Corpus] = {}
+    cells: list[tuple[dict, dict[str, Corpus]]] = []
+    augmented: dict[tuple[KindFamily | None, str, float], Corpus] = {}
     for family, train_p, test_p in _cell_inventory(kinds, ratios):
-        sources: dict[str, _SplitKey] = {}
+        contents: dict[str, Corpus] = {}
         for split_name, split in splits.items():
             p = test_p if split_name == "test" else train_p
             if split_name == "val" and not apply_to_validation:
                 p = 0.0
-            if p == 0.0:
-                key = (None, split_name, 0.0)
-                contents[key] = split
-            else:
-                key = (family, split_name, p)
-                if key not in contents:
-                    plan = AugmentPlan(ratio_p=p, kind=family, seed=seed)
-                    records = records_by_split.get(split_name, [])
-                    contents[key] = augment_split(split, records, plan)
-            sources[split_name] = key
-        cells.append((_cell(family, train_p, test_p), sources))
+            key = (family, split_name, p)
+            if p > 0.0 and key not in augmented:
+                plan = AugmentPlan(ratio_p=p, kind=family, seed=seed)
+                augmented[key] = augment_split(split, records_by_split.get(split_name, []), plan)
+            contents[split_name] = augmented.get(key, split)
+        cells.append((_cell(family, train_p, test_p), contents))
 
     out_dir = Path(out_dir)
-    saved: dict[_SplitKey, tuple[Path, str]] = {}
-    for cell, sources in cells:
+    for cell, contents in cells:
         cell_dir = out_dir / "cells" / cell["id"]
         cell_dir.mkdir(parents=True, exist_ok=True)
-        for split_name, key in sources.items():
+        for split_name, content in contents.items():
             target = cell_dir / f"{split_name}.jsonl"
-            if key in saved:
-                first, digest = saved[key]
-                shutil.copyfile(first, target)
-            else:
-                save_corpus(contents[key], target)
-                digest = sha256_file(target)
-                saved[key] = (target, digest)
+            save_corpus(content, target)
             cell["paths"][split_name] = str(target.relative_to(out_dir))
-            cell["sha256"][split_name] = digest
+            cell["sha256"][split_name] = sha256_file(target)
 
     manifest = {
         "seed": seed,

@@ -10,11 +10,10 @@ from __future__ import annotations
 import csv
 import random
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import Iterator
 
-from perturbe._util import read_jsonl, round_half_away
+from perturbe._util import read_jsonl, round_half_away, write_jsonl
 from perturbe.errors import ConfigError, DataError
 
 # Two-character separator between instructions of a multi-line snippet,
@@ -131,17 +130,10 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     as JSONL otherwise; load_corpus() round-trips (id, intent, snippet)
     exactly."""
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     if not _is_csv(path):
-        # The bytes of json.dumps({"id", "intent", "snippet"}, ensure_ascii=False)
-        # per line, with each field quoted by the same string encoder.
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.writelines(
-                f'{{"id": {_quote(s.id)}, "intent": {_quote(s.intent)}, '
-                f'"snippet": {_quote(s.snippet)}}}\n'
-                for s in corpus
-            )
+        write_jsonl(path, ({"id": s.id, "intent": s.intent, "snippet": s.snippet} for s in corpus))
         return
+    path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["id", "intent", "snippet"])

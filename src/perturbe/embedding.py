@@ -346,7 +346,7 @@ class PrecomputedEncoder:
             if vec.ndim != 1:
                 raise DataError(f'{path}:{lineno}: "vec" must be a list of numbers')
             if vectors and vec.shape != shape:
-                raise DataError(f"dimension mismatch: {shape} vs {vec.shape}")
+                raise DataError(f"{path}:{lineno}: dimension mismatch: {shape} vs {vec.shape}")
             shape = vec.shape
             vectors[str(record["id"])] = vec
         if not vectors:

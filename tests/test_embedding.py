@@ -633,7 +633,7 @@ class TestEncoders:
         path.write_text(
             '{"id": "s1", "vec": [1.0, 0.0]}\n{"id": "s1#omit-name", "vec": [0, 1, 2]}\n'
         )
-        with pytest.raises(DataError, match=r"^dimension mismatch: \(2,\) vs \(3,\)$"):
+        with pytest.raises(DataError, match=r"emb\.jsonl:2: dimension mismatch: \(2,\) vs \(3,\)$"):
             PrecomputedEncoder(path)
 
     @pytest.mark.parametrize("vec", ["1.0", "[[1.0, 0.0]]"])

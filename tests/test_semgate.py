@@ -409,21 +409,32 @@ class TestBatchedScoreDifferential:
     @pytest.mark.parametrize(
         "vectors",
         [
-            {"s": [1.0, 0.0], "s#subst-constrained": [1.0, 0.0, 0.0]},
             {"s": [1.0, 0.0], "s#subst-constrained": [0.0, 0.0]},
             {"s": [0.0, 0.0], "s#subst-constrained": [1.0, 0.0]},
         ],
-        ids=["length-mismatch", "zero-perturbed", "zero-original"],
+        ids=["zero-perturbed", "zero-original"],
     )
     def test_errors_have_the_reference_text(self, tmp_path, vectors):
         with pytest.raises(DataError) as ref:
             helpers.reference_score(
                 make_record(sample_id="s"), helpers.ReferencePrecomputedEncoder(vectors)
             )
+        encoder, _ = precomputed_pair(tmp_path, vectors)
         with pytest.raises(DataError) as new:
-            encoder, _ = precomputed_pair(tmp_path, vectors)
             score_records([make_record(sample_id="s")], encoder)
         assert str(new.value) == str(ref.value)
+
+    def test_length_mismatch_is_refused_at_load_with_the_reference_text(self, tmp_path):
+        # The file is refused before any pair is scored; the message is the
+        # reference's, prefixed by the file and line of the first odd vector.
+        vectors = {"s": [1.0, 0.0], "s#subst-constrained": [1.0, 0.0, 0.0]}
+        with pytest.raises(DataError) as ref:
+            helpers.reference_score(
+                make_record(sample_id="s"), helpers.ReferencePrecomputedEncoder(vectors)
+            )
+        with pytest.raises(DataError) as new:
+            precomputed_pair(tmp_path, vectors)
+        assert str(new.value) == f"{tmp_path / 'emb.jsonl'}:2: {ref.value}"
 
     def test_zero_vector_without_a_partner_is_not_an_error(self, tmp_path):
         vectors = {
