@@ -7,6 +7,7 @@ import json
 import math
 import random
 from importlib import resources
+from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
 from typing import Any, Iterable, Iterator
 
@@ -104,9 +105,19 @@ def read_json_object(path: str | Path) -> dict:
     return obj
 
 
-# json.dumps(obj, ensure_ascii=False) builds an encoder with these settings on
-# every call; one shared encoder gives the same bytes.
-_encode_line = json.JSONEncoder(ensure_ascii=False).encode
+# json.dumps(obj, ensure_ascii=False) builds json's C encoder anew on every
+# call, with these arguments; one built once writes the same bytes. It skips
+# the circular-reference check, which only changes the error that a record
+# containing itself raises. A Python without the C encoder uses the public one.
+if c_make_encoder is None:
+    _encode_line = json.JSONEncoder(ensure_ascii=False).encode
+else:
+    _iterencode = c_make_encoder(
+        None, json.JSONEncoder().default, encode_basestring, None, ": ", ", ", False, False, True
+    )
+
+    def _encode_line(record: dict) -> str:
+        return "".join(_iterencode(record, 0))
 
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:

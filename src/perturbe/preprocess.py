@@ -41,7 +41,7 @@ class TokenizedIntent:
     source_id: str = ""
 
     def __post_init__(self) -> None:
-        if any(not t for t in self.tokens):
+        if "" in self.tokens:
             raise DataError(f"intent {self.source_id!r}: empty token")
 
     @cached_property

@@ -1,7 +1,9 @@
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from perturbe.preprocess import detokenize, load_stopwords, tokenize
+from perturbe.errors import DataError
+from perturbe.preprocess import TokenizedIntent, detokenize, load_stopwords, tokenize
 
 
 class TestTokenize:
@@ -29,6 +31,10 @@ class TestTokenize:
 
     def test_whitespace_only_gives_empty(self):
         assert tokenize("   \t ").tokens == []
+
+    def test_hand_built_empty_token_is_refused(self):
+        with pytest.raises(DataError, match=r"^intent 's1': empty token$"):
+            TokenizedIntent(["mov", "", "eax"], source_id="s1")
 
     @settings(max_examples=100, deadline=None)
     @given(

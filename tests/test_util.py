@@ -73,9 +73,21 @@ class TestWriteJsonl:
              "list": [text, i, [1.5, None]]}
             for i, text in enumerate(TEXTS)
         ]
+        rows.append(
+            {"nan": float("nan"), "inf": [float("inf"), -float("inf")], "big": 10**30,
+             "neg0": -0.0, "nested": {"é": {"k": [True, False]}}, 3: "int key", "empty": {}}
+        )
         path = tmp_path / "deep" / "rows.jsonl"
         write_jsonl(path, iter(rows))
         assert path.read_bytes() == expected_lines(rows)
+
+    def test_unserializable_value_raises_as_json_dumps(self, tmp_path):
+        row = {"id": "a", "value": {1, 2}}
+        with pytest.raises(TypeError) as expected:
+            json.dumps(row, ensure_ascii=False)
+        with pytest.raises(TypeError) as raised:
+            write_jsonl(tmp_path / "rows.jsonl", [row])
+        assert str(raised.value) == str(expected.value)
 
     def test_empty_input_writes_empty_file(self, tmp_path):
         path = tmp_path / "empty.jsonl"
