@@ -11,8 +11,11 @@ subst-constrained, omit-action, omit-structure, omit-name, and ``gate``
 reproduces its vocabulary and records byte for byte. ``augment`` of a split
 with the config's seed, a family and a p > 0 writes every cell file of those.
 
-A corpus path ending in ``.csv`` (any case) is CSV, any other JSONL. Every
-tagger takes its register list from the vocabulary, which records it.
+A corpus path ending in ``.csv`` (any case) is CSV, any other JSONL. The
+vocabulary records the registers, stopwords and tag lexicon it was mined
+with; ``perturb``, ``matrix`` and ``stats --vocab`` build their tagger from
+it, and ``perturb`` takes its stoplist from it, so no later stage can tag or
+filter otherwise than the mining did.
 
 Exit codes: 0 success, 1 invalid configuration, 2 data error (including
 any missing input file), 3 external checker failure.
@@ -124,11 +127,11 @@ def _write_run_manifest(
 
 
 def _load_tagger(
-    lexicon_path: str | None, registers: set[str], tags: str | None = None
+    vocabulary: vocab_mod.Vocabulary, tags: str | None = None
 ) -> LexiconTagger | FileTagger:
-    """The tagger of perturb, matrix and stats: the tag lexicon at ``lexicon_path``
-    (shipped when unset) with a vocabulary's registers, under the ``tags`` overrides."""
-    lexicon = LexiconTagger(load_tag_lexicon(lexicon_path), registers)
+    """The tagger of perturb, matrix and stats: the vocabulary's tag lexicon
+    and registers, under the ``tags`` overrides."""
+    lexicon = LexiconTagger(vocabulary.tag_lexicon, vocabulary.registers)
     return FileTagger(tags, fallback=lexicon) if tags else lexicon
 
 
@@ -157,14 +160,14 @@ def _cmd_split(args) -> int:
 
 
 def _cmd_build_vocab(args) -> int:
-    stoplist = load_stopwords(args.stopwords)
     corpus = corpus_mod.load_corpus(args.corpus)
     vocabulary = vocab_mod.mine_vocabulary(
         (s.intent for s in corpus),
-        stoplist,
+        load_stopwords(args.stopwords),
         vocab_mod.load_registers(args.registers),
         comparison=args.comparison,
         threshold=args.threshold,
+        tag_lexicon=load_tag_lexicon(args.tag_lexicon),
     )
     out = Path(args.out)
     vocab_mod.save_vocabulary(vocabulary, out)
@@ -182,9 +185,10 @@ def _cmd_perturb(args) -> int:
     vocabulary = vocab_mod.load_vocabulary(args.vocab)
     store = load_vectors(args.vectors) if args.vectors else None
     cfg = perturb_mod.SubstitutionConfig(ratio=args.ratio, k=args.k, tau=args.tau, seed=args.seed)
-    stoplist = load_stopwords(args.stopwords)
-    tagger = _load_tagger(args.tag_lexicon, vocabulary.registers, args.tags)
-    result = perturb_mod.perturb_split(corpus, [kind], cfg, vocabulary, store, tagger, stoplist)
+    tagger = _load_tagger(vocabulary, args.tags)
+    result = perturb_mod.perturb_split(
+        corpus, [kind], cfg, vocabulary, store, tagger, vocabulary.stopwords
+    )
     out = Path(args.out)
     perturb_mod.write_records(result.records, out)
     skips_path = out.with_suffix(out.suffix + ".skips.jsonl")
@@ -335,15 +339,15 @@ def _cmd_matrix(args) -> int:
     splits = {"train": train, "val": val, "test": test}
 
     # The vocabulary is mined over the whole corpus, test split included.
-    stoplist = load_stopwords(settings["stopwords"])
     vocabulary = vocab_mod.mine_vocabulary(
         (s.intent for s in corpus),
-        stoplist,
+        load_stopwords(settings["stopwords"]),
         vocab_mod.load_registers(settings["registers"]),
         comparison=settings["comparison"],
         threshold=settings["vocab.threshold"],
+        tag_lexicon=load_tag_lexicon(settings["tag_lexicon"]),
     )
-    tagger = _load_tagger(settings["tag_lexicon"], vocabulary.registers)
+    tagger = _load_tagger(vocabulary)
     store = load_vectors(settings["vectors"])
     encoder = MeanVectorEncoder(store)
 
@@ -352,7 +356,7 @@ def _cmd_matrix(args) -> int:
         # One gate pass per split, records in kind order: the kinds of a
         # sample share one encode of its original, and gate keeps the order.
         records = perturb_mod.perturb_split(
-            part, kind_list, cfg, vocabulary, store, tagger, stoplist
+            part, kind_list, cfg, vocabulary, store, tagger, vocabulary.stopwords
         ).records
         passed, _ = semgate_mod.gate(semgate_mod.score_records(records, encoder), gate_cfg)
         records_by_split[split_name] = passed
@@ -382,10 +386,23 @@ def _cmd_evaluate(args) -> int:
     preds = metrics_mod.load_predictions(args.preds)
     references = corpus_mod.load_corpus(args.refs)
     out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     result: dict = {"model": args.model, "n": len(preds)}
-    outputs: list[Path] = []
 
+    # Every label input is read and checked before the checker starts, and
+    # nothing is written before every metric is computed.
+    if args.labels:
+        labels = metrics_mod.load_labels(args.labels)
+    else:
+        labels = metrics_mod.exact_match_labels(preds, references)
+    result["sem"] = metrics_mod.semantic_accuracy(labels)
+    result["sem_provenance"] = labels.provenance
+    result["sem_cohorts"] = metrics_mod.cohort_breakdown(labels.entries, references)
+    if args.labels_before:
+        before = metrics_mod.load_labels(args.labels_before)
+        rob = metrics_mod.robust_accuracy(metrics_mod.RobInput(before=before, after=labels))
+        result["rob"] = rob if rob is not None else "undefined"
+
+    syn_report = None
     if args.checker or args.auto_checker:
         if args.checker:
             scaffold = metrics_mod.GAS_SCAFFOLD if args.scaffold == "gas" else metrics_mod.NASM_SCAFFOLD
@@ -399,6 +416,10 @@ def _cmd_evaluate(args) -> int:
         syn_report = metrics_mod.syntactic_accuracy(preds, checker)
         result["syn"] = syn_report.accuracy
         result["syn_cohorts"] = metrics_mod.cohort_breakdown(syn_report.verdicts, references)
+
+    out_dir.mkdir(parents=True, exist_ok=True)
+    outputs: list[Path] = []
+    if syn_report is not None:
         verdicts_path = out_dir / "syn_verdicts.jsonl"
         outputs.append(verdicts_path)
         write_jsonl(
@@ -408,23 +429,10 @@ def _cmd_evaluate(args) -> int:
                 for sid, ok in sorted(syn_report.verdicts.items())
             ),
         )
-
-    if args.labels:
-        labels = metrics_mod.load_labels(args.labels)
-    else:
-        labels = metrics_mod.exact_match_labels(preds, references)
+    if not args.labels:
         labels_path = out_dir / "exact_match_labels.jsonl"
         outputs.append(labels_path)
         metrics_mod.save_labels(labels, labels_path)
-    result["sem"] = metrics_mod.semantic_accuracy(labels)
-    result["sem_provenance"] = labels.provenance
-    result["sem_cohorts"] = metrics_mod.cohort_breakdown(labels.entries, references)
-
-    if args.labels_before:
-        before = metrics_mod.load_labels(args.labels_before)
-        rob = metrics_mod.robust_accuracy(metrics_mod.RobInput(before=before, after=labels))
-        result["rob"] = rob if rob is not None else "undefined"
-
     metrics_path = out_dir / "metrics.json"
     metrics_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", "utf-8")
     _write_run_manifest(args, out_dir / "run_manifest.json", None, [metrics_path, *outputs])
@@ -484,7 +492,7 @@ def _cmd_stats(args) -> int:
     }
     if args.vocab:
         vocabulary = vocab_mod.load_vocabulary(args.vocab)
-        tagger = _load_tagger(None, vocabulary.registers)
+        tagger = _load_tagger(vocabulary)
         rates = metrics_mod.omission_rate_stats(corpus, vocabulary, tagger)
         result["omission_rates"] = {cat.value: rate for cat, rate in rates.items()}
     if args.against:
@@ -529,6 +537,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threshold", type=float, default=vocab_mod.DEFAULT_RATIO_THRESHOLD)
     p.add_argument("--stopwords")
     p.add_argument("--registers")
+    p.add_argument("--tag-lexicon", dest="tag_lexicon")
     p.add_argument("--out", required=True)
 
     p = command("perturb", _cmd_perturb, "generate perturbation records")
@@ -541,8 +550,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ratio", type=float, default=perturb_mod.SubstitutionConfig.ratio)
     p.add_argument("--k", type=int)
     p.add_argument("--tau", type=float, default=perturb_mod.SubstitutionConfig.tau)
-    p.add_argument("--stopwords")
-    p.add_argument("--tag-lexicon", dest="tag_lexicon")
     p.add_argument("--tags", help="external tag override file (JSONL id/tags)")
 
     p = command("gate", _cmd_gate, "score and filter records by similarity")

@@ -14,7 +14,6 @@ from pathlib import Path
 
 from perturbe._util import read_data_lines, read_jsonl
 from perturbe.errors import DataError
-from perturbe.vocab import is_name_like
 
 
 class PosTag(enum.Enum):
@@ -35,6 +34,8 @@ OPEN_CLASS_TAGS = {PosTag.NOUN, PosTag.VERB, PosTag.ADJ, PosTag.ADV}
 
 _NUMBER_RE = re.compile(r"\d+|0[xX][0-9A-Fa-f]+")
 _PUNCT_RE = re.compile(r"[^\w\s]+")
+_LETTER_DIGIT_RE = re.compile(r"[A-Za-z][0-9]|[0-9][A-Za-z]")
+_NON_ALNUM_RE = re.compile(r"[^A-Za-z0-9]")
 
 _SUFFIX_RULES: tuple[tuple[str, PosTag], ...] = (
     ("ing", PosTag.VERB),
@@ -45,6 +46,21 @@ _SUFFIX_RULES: tuple[tuple[str, PosTag], ...] = (
     ("ment", PosTag.NOUN),
     ("ness", PosTag.NOUN),
 )
+
+
+def is_name_like(word: str, registers: set[str]) -> bool:
+    """Name-related predicate: identifiers, register mnemonics, tokens with
+    digits adjacent to letters, underscores, brackets or other specials,
+    or all-caps words."""
+    if not word:
+        return False
+    if _LETTER_DIGIT_RE.search(word):
+        return True
+    if _NON_ALNUM_RE.search(word):
+        return True
+    if len(word) >= 2 and word.isalpha() and word.isupper():
+        return True
+    return word.lower() in registers
 
 
 def load_tag_lexicon(path: str | Path | None = None) -> tuple[dict[str, PosTag], set[str]]:

@@ -6,27 +6,26 @@ its ratio in a general-English comparison corpus, or when it never appears
 in the comparison corpus at all. Included words are partitioned into
 structure-related words (register, stack, function, ...) and name-related
 words (register names, labels, bracketed operands, ...): the former are
-matched case-insensitively, the latter case-sensitively.
+matched case-insensitively, the latter case-sensitively. A mined
+vocabulary also records the stopwords and the tag lexicon it was mined with,
+so every later stage tags and filters as the mining did.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import re
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
 from perturbe._util import read_data_lines, read_json_object
 from perturbe.errors import ConfigError, DataError
+from perturbe.postag import PosTag, is_name_like
 from perturbe.preprocess import tokenize
 
 DEFAULT_RATIO_THRESHOLD = 50.0
-
-_LETTER_DIGIT_RE = re.compile(r"[A-Za-z][0-9]|[0-9][A-Za-z]")
-_NON_ALNUM_RE = re.compile(r"[^A-Za-z0-9]")
 
 
 @dataclass
@@ -50,12 +49,16 @@ class FrequencyTable:
 class Vocabulary:
     """Protected-word sets. structure_words are stored lowercase; name_words
     keep the case variants observed in the corpus. registers is the
-    lowercase register list the words were partitioned with."""
+    lowercase register list the words were partitioned with, stopwords the
+    lowercase stoplist they were counted without, and tag_lexicon the
+    (primary tags, verb-capable words) pair of ``postag.load_tag_lexicon``."""
 
     structure_words: set[str] = field(default_factory=set)
     name_words: set[str] = field(default_factory=set)
     ratio_threshold: float = DEFAULT_RATIO_THRESHOLD
     registers: set[str] = field(default_factory=set)
+    stopwords: set[str] = field(default_factory=set)
+    tag_lexicon: tuple[dict[str, PosTag], set[str]] = field(default_factory=lambda: ({}, set()))
 
     def __post_init__(self) -> None:
         overlap = self.structure_words & self.name_words
@@ -90,21 +93,6 @@ def count_frequencies(texts: Iterable[str], stoplist: set[str]) -> FrequencyTabl
                 continue
             counts[token] += 1
     return FrequencyTable(counts=dict(counts))
-
-
-def is_name_like(word: str, registers: set[str]) -> bool:
-    """Name-related predicate: identifiers, register mnemonics, tokens with
-    digits adjacent to letters, underscores, brackets or other specials,
-    or all-caps words."""
-    if not word:
-        return False
-    if _LETTER_DIGIT_RE.search(word):
-        return True
-    if _NON_ALNUM_RE.search(word):
-        return True
-    if len(word) >= 2 and word.isalpha() and word.isupper():
-        return True
-    return word.lower() in registers
 
 
 def build_vocabulary(
@@ -153,14 +141,20 @@ def mine_vocabulary(
     registers: set[str],
     comparison: str | Path | None = None,
     threshold: float = DEFAULT_RATIO_THRESHOLD,
+    *,
+    tag_lexicon: tuple[dict[str, PosTag], set[str]],
 ) -> Vocabulary:
     """Count the corpus texts and a plain-text comparison corpus (one text
     per line; unset -> shipped) without the (lowercase) stopwords, and build
-    the vocabulary from the two with the given register list."""
+    the vocabulary from the two with the given register list. The result
+    records the stoplist and the tag lexicon next to the registers."""
     codegen = count_frequencies(texts, stoplist)
     comparison_lines = read_data_lines(comparison, "comparison_corpus.txt", raw=True)
     comparison_table = count_frequencies(comparison_lines, stoplist)
-    return build_vocabulary(codegen, comparison_table, threshold=threshold, registers=registers)
+    vocabulary = build_vocabulary(
+        codegen, comparison_table, threshold=threshold, registers=registers
+    )
+    return replace(vocabulary, stopwords=stoplist, tag_lexicon=tag_lexicon)
 
 
 def is_protected(word: str, vocabulary: Vocabulary) -> bool:
@@ -172,24 +166,51 @@ def is_protected(word: str, vocabulary: Vocabulary) -> bool:
 
 
 def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
+    primary, verb_capable = vocabulary.tag_lexicon
     payload = {
         "structure": sorted(vocabulary.structure_words),
         "name": sorted(vocabulary.name_words),
         "threshold": vocabulary.ratio_threshold,
         "registers": sorted(vocabulary.registers),
+        "stopwords": sorted(vocabulary.stopwords),
+        "tag_lexicon": {
+            "primary": {word: primary[word].value for word in sorted(primary)},
+            "verb_capable": sorted(verb_capable),
+        },
     }
     Path(path).parent.mkdir(parents=True, exist_ok=True)
     Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", "utf-8")
 
 
+def _word_set(payload: dict, key: str, where: str) -> set[str]:
+    """The list of strings at ``payload[key]``, as a set."""
+    if key not in payload:
+        raise DataError(f"{where}: missing {key!r} list")
+    words = payload[key]
+    if not isinstance(words, list) or not all(isinstance(w, str) for w in words):
+        raise DataError(f"{where}: {key!r} must be a list of strings")
+    return set(words)
+
+
 def load_vocabulary(path: str | Path) -> Vocabulary:
     payload = read_json_object(path)
-    for key in ("structure", "name", "registers"):
-        if key not in payload:
-            raise DataError(f"{path}: missing {key!r} list")
+    structure, name, registers, stopwords = (
+        _word_set(payload, key, str(path))
+        for key in ("structure", "name", "registers", "stopwords")
+    )
+    lexicon = payload.get("tag_lexicon")
+    if not isinstance(lexicon, dict):
+        raise DataError(f"{path}: missing 'tag_lexicon' object")
+    verb_capable = _word_set(lexicon, "verb_capable", f"{path}: 'tag_lexicon'")
+    try:
+        primary = {word: PosTag[tag] for word, tag in lexicon["primary"].items()}
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise DataError(f"{path}: 'tag_lexicon' needs a 'primary' object of tag names") from exc
     return Vocabulary(
-        structure_words=set(payload["structure"]),
-        name_words=set(payload["name"]),
+        structure_words=structure,
+        name_words=name,
         ratio_threshold=float(payload.get("threshold", DEFAULT_RATIO_THRESHOLD)),
-        registers=set(payload["registers"]),
+        registers=registers,
+        stopwords=stopwords,
+        tag_lexicon=(primary, verb_capable),
     )

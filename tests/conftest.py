@@ -1,5 +1,6 @@
 import pytest
 
+from perturbe.postag import load_tag_lexicon
 from perturbe.preprocess import load_stopwords
 from perturbe.vocab import load_registers, mine_vocabulary
 
@@ -38,4 +39,6 @@ def demo_store():
 
 @pytest.fixture(scope="session")
 def demo_vocab(demo_corpus, stopwords):
-    return mine_vocabulary((s.intent for s in demo_corpus), stopwords, load_registers())
+    return mine_vocabulary(
+        (s.intent for s in demo_corpus), stopwords, load_registers(), tag_lexicon=load_tag_lexicon()
+    )

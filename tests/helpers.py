@@ -65,7 +65,7 @@ from perturbe.postag import (
     PosTag,
     load_tag_lexicon,
 )
-from perturbe.preprocess import detokenize, tokenize
+from perturbe.preprocess import detokenize, load_stopwords, tokenize
 from perturbe.semgate import gate
 from perturbe.vocab import (
     DEFAULT_RATIO_THRESHOLD,
@@ -137,6 +137,13 @@ def golden_store() -> VectorStore:
 
 def golden_vocabulary() -> Vocabulary:
     return Vocabulary(structure_words={"register"}, name_words={"ESI"})
+
+
+def shipped_vocabulary(**fields) -> Vocabulary:
+    """A hand-built vocabulary of ``fields`` that records the shipped stopwords
+    and tag lexicon, as ``build-vocab`` without options does, for a command to
+    read from a file."""
+    return Vocabulary(**fields, stopwords=load_stopwords(), tag_lexicon=load_tag_lexicon())
 
 
 def shipped_tagger() -> LexiconTagger:

@@ -47,6 +47,7 @@ from perturbe.perturb import (
     substitute_words,
     write_records,
 )
+from perturbe.postag import load_tag_lexicon
 from perturbe.preprocess import load_stopwords, tokenize
 from perturbe.semgate import GateConfig, gate, score_records, threshold_sweep
 from perturbe.vocab import load_registers, load_vocabulary, mine_vocabulary
@@ -235,7 +236,10 @@ class TestCriterion4AugmentationExactness:
 
 
 def _mined_vocabulary(corpus):
-    return mine_vocabulary((s.intent for s in corpus), load_stopwords(), load_registers())
+    return mine_vocabulary(
+        (s.intent for s in corpus), load_stopwords(), load_registers(),
+        tag_lexicon=load_tag_lexicon(),
+    )
 
 
 class TestCriterion5GateProperties:
@@ -430,7 +434,9 @@ class TestCriterion7Determinism:
         seed = 11
         self._check_chain(tmp_path / "shipped", demo_corpus, seed, {})
         # A register list with "push" makes "Push" a name word, never a verb,
-        # and a lexicon that tags "stock" as a verb lets it replace "Store".
+        # a lexicon that tags "stock" as a verb lets it replace "Store", and a
+        # stoplist with "value" (a vocabulary word) and "put" (substituted with
+        # the shipped stoplist) changes both the vocabulary and the records.
         # The default ratios would stop this matrix at the coverage wall:
         # 107 train samples at p = 1.0, only 100 covered.
         inputs = tmp_path / "inputs"
@@ -440,7 +446,10 @@ class TestCriterion7Determinism:
         lexicon = inputs / "tag_lexicon.tsv"
         lines = [line for line in read_data_lines(None, "tag_lexicon.tsv") if line != "stock\tNOUN"]
         lexicon.write_text("\n".join(lines + ["stock\tVERB"]) + "\n")
-        custom = {"registers": registers, "tag_lexicon": lexicon}
+        stopwords = inputs / "stopwords.txt"
+        stoplist = read_data_lines(None, "stopwords.txt") + ["value", "put"]
+        stopwords.write_text("\n".join(stoplist) + "\n")
+        custom = {"registers": registers, "tag_lexicon": lexicon, "stopwords": stopwords}
         self._check_chain(tmp_path / "custom", demo_corpus, seed, custom, ratios="0,0.5")
         shipped_records = (tmp_path / "shipped" / "out" / "records_train.jsonl").read_bytes()
         assert (tmp_path / "custom" / "out" / "records_train.jsonl").read_bytes() != shipped_records
@@ -449,7 +458,8 @@ class TestCriterion7Determinism:
     @staticmethod
     def _check_chain(root, demo_corpus, seed, files, ratios="0,0.25,0.5,1.0"):
         """Run matrix with the config's ``files`` keys, then the subcommand
-        chain with the same files, and compare their outputs: ``augment`` runs
+        chain with the same files given to ``build-vocab`` (``perturb`` reads
+        them from the vocabulary), and compare their outputs: ``augment`` runs
         once for each (family, split, p > 0) and must equal every cell file
         that uses it."""
         root.mkdir()
@@ -465,10 +475,11 @@ class TestCriterion7Determinism:
         assert cli_main(["split", "--in", str(corpus_path), "--out-dir", str(splits),
                          "--seed", str(seed)]) == 0
         vocab_path = chain / "vocab.json"
-        registers = ["--registers", str(files["registers"])] if "registers" in files else []
+        options = [
+            arg for key, path in files.items() for arg in (f"--{key.replace('_', '-')}", str(path))
+        ]
         assert cli_main(["build-vocab", "--corpus", str(corpus_path), "--out", str(vocab_path),
-                         *registers]) == 0
-        lexicon = ["--tag-lexicon", str(files["tag_lexicon"])] if "tag_lexicon" in files else []
+                         *options]) == 0
         kinds = ("subst-constrained", "omit-action", "omit-structure", "omit-name")
         for name in SPLIT_NAMES:
             passed = b""
@@ -476,7 +487,7 @@ class TestCriterion7Determinism:
                 records = chain / f"{name}_{kind}.jsonl"
                 assert cli_main(["perturb", "--kind", kind, "--in", str(splits / f"{name}.jsonl"),
                                  "--vocab", str(vocab_path), "--vectors", str(vectors_path),
-                                 "--out", str(records), "--seed", str(seed), *lexicon]) == 0
+                                 "--out", str(records), "--seed", str(seed)]) == 0
                 assert cli_main(["gate", "--records", str(records), "--vectors", str(vectors_path),
                                  "--threshold", "0.8"]) == 0
                 passed += records.with_suffix(".passed.jsonl").read_bytes()

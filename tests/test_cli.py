@@ -17,7 +17,7 @@ from perturbe.metrics import CheckerConfig, detect_checker
 from perturbe.perturb import SubstitutionConfig
 from perturbe.preprocess import tokenize
 from perturbe.semgate import GateConfig
-from perturbe.vocab import DEFAULT_RATIO_THRESHOLD, Vocabulary, load_registers, save_vocabulary
+from perturbe.vocab import DEFAULT_RATIO_THRESHOLD, load_registers, save_vocabulary
 
 import helpers
 
@@ -61,18 +61,12 @@ class TestBasics:
                      "--out", "{tmp}/v.json"],
                     id=f"build-vocab{option}",
                 )
-                for option in ("--stopwords", "--comparison", "--registers")
+                for option in ("--stopwords", "--comparison", "--registers", "--tag-lexicon")
             ),
-            *(
-                pytest.param(
-                    ["perturb", "--kind", "omit-name", "--in", "{corpus}", "--vocab", vocab,
-                     "--out", "{tmp}/r.jsonl", "--seed", "1", *extra],
-                    id=f"perturb-{name}",
-                )
-                for name, vocab, extra in (
-                    ("tag-lexicon", "{vocab}", ["--tag-lexicon", "{missing}"]),
-                    ("vocab", "{missing}", []),
-                )
+            pytest.param(
+                ["perturb", "--kind", "omit-name", "--in", "{corpus}", "--vocab", "{missing}",
+                 "--out", "{tmp}/r.jsonl", "--seed", "1"],
+                id="perturb-vocab",
             ),
             pytest.param(["gate", "--records", "{missing}", "--vectors", "{vectors}"], id="gate"),
             pytest.param(["matrix", "--config", "{missing}"], id="matrix-config"),
@@ -82,7 +76,9 @@ class TestBasics:
     def test_missing_file_is_data_error(self, workdir, tmp_path, capsys, argv):
         missing = tmp_path / "missing.txt"
         vocab = tmp_path / "vocab.json"
-        save_vocabulary(Vocabulary(structure_words={"register"}, name_words={"EAX"}), vocab)
+        save_vocabulary(
+            helpers.shipped_vocabulary(structure_words={"register"}, name_words={"EAX"}), vocab
+        )
         config = tmp_path / "exp.cfg"
         config.write_text(
             f"corpus = {workdir / 'corpus.jsonl'}\nvectors = {workdir / 'vectors.txt'}\n"
@@ -207,12 +203,17 @@ class TestVocabPerturbGate:
 
     def test_vocab_without_registers_exit_2(self, workdir, tmp_path, capsys):
         vocab = tmp_path / "vocab.json"
-        vocab.write_text(json.dumps({"structure": ["register"], "name": ["EAX"], "threshold": 50}))
-        assert run(
-            "perturb", "--kind", "omit-name", "--in", workdir / "corpus.jsonl", "--vocab", vocab,
-            "--out", tmp_path / "r.jsonl", "--seed", 1,
-        ) == 2
-        assert capsys.readouterr().err == f"data error: {vocab}: missing 'registers' list\n"
+        save_vocabulary(helpers.shipped_vocabulary(), vocab)
+        complete = json.loads(vocab.read_text())
+        for key, what in (("registers", "list"), ("stopwords", "list"), ("tag_lexicon", "object")):
+            vocab.write_text(json.dumps({k: v for k, v in complete.items() if k != key}))
+            assert run(
+                "perturb", "--kind", "omit-name", "--in", workdir / "corpus.jsonl",
+                "--vocab", vocab, "--out", tmp_path / "r.jsonl", "--seed", 1,
+            ) == 2
+            err = capsys.readouterr().err
+            assert err.startswith(f"data error: {vocab}: missing ") and f"{key!r} {what}" in err
+        assert not (tmp_path / "r.jsonl").exists()
 
     def test_perturb_and_stats_tag_with_the_vocabulary_registers(self, workdir, tmp_path):
         # With "push" on the register list, "Push" is a name and never a verb.
@@ -236,6 +237,38 @@ class TestVocabPerturbGate:
         assert perturbed == {"shipped": ["the EAX register."], "push": []}
         assert action_rates == {"shipped": 0.2, "push": 0.0}  # 1 of 5 tokens, then none
 
+    def test_perturb_and_stats_tag_with_the_vocabulary_lexicon(self, workdir, tmp_path):
+        # A lexicon whose VERB rows all read NOUN leaves no action word to omit.
+        nouns = tmp_path / "nouns.tsv"
+        nouns.write_text("".join(
+            f"{line.split(chr(9))[0]}\tNOUN\n" if line.endswith("\tVERB") else f"{line}\n"
+            for line in read_data_lines(None, "tag_lexicon.tsv")
+        ))
+        corpus = workdir / "corpus.jsonl"
+        records, action_rates = {}, {}
+        for name, extra in (("shipped", []), ("nouns", ["--tag-lexicon", nouns])):
+            vocab = tmp_path / f"{name}.json"
+            assert run("build-vocab", "--corpus", corpus, *extra, "--out", vocab) == 0
+            out = tmp_path / f"{name}.jsonl"
+            assert run("perturb", "--kind", "omit-action", "--in", corpus, "--vocab", vocab,
+                       "--out", out, "--seed", 1) == 0
+            records[name] = len(out.read_text().splitlines())
+            stats = tmp_path / f"{name}.stats.json"
+            assert run("stats", "--corpus", corpus, "--vocab", vocab, "--out", stats) == 0
+            action_rates[name] = json.loads(stats.read_text())["omission_rates"]["action"]
+        assert records == {"shipped": 133, "nouns": 0}
+        assert action_rates == {"shipped": pytest.approx(0.1461, abs=1e-4), "nouns": 0.0}
+
+    @pytest.mark.parametrize("option", ["--stopwords", "--tag-lexicon"])
+    def test_perturb_takes_no_stoplist_or_lexicon_option(self, workdir, tmp_path, capsys, option):
+        # perturb filters and tags with what the vocabulary was mined with.
+        assert run(
+            "perturb", "--kind", "omit-action", "--in", workdir / "corpus.jsonl",
+            "--vocab", workdir / "vocab.json", "--out", tmp_path / "r.jsonl", "--seed", 1,
+            option, tmp_path / "x",
+        ) == 1
+        assert f"unrecognized arguments: {option}" in capsys.readouterr().err
+
     def test_skips_keep_non_ascii_text(self, tmp_path):
         corpus = tmp_path / "corpus.jsonl"
         corpus.write_text(
@@ -243,7 +276,9 @@ class TestVocabPerturbGate:
             + "\n"
         )
         vocab, out = tmp_path / "vocab.json", tmp_path / "r.jsonl"
-        save_vocabulary(Vocabulary(structure_words={"register"}, name_words={"EAX"}), vocab)
+        save_vocabulary(
+            helpers.shipped_vocabulary(structure_words={"register"}, name_words={"EAX"}), vocab
+        )
         assert run(
             "perturb", "--kind", "omit-name", "--in", corpus, "--vocab", vocab,
             "--out", out, "--seed", 1,
@@ -321,7 +356,9 @@ class TestVocabPerturbGate:
 
     def test_gate_bad_sweep_exit_1_before_any_output(self, workdir, tmp_path, capsys):
         vocab, records = tmp_path / "vocab.json", tmp_path / "recs.jsonl"
-        save_vocabulary(Vocabulary(structure_words={"register"}, name_words={"EAX"}), vocab)
+        save_vocabulary(
+            helpers.shipped_vocabulary(structure_words={"register"}, name_words={"EAX"}), vocab
+        )
         assert run(
             "perturb", "--kind", "omit-name", "--in", workdir / "corpus.jsonl",
             "--vocab", vocab, "--out", records, "--seed", 1,
@@ -698,6 +735,15 @@ class TestEvaluate:
         )
         return refs, preds
 
+    @staticmethod
+    def marking_checker(tmp_path):
+        """A checker template that creates the returned marker file when it runs."""
+        marker = tmp_path / "checker-ran"
+        script = tmp_path / "markcheck"
+        script.write_text(f"#!/bin/sh\ntouch '{marker}'\nexit 0\n")
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        return f"{script} {{file}}", marker
+
     def test_label_id_missing_from_refs_exit_2(self, tmp_path, capsys):
         refs, preds = self.one_sample_refs(tmp_path)
         labels = tmp_path / "labels.jsonl"
@@ -711,27 +757,52 @@ class TestEvaluate:
         assert capsys.readouterr().err == "data error: id 'zz' is not in corpus 'refs'\n"
 
     def test_checked_prediction_missing_from_refs_exit_2(self, tmp_path, capsys):
-        script = tmp_path / "okcheck"
-        script.write_text("#!/bin/sh\nexit 0\n")
-        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        # Labels for "a" alone, so only the checked predictions name "zz"
+        # (exact-match labels would stop at "zz" before the checker).
+        checker, marker = self.marking_checker(tmp_path)
         refs, preds = self.one_sample_refs(tmp_path)
+        labels = tmp_path / "labels.jsonl"
+        labels.write_text(json.dumps({"id": "a", "correct": True}) + "\n")
         assert run(
-            "evaluate", "--preds", preds, "--refs", refs, "--checker", f"{script} {{file}}",
-            "--out-dir", tmp_path / "e",
+            "evaluate", "--preds", preds, "--refs", refs, "--labels", labels,
+            "--checker", checker, "--out-dir", tmp_path / "e",
         ) == 2
         assert capsys.readouterr().err == "data error: id 'zz' is not in corpus 'refs'\n"
+        assert marker.exists()
+        assert not (tmp_path / "e").exists()
 
     def test_non_boolean_label_exit_2(self, tmp_path, capsys):
+        checker, marker = self.marking_checker(tmp_path)
         refs, preds = self.one_sample_refs(tmp_path)
         labels = tmp_path / "labels.jsonl"
         labels.write_text(json.dumps({"id": "a", "correct": "false"}) + "\n")
         assert run(
             "evaluate", "--preds", preds, "--refs", refs, "--labels", labels,
-            "--out-dir", tmp_path / "e",
+            "--checker", checker, "--out-dir", tmp_path / "e",
         ) == 2
         assert capsys.readouterr().err == (
             f"data error: {labels}:1: 'correct' must be true or false\n"
         )
+        assert not marker.exists()
+        assert not (tmp_path / "e").exists()
+
+    def test_labels_before_of_other_ids_exit_2_before_the_checker(self, tmp_path, capsys):
+        checker, marker = self.marking_checker(tmp_path)
+        refs, preds = self.one_sample_refs(tmp_path)
+        labels, before = tmp_path / "labels.jsonl", tmp_path / "before.jsonl"
+        labels.write_text(json.dumps({"id": "a", "correct": True}) + "\n")
+        before.write_text(
+            "".join(json.dumps({"id": sid, "correct": True}) + "\n" for sid in ("a", "b", "c"))
+        )
+        assert run(
+            "evaluate", "--preds", preds, "--refs", refs, "--labels", labels,
+            "--labels-before", before, "--checker", checker, "--out-dir", tmp_path / "e",
+        ) == 2
+        assert capsys.readouterr().err == (
+            "data error: before/after label sets cover different sample ids\n"
+        )
+        assert not marker.exists()
+        assert not (tmp_path / "e").exists()
 
     @pytest.mark.parametrize(
         "text, reason",

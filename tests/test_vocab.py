@@ -2,11 +2,13 @@ import json
 import math
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
 from perturbe.corpus import load_corpus
 from perturbe.errors import ConfigError, DataError
+from perturbe.postag import PosTag, load_tag_lexicon
 from perturbe.preprocess import load_stopwords
 from perturbe.vocab import (
     FrequencyTable,
@@ -163,9 +165,13 @@ class TestBuildVocabularyDifferential:
         codegen = count_frequencies((s.intent for s in demo_corpus), stopwords)
         text = resources.files("perturbe.data").joinpath("comparison_corpus.txt").read_text("utf-8")
         comparison = count_frequencies(text.splitlines(), stopwords)
-        assert demo_vocab == helpers.reference_build_vocabulary(
+        expected = helpers.reference_build_vocabulary(
             codegen, comparison, registers=load_registers()
         )
+        assert demo_vocab == replace(expected, stopwords=stopwords, tag_lexicon=load_tag_lexicon())
+
+
+LEXICON = ({"push": PosTag.VERB, "stack": PosTag.NOUN}, {"push"})
 
 
 class TestMineVocabulary:
@@ -173,22 +179,29 @@ class TestMineVocabulary:
         comparison = tmp_path / "comparison.txt"
         comparison.write_text("walk the dog\npush the cart\n")
         texts = ["push the EAX register", "push the stack"]
-        vocab = mine_vocabulary(texts, {"the"}, {"eax"}, comparison=comparison, threshold=3.0)
-        assert vocab == build_vocabulary(
+        vocab = mine_vocabulary(
+            texts, {"the"}, {"eax"}, comparison=comparison, threshold=3.0, tag_lexicon=LEXICON
+        )
+        built = build_vocabulary(
             count_frequencies(texts, {"the"}),
             count_frequencies(["walk the dog", "push the cart"], {"the"}),
             threshold=3.0,
             registers={"eax"},
         )
+        assert vocab == replace(built, stopwords={"the"}, tag_lexicon=LEXICON)
         assert vocab.structure_words == {"register", "stack"}
         assert vocab.name_words == {"EAX"}
 
     def test_records_its_register_list(self, tmp_path):
         comparison = tmp_path / "comparison.txt"
         comparison.write_text("walk the dog\n")
-        vocab = mine_vocabulary(["push the EAX register"], {"the"}, {"eax", "push"}, comparison)
+        vocab = mine_vocabulary(
+            ["push the EAX register"], {"the"}, {"eax", "push"}, comparison, tag_lexicon=LEXICON
+        )
         assert vocab.registers == {"eax", "push"}
         assert vocab.name_words == {"EAX", "push"}
+        # The stoplist and the tag lexicon are recorded next to the registers.
+        assert (vocab.stopwords, vocab.tag_lexicon) == ({"the"}, LEXICON)
 
 
 class TestLoadRegisters:
@@ -241,15 +254,54 @@ class TestSerialization:
         assert loaded == demo_vocab
 
     def test_registers_written_sorted(self, tmp_path):
+        # So are the stopwords and the tag lexicon's words.
         path = tmp_path / "vocab.json"
-        save_vocabulary(Vocabulary(name_words={"ESI"}, registers={"esi", "eax", "ah"}), path)
-        assert json.loads(path.read_text())["registers"] == ["ah", "eax", "esi"]
+        lexicon = ({"stack": PosTag.NOUN, "push": PosTag.VERB}, {"push", "copy"})
+        vocab = Vocabulary(
+            name_words={"ESI"}, registers={"esi", "eax", "ah"}, stopwords={"the", "a"},
+            tag_lexicon=lexicon,
+        )
+        save_vocabulary(vocab, path)
+        payload = json.loads(path.read_text())
+        assert payload["registers"] == ["ah", "eax", "esi"]
+        assert payload["stopwords"] == ["a", "the"]
+        assert payload["tag_lexicon"] == {
+            "primary": {"push": "VERB", "stack": "NOUN"},
+            "verb_capable": ["copy", "push"],
+        }
+        assert list(payload["tag_lexicon"]["primary"]) == ["push", "stack"]
+        assert load_vocabulary(path) == vocab
 
     def test_missing_registers_list_rejected(self, tmp_path):
+        # A vocabulary must record the registers, stopwords and tag lexicon
+        # it was mined with.
         path = tmp_path / "vocab.json"
-        path.write_text(json.dumps({"structure": ["stack"], "name": ["EAX"], "threshold": 50.0}))
-        with pytest.raises(DataError, match="missing 'registers' list"):
-            load_vocabulary(path)
+        complete = {
+            "structure": ["stack"], "name": ["EAX"], "threshold": 50.0, "registers": ["eax"],
+            "stopwords": ["the"], "tag_lexicon": {"primary": {"push": "VERB"}, "verb_capable": []},
+        }
+        path.write_text(json.dumps(complete))
+        assert load_vocabulary(path).tag_lexicon == ({"push": PosTag.VERB}, set())
+        for key, reason in (
+            ("registers", "missing 'registers' list"),
+            ("stopwords", "missing 'stopwords' list"),
+            ("tag_lexicon", "missing 'tag_lexicon' object"),
+        ):
+            path.write_text(json.dumps({k: v for k, v in complete.items() if k != key}))
+            with pytest.raises(DataError, match=reason):
+                load_vocabulary(path)
+        # A string is not a word list: set("the") would be three letters.
+        for key, value, reason in (
+            ("stopwords", "the", "'stopwords' must be a list of strings"),
+            ("registers", ["eax", 1], "'registers' must be a list of strings"),
+            ("tag_lexicon", [], "missing 'tag_lexicon' object"),
+            ("tag_lexicon", {"primary": {}}, "'tag_lexicon': missing 'verb_capable' list"),
+            ("tag_lexicon", {"verb_capable": []}, "'tag_lexicon' needs a 'primary' object"),
+            ("tag_lexicon", {"primary": {"push": "VRB"}, "verb_capable": []}, "'primary' object"),
+        ):
+            path.write_text(json.dumps({**complete, key: value}))
+            with pytest.raises(DataError, match=reason):
+                load_vocabulary(path)
 
     def test_malformed_file(self, tmp_path):
         path = tmp_path / "vocab.json"
