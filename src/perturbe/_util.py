@@ -60,6 +60,18 @@ def canonical_json(obj: Any) -> str:
     return json.dumps(obj, sort_keys=True, ensure_ascii=False, separators=(",", ":"))
 
 
+def pretty_json(obj: Any) -> str:
+    """Indented, key-sorted JSON: the form of every manifest and metrics file."""
+    return json.dumps(obj, indent=2, sort_keys=True)
+
+
+def write_json(path: str | Path, obj: Any) -> None:
+    """``pretty_json(obj)`` and a newline to ``path``, its directory created."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(pretty_json(obj) + "\n", "utf-8")
+
+
 def read_data_lines(path: str | Path | None, shipped: str, raw: bool = False) -> list[str]:
     """Lines of the file at ``path``, or of the shipped data file ``shipped``
     when ``path`` is unset. Unless ``raw``, every line is stripped, and blank

@@ -13,12 +13,18 @@ manifest lists; its id names the family and both ratios in whole percents
 from __future__ import annotations
 
 import enum
-import json
 import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from perturbe._util import canonical_json, round_half_away, sha256_file, sha256_text, stable_seed
+from perturbe._util import (
+    canonical_json,
+    round_half_away,
+    sha256_file,
+    sha256_text,
+    stable_seed,
+    write_json,
+)
 from perturbe.corpus import Corpus, Sample, save_corpus
 from perturbe.errors import ConfigError, DataError
 from perturbe.perturb import GATE_PASS, PerturbationRecord, PerturbKind
@@ -205,7 +211,5 @@ def build_matrix(
     }
     digest = sha256_text(canonical_json(manifest))
     manifest["digest"] = digest
-    (out_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8"
-    )
+    write_json(out_dir / "manifest.json", manifest)
     return manifest["cells"], digest

@@ -1,8 +1,10 @@
 """Command-line surface for the perturbation pipeline.
 
-Every run requires an explicit seed and writes a run manifest (config
-digest, seed, output digests) so any two runs with the same config and seed
-produce byte-identical output trees.
+Every run requires an explicit seed, so any two runs with the same config
+and seed produce byte-identical output trees. Each subcommand's handler
+returns a ``Run`` (the run manifest's default path, the seed and the files it
+wrote), and ``main`` writes the run manifest (config digest, seed, output
+digests) from it; ``stats`` without ``--out`` writes no file and returns None.
 
 ``matrix`` runs the subcommands' stage functions (``mine_vocabulary``,
 ``perturb_split``, ``score_records`` and ``gate``), so chaining ``split``,
@@ -24,9 +26,10 @@ any missing input file), 3 external checker failure.
 from __future__ import annotations
 
 import argparse
-import json
+import os
 import re
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import perturbe
@@ -36,7 +39,15 @@ from perturbe import metrics as metrics_mod
 from perturbe import perturb as perturb_mod
 from perturbe import semgate as semgate_mod
 from perturbe import vocab as vocab_mod
-from perturbe._util import canonical_json, read_json_object, sha256_file, sha256_text, write_jsonl
+from perturbe._util import (
+    canonical_json,
+    pretty_json,
+    read_json_object,
+    sha256_file,
+    sha256_text,
+    write_json,
+    write_jsonl,
+)
 from perturbe.embedding import MeanVectorEncoder, PrecomputedEncoder, load_vectors
 from perturbe.errors import CheckerError, ConfigError, DataError, PerturbeError
 from perturbe.postag import FileTagger, LexiconTagger, load_tag_lexicon
@@ -103,27 +114,54 @@ def read_config(path: str | Path) -> dict[str, str]:
     return config
 
 
-def _write_run_manifest(
-    args, default: Path, seed: int | None, outputs: list[Path], config: dict | None = None
-) -> None:
+@dataclass(frozen=True)
+class Run:
+    """What a subcommand ran: where its run manifest goes when ``--manifest``
+    is unset, its seed, the files it wrote, and the config to digest (None:
+    the parsed arguments)."""
+
+    manifest: Path
+    seed: int | None
+    outputs: list[Path]
+    config: dict | None = None
+
+
+def _write_run_manifest(args, run: Run) -> None:
     """Write the run manifest of ``args.command`` to ``--manifest``, or to
-    ``default`` when that option is unset. ``config`` defaults to the parsed
-    arguments."""
-    manifest_path = Path(args.manifest) if args.manifest else default
+    ``run.manifest``. Each output is keyed by its path relative to the
+    manifest's directory."""
+    manifest_path = Path(args.manifest) if args.manifest else run.manifest
+    config = run.config
     if config is None:  # the handler function's repr is a memory address
         config = {k: v for k, v in vars(args).items() if k != "func"}
     base = manifest_path.parent
     manifest = {
         "command": args.command,
-        "seed": seed,
+        "seed": run.seed,
         "config_digest": sha256_text(canonical_json({k: str(v) for k, v in config.items()})),
-        "outputs": {
-            str(p.relative_to(base) if p.is_relative_to(base) else p.name): sha256_file(p)
-            for p in outputs
-        },
+        "outputs": {os.path.relpath(p, base): sha256_file(p) for p in run.outputs},
     }
-    manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
+    write_json(manifest_path, manifest)
+
+
+def _mine_vocabulary(
+    corpus: corpus_mod.Corpus,
+    stopwords: str | None,
+    registers: str | None,
+    comparison: str | None,
+    threshold: float,
+    tag_lexicon: str | None,
+) -> vocab_mod.Vocabulary:
+    """The vocabulary of build-vocab and matrix, mined over every intent of
+    ``corpus``; a None path reads the shipped file."""
+    return vocab_mod.mine_vocabulary(
+        (s.intent for s in corpus),
+        load_stopwords(stopwords),
+        vocab_mod.load_registers(registers),
+        comparison=comparison,
+        threshold=threshold,
+        tag_lexicon=load_tag_lexicon(tag_lexicon),
+    )
 
 
 def _load_tagger(
@@ -135,16 +173,15 @@ def _load_tagger(
     return FileTagger(tags, fallback=lexicon) if tags else lexicon
 
 
-def _cmd_ingest(args) -> int:
+def _cmd_ingest(args) -> Run:
     corpus = corpus_mod.load_corpus(args.infile)
     out = Path(args.out)
     corpus_mod.save_corpus(corpus, out)
-    _write_run_manifest(args, out.with_suffix(out.suffix + ".manifest.json"), None, [out])
     print(f"ingested {len(corpus)} samples -> {out}")
-    return 0
+    return Run(out.with_suffix(out.suffix + ".manifest.json"), None, [out])
 
 
-def _cmd_split(args) -> int:
+def _cmd_split(args) -> Run:
     spec = corpus_mod.SplitSpec(*_parsed("--ratios", _split_ratios, args.ratios), seed=args.seed)
     corpus = corpus_mod.load_corpus(args.infile)
     train, val, test = corpus_mod.split_corpus(corpus, spec)
@@ -154,32 +191,29 @@ def _cmd_split(args) -> int:
         target = out_dir / f"{name}.jsonl"
         corpus_mod.save_corpus(part, target)
         outputs.append(target)
-    _write_run_manifest(args, out_dir / "run_manifest.json", args.seed, outputs)
     print(f"split {len(corpus)} -> train {len(train)}, val {len(val)}, test {len(test)}")
-    return 0
+    return Run(out_dir / "run_manifest.json", args.seed, outputs)
 
 
-def _cmd_build_vocab(args) -> int:
-    corpus = corpus_mod.load_corpus(args.corpus)
-    vocabulary = vocab_mod.mine_vocabulary(
-        (s.intent for s in corpus),
-        load_stopwords(args.stopwords),
-        vocab_mod.load_registers(args.registers),
-        comparison=args.comparison,
-        threshold=args.threshold,
-        tag_lexicon=load_tag_lexicon(args.tag_lexicon),
+def _cmd_build_vocab(args) -> Run:
+    vocabulary = _mine_vocabulary(
+        corpus_mod.load_corpus(args.corpus),
+        args.stopwords,
+        args.registers,
+        args.comparison,
+        args.threshold,
+        args.tag_lexicon,
     )
     out = Path(args.out)
     vocab_mod.save_vocabulary(vocabulary, out)
-    _write_run_manifest(args, out.with_suffix(".manifest.json"), None, [out])
     print(
         f"vocabulary: {len(vocabulary.structure_words)} structure words, "
         f"{len(vocabulary.name_words)} name words -> {out}"
     )
-    return 0
+    return Run(out.with_suffix(".manifest.json"), None, [out])
 
 
-def _cmd_perturb(args) -> int:
+def _cmd_perturb(args) -> Run:
     kind = perturb_mod.PerturbKind(args.kind)
     corpus = corpus_mod.load_corpus(args.infile)
     vocabulary = vocab_mod.load_vocabulary(args.vocab)
@@ -196,13 +230,11 @@ def _cmd_perturb(args) -> int:
         skips_path,
         ({"id": s.sample_id, "kind": s.kind.value, "reason": s.reason} for s in result.skipped),
     )
-    manifest = out.with_suffix(out.suffix + ".manifest.json")
-    _write_run_manifest(args, manifest, args.seed, [out, skips_path])
     print(f"perturbed {len(result.records)} samples ({len(result.skipped)} skipped) -> {out}")
-    return 0
+    return Run(out.with_suffix(out.suffix + ".manifest.json"), args.seed, [out, skips_path])
 
 
-def _cmd_gate(args) -> int:
+def _cmd_gate(args) -> Run:
     thresholds = _parsed("--sweep", _parse_floats, args.sweep) if args.sweep else None
     records = perturb_mod.read_records(args.records)
     if args.embeddings:
@@ -224,25 +256,23 @@ def _cmd_gate(args) -> int:
         sweep_path = Path(args.sweep_out) if args.sweep_out else records_path.with_suffix(".sweep.csv")
         semgate_mod.write_sweep_csv(scored, thresholds, sweep_path)
         outputs.append(sweep_path)
-    _write_run_manifest(args, records_path.with_suffix(".gate.manifest.json"), None, outputs)
     print(f"gate at {args.threshold}: {len(passed)} passed, {len(failed)} failed")
-    return 0
+    return Run(records_path.with_suffix(".gate.manifest.json"), None, outputs)
 
 
 # What `augment --kind` names: a family, or a single perturbation kind.
 _PLAN_KINDS = {k.value: k for k in (*augment_mod.KindFamily, *perturb_mod.PerturbKind)}
 
 
-def _cmd_augment(args) -> int:
+def _cmd_augment(args) -> Run:
     split = corpus_mod.load_corpus(args.split)
     records = perturb_mod.read_records(args.records)
     plan = augment_mod.AugmentPlan(ratio_p=args.p, kind=_PLAN_KINDS[args.kind], seed=args.seed)
     augmented = augment_mod.augment_split(split, records, plan)
     out = Path(args.out)
     corpus_mod.save_corpus(augmented, out)
-    _write_run_manifest(args, out.with_suffix(out.suffix + ".manifest.json"), args.seed, [out])
     print(f"augmented {len(augmented)} samples at p={args.p} -> {out}")
-    return 0
+    return Run(out.with_suffix(out.suffix + ".manifest.json"), args.seed, [out])
 
 
 # The perturbation kinds `matrix` runs for each family, in record order.
@@ -321,7 +351,7 @@ def _matrix_settings(config: dict[str, str], where: str) -> dict:
     return settings
 
 
-def _cmd_matrix(args) -> int:
+def _cmd_matrix(args) -> Run:
     config = read_config(args.config)
     settings = _matrix_settings(config, args.config)
     seed = settings["seed"]
@@ -339,13 +369,13 @@ def _cmd_matrix(args) -> int:
     splits = {"train": train, "val": val, "test": test}
 
     # The vocabulary is mined over the whole corpus, test split included.
-    vocabulary = vocab_mod.mine_vocabulary(
-        (s.intent for s in corpus),
-        load_stopwords(settings["stopwords"]),
-        vocab_mod.load_registers(settings["registers"]),
-        comparison=settings["comparison"],
-        threshold=settings["vocab.threshold"],
-        tag_lexicon=load_tag_lexicon(settings["tag_lexicon"]),
+    vocabulary = _mine_vocabulary(
+        corpus,
+        settings["stopwords"],
+        settings["registers"],
+        settings["comparison"],
+        settings["vocab.threshold"],
+        settings["tag_lexicon"],
     )
     tagger = _load_tagger(vocabulary)
     store = load_vectors(settings["vectors"])
@@ -377,12 +407,11 @@ def _cmd_matrix(args) -> int:
         perturb_mod.write_records(passed, out_dir / f"records_{split_name}.jsonl")
     outputs = [out_dir / "manifest.json", out_dir / "vocab.json"]
     outputs.extend(out_dir / f"records_{name}.jsonl" for name in splits)
-    _write_run_manifest(args, out_dir / "run_manifest.json", seed, outputs, config)
     print(f"matrix: {len(cells)} cells -> {out_dir} (digest {digest[:12]}...)")
-    return 0
+    return Run(out_dir / "run_manifest.json", seed, outputs, config)
 
 
-def _cmd_evaluate(args) -> int:
+def _cmd_evaluate(args) -> Run:
     preds = metrics_mod.load_predictions(args.preds)
     references = corpus_mod.load_corpus(args.refs)
     out_dir = Path(args.out_dir)
@@ -417,7 +446,6 @@ def _cmd_evaluate(args) -> int:
         result["syn"] = syn_report.accuracy
         result["syn_cohorts"] = metrics_mod.cohort_breakdown(syn_report.verdicts, references)
 
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs: list[Path] = []
     if syn_report is not None:
         verdicts_path = out_dir / "syn_verdicts.jsonl"
@@ -434,10 +462,9 @@ def _cmd_evaluate(args) -> int:
         outputs.append(labels_path)
         metrics_mod.save_labels(labels, labels_path)
     metrics_path = out_dir / "metrics.json"
-    metrics_path.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", "utf-8")
-    _write_run_manifest(args, out_dir / "run_manifest.json", None, [metrics_path, *outputs])
-    print(json.dumps(result, indent=2, sort_keys=True))
-    return 0
+    write_json(metrics_path, result)
+    print(pretty_json(result))
+    return Run(out_dir / "run_manifest.json", None, [metrics_path, *outputs])
 
 
 def _is_number(value, *also) -> bool:
@@ -466,7 +493,7 @@ _REPORT_KEYS = {
 }
 
 
-def _cmd_report(args) -> int:
+def _cmd_report(args) -> Run:
     cells = []
     for path in args.metrics:
         payload = read_json_object(path)
@@ -475,13 +502,11 @@ def _cmd_report(args) -> int:
                 raise DataError(f"{path}: {key!r} must be {what}")
         cells.append(payload)
     csv_path, summary_path = metrics_mod.report(cells, args.out_dir)
-    outputs = [csv_path, summary_path]
-    _write_run_manifest(args, Path(args.out_dir) / "run_manifest.json", None, outputs)
     print(f"report -> {csv_path}, {summary_path}")
-    return 0
+    return Run(Path(args.out_dir) / "run_manifest.json", None, [csv_path, summary_path])
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> Run | None:
     corpus = corpus_mod.load_corpus(args.corpus)
     stoplist = load_stopwords(args.stopwords)
     table = vocab_mod.count_frequencies((s.intent for s in corpus), stoplist)
@@ -501,13 +526,12 @@ def _cmd_stats(args) -> int:
     if args.variants:
         variants = [corpus] + [corpus_mod.load_corpus(p) for p in args.variants]
         result["vocab_growth"] = augment_mod.vocab_growth(variants, stoplist)
-    print(json.dumps(result, indent=2, sort_keys=True))
-    if args.out:
-        out = Path(args.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(result, indent=2, sort_keys=True) + "\n", "utf-8")
-        _write_run_manifest(args, out.with_suffix(".manifest.json"), None, [out])
-    return 0
+    print(pretty_json(result))
+    if not args.out:
+        return None
+    out = Path(args.out)
+    write_json(out, result)
+    return Run(out.with_suffix(".manifest.json"), None, [out])
 
 
 def build_parser() -> _Parser:
@@ -609,7 +633,10 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        return args.func(args)
+        run = args.func(args)
+        if run is not None:
+            _write_run_manifest(args, run)
+        return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -390,17 +390,18 @@ def report(cells: list[dict], out_dir: str | Path) -> tuple[Path, Path]:
 
 def cohort_breakdown(
     verdicts: dict[str, bool], corpus: Corpus
-) -> dict[str, dict[str, float | None]]:
-    """Split per-id boolean verdicts into single-line/multi-line cohorts. An
-    id the corpus does not hold is a DataError."""
+) -> dict[str, dict[str, int | float | None]]:
+    """Split per-id boolean verdicts into single-line/multi-line cohorts: the
+    count ``n`` and the share of true verdicts. An id the corpus does not hold
+    is a DataError."""
     try:
         multi_lines = [corpus.by_id(sid).multi_line for sid in verdicts]
     except KeyError as exc:
         raise DataError(f"id {exc.args[0]!r} is not in corpus {corpus.name!r}") from None
-    out: dict[str, dict[str, float | None]] = {}
+    out: dict[str, dict[str, int | float | None]] = {}
     for cohort, multi_line in (("single-line", False), ("multi-line", True)):
         oks = [ok for ok, multi in zip(verdicts.values(), multi_lines) if multi == multi_line]
-        out[cohort] = {"n": float(len(oks)), "accuracy": sum(oks) / len(oks) if oks else None}
+        out[cohort] = {"n": len(oks), "accuracy": sum(oks) / len(oks) if oks else None}
     return out
 
 

@@ -131,7 +131,8 @@ class TestIngestSplit:
         custom = tmp_path / "elsewhere" / "custom.json"
         assert run("ingest", "--in", workdir / "corpus.jsonl", "--out", out, "--manifest", custom) == 0
         assert not (tmp_path / "normalized.jsonl.manifest.json").exists()
-        assert json.loads(custom.read_text())["outputs"] == {"normalized.jsonl": sha256_file(out)}
+        # An output outside the manifest's directory is keyed by its relative path.
+        assert json.loads(custom.read_text())["outputs"] == {"../normalized.jsonl": sha256_file(out)}
         assert run("ingest", "--in", workdir / "corpus.jsonl", "--out", out) == 0
         default = json.loads((tmp_path / "normalized.jsonl.manifest.json").read_text())
         assert default["command"] == "ingest"
@@ -353,6 +354,27 @@ class TestVocabPerturbGate:
         assert sweep[0] == "threshold,kind,pass_rate"
         rates = [float(line.split(",")[2]) for line in sweep[1:]]
         assert rates == sorted(rates, reverse=True)
+
+    def test_gate_outputs_of_one_name_keep_both_manifest_keys(self, workdir, tmp_path):
+        vocab, records = tmp_path / "vocab.json", tmp_path / "recs.jsonl"
+        save_vocabulary(
+            helpers.shipped_vocabulary(structure_words={"register"}, name_words={"EAX"}), vocab
+        )
+        assert run(
+            "perturb", "--kind", "omit-name", "--in", workdir / "corpus.jsonl",
+            "--vocab", vocab, "--out", records, "--seed", 1,
+        ) == 0
+        passed, failed = tmp_path / "a" / "x.jsonl", tmp_path / "b" / "x.jsonl"
+        manifest = tmp_path / "m" / "run.json"
+        assert run(
+            "gate", "--records", records, "--vectors", workdir / "vectors.txt",
+            "--out-passed", passed, "--out-failed", failed, "--manifest", manifest,
+        ) == 0
+        assert passed.read_text().strip()
+        assert json.loads(manifest.read_text())["outputs"] == {
+            "../a/x.jsonl": sha256_file(passed),
+            "../b/x.jsonl": sha256_file(failed),
+        }
 
     def test_gate_bad_sweep_exit_1_before_any_output(self, workdir, tmp_path, capsys):
         vocab, records = tmp_path / "vocab.json", tmp_path / "recs.jsonl"
@@ -884,10 +906,12 @@ class TestEvaluate:
 class TestCsvCorpus:
     """A corpus path ending in .csv is read as CSV by every command."""
 
+    RUN_MANIFESTS = ("run_manifest.json", ".manifest.json")
+
     @staticmethod
-    def outputs(corpus, vectors, out):
-        """Run every command that reads a corpus, writing under ``out``; return
-        the files written, run manifests excluded (they hash paths)."""
+    def commands(corpus, vectors, out):
+        """The argv of every command that reads a corpus, each writing under
+        ``out``, in an order in which each finds its inputs."""
         inputs = corpus.parent
         preds, config = inputs / "preds.jsonl", inputs / "exp.cfg"
         samples = load_corpus(corpus).samples[:6]
@@ -899,7 +923,7 @@ class TestCsvCorpus:
             f"corpus = {corpus}\nvectors = {vectors}\nout_dir = {out / 'matrix'}\nseed = 5\n"
         )
         vocab, records = out / "vocab.json", out / "recs.jsonl"
-        commands = [
+        return [
             ("split", "--in", corpus, "--out-dir", out / "splits", "--seed", 3),
             ("build-vocab", "--corpus", corpus, "--out", vocab),
             ("perturb", "--kind", "omit-name", "--in", corpus, "--vocab", vocab,
@@ -912,10 +936,39 @@ class TestCsvCorpus:
              "--variants", corpus, "--out", out / "stats.json"),
             ("matrix", "--config", config),
         ]
-        for argv in commands:
+
+    @classmethod
+    def outputs(cls, corpus, vectors, out):
+        """Run ``commands``; return the files written, run manifests excluded
+        (they hash paths)."""
+        for argv in cls.commands(corpus, vectors, out):
             assert run(*argv) == 0, argv[0]
-        run_manifests = ("run_manifest.json", ".manifest.json")
-        return {name: data for name, data in tree(out).items() if not name.endswith(run_manifests)}
+        return {
+            name: data for name, data in tree(out).items() if not name.endswith(cls.RUN_MANIFESTS)
+        }
+
+    def test_run_manifest_covers_every_written_file(self, workdir, tmp_path):
+        corpus, out = tmp_path / "in" / "corpus.jsonl", tmp_path / "out"
+        save_corpus(load_corpus(workdir / "corpus.jsonl"), corpus)
+        for argv in self.commands(corpus, workdir / "vectors.txt", out):
+            before = tree(out) if out.exists() else {}
+            assert run(*argv) == 0, argv[0]
+            written = {name for name, data in tree(out).items() if before.get(name) != data}
+            [name] = [n for n in written if n.endswith(self.RUN_MANIFESTS)]
+            manifest = json.loads((out / name).read_text())
+            assert manifest["command"] == argv[0]
+            covered = {name}
+            for key, digest in manifest["outputs"].items():
+                path = os.path.normpath(out / Path(name).parent / key)
+                assert sha256_file(path) == digest, (argv[0], key)
+                covered.add(os.path.relpath(path, out))
+            # The matrix cell files are covered by manifest.json's digests.
+            if "matrix/manifest.json" in covered:
+                for cell in json.loads((out / "matrix" / "manifest.json").read_text())["cells"]:
+                    for split, cell_file in cell["paths"].items():
+                        assert sha256_file(out / "matrix" / cell_file) == cell["sha256"][split]
+                        covered.add(f"matrix/{cell_file}")
+            assert len(written) > 1 and written <= covered, (argv[0], written - covered)
 
     def test_every_command_reads_csv(self, workdir, tmp_path):
         trees = {}
@@ -946,6 +999,14 @@ class TestStats:
         assert payload["samples"] == 133
         assert payload["jsd"] == 0.0
         assert set(payload["omission_rates"]) == {"action", "structure", "name"}
+
+    def test_stats_without_out_writes_no_file(self, workdir, tmp_path, monkeypatch, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(load_corpus(workdir / "corpus.jsonl"), corpus)
+        monkeypatch.chdir(tmp_path)
+        assert run("stats", "--corpus", corpus) == 0
+        assert json.loads(capsys.readouterr().out)["samples"] == 133
+        assert [p.name for p in tmp_path.rglob("*")] == ["corpus.jsonl"]
 
     def test_stats_out_creates_missing_directory(self, workdir, tmp_path):
         out = tmp_path / "nodir" / "stats.json"
