@@ -2,17 +2,17 @@
 
 Augmentation never grows a dataset: exactly round(p * N) samples have their
 intent replaced by a gate-passing perturbed version; snippets are never
-touched. The experiment matrix materializes the cells behind the three
-research questions from one augmentation per family, split and ratio, so
-cells that share a split share its file, and writes a manifest whose digest
-is reproducible for a fixed seed. A cell exists only as the JSON object the
-manifest lists; its id names the family and both ratios in whole percents
-(``ratio_label``).
+touched. A plan names one ``PerturbKind`` or one ``KindFamily``; a family
+draws on the records of every kind whose ``family`` it is. The experiment
+matrix materializes the cells behind the three research questions from one
+augmentation per family, split and ratio, so cells that share a split share
+its file, and writes a manifest whose digest is reproducible for a fixed
+seed. A cell exists only as the JSON object the manifest lists; its id
+names the family and both ratios in whole percents (``ratio_label``).
 """
 
 from __future__ import annotations
 
-import enum
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -27,23 +27,8 @@ from perturbe._util import (
 )
 from perturbe.corpus import Corpus, Sample, save_corpus
 from perturbe.errors import ConfigError, DataError
-from perturbe.perturb import GATE_PASS, PerturbationRecord, PerturbKind
+from perturbe.perturb import GATE_PASS, KindFamily, PerturbationRecord, PerturbKind
 from perturbe.vocab import count_frequencies
-
-
-class KindFamily(enum.Enum):
-    SUBSTITUTION = "substitution"
-    OMISSION = "omission"
-
-
-_FAMILY_KINDS = {
-    KindFamily.SUBSTITUTION: {PerturbKind.SUBST_CONSTRAINED, PerturbKind.SUBST_UNCONSTRAINED},
-    KindFamily.OMISSION: {
-        PerturbKind.OMIT_ACTION,
-        PerturbKind.OMIT_STRUCTURE,
-        PerturbKind.OMIT_NAME,
-    },
-}
 
 
 @dataclass(frozen=True)
@@ -70,7 +55,7 @@ def augment_split(
     and kind only, never on the split's name. Samples not chosen are kept.
     """
     _require_passed(records)
-    kinds = _FAMILY_KINDS.get(plan.kind, {plan.kind})
+    kinds = {kind for kind in PerturbKind if plan.kind in (kind, kind.family)}
     by_id: dict[str, dict[str, PerturbationRecord]] = {}
     for record in records:
         if record.kind in kinds:

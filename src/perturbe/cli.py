@@ -261,7 +261,7 @@ def _cmd_gate(args) -> Run:
 
 
 # What `augment --kind` names: a family, or a single perturbation kind.
-_PLAN_KINDS = {k.value: k for k in (*augment_mod.KindFamily, *perturb_mod.PerturbKind)}
+_PLAN_KINDS = {k.value: k for k in (*perturb_mod.KindFamily, *perturb_mod.PerturbKind)}
 
 
 def _cmd_augment(args) -> Run:
@@ -277,8 +277,8 @@ def _cmd_augment(args) -> Run:
 
 # The perturbation kinds `matrix` runs for each family, in record order.
 _MATRIX_KINDS = {
-    augment_mod.KindFamily.SUBSTITUTION: (perturb_mod.PerturbKind.SUBST_CONSTRAINED,),
-    augment_mod.KindFamily.OMISSION: (
+    perturb_mod.KindFamily.SUBSTITUTION: (perturb_mod.PerturbKind.SUBST_CONSTRAINED,),
+    perturb_mod.KindFamily.OMISSION: (
         perturb_mod.PerturbKind.OMIT_ACTION,
         perturb_mod.PerturbKind.OMIT_STRUCTURE,
         perturb_mod.PerturbKind.OMIT_NAME,
@@ -286,15 +286,15 @@ _MATRIX_KINDS = {
 }
 
 
-def _families(text: str) -> list[augment_mod.KindFamily]:
-    families = [augment_mod.KindFamily(part.strip()) for part in text.split(",")]
+def _families(text: str) -> list[perturb_mod.KindFamily]:
+    families = [perturb_mod.KindFamily(part.strip()) for part in text.split(",")]
     if len(set(families)) < len(families):
         raise ValueError(f"a family is listed twice in {text!r}")
     return families
 
 
 def _augment_ratios(text: str) -> list[float]:
-    family = augment_mod.KindFamily.SUBSTITUTION  # AugmentPlan checks each ratio
+    family = perturb_mod.KindFamily.SUBSTITUTION  # AugmentPlan checks each ratio
     ratios = [augment_mod.AugmentPlan(p, family).ratio_p for p in _parse_floats(text)]
     if not ratios:
         raise ValueError("expected at least one ratio")
@@ -325,7 +325,7 @@ _MATRIX_KEYS = {
     "comparison": (str, None),
     "vocab.threshold": (vocab_mod.check_threshold, vocab_mod.DEFAULT_RATIO_THRESHOLD),
     "tag_lexicon": (str, None),
-    "kinds": (_families, list(augment_mod.KindFamily)),
+    "kinds": (_families, list(perturb_mod.KindFamily)),
     "ratios": (_augment_ratios, [0.0, 0.25, 0.5, 1.0]),
     "subst.ratio": (float, perturb_mod.SubstitutionConfig.ratio),
     "subst.k": (int, perturb_mod.SubstitutionConfig.k),
@@ -519,7 +519,7 @@ def _cmd_stats(args) -> Run | None:
         vocabulary = vocab_mod.load_vocabulary(args.vocab)
         tagger = _load_tagger(vocabulary)
         rates = metrics_mod.omission_rate_stats(corpus, vocabulary, tagger)
-        result["omission_rates"] = {cat.value: rate for cat, rate in rates.items()}
+        result["omission_rates"] = {kind.category: rate for kind, rate in rates.items()}
     if args.against:
         other = corpus_mod.load_corpus(args.against)
         result["jsd"] = metrics_mod.jsd(corpus, other, stoplist)

@@ -8,8 +8,9 @@ silent substitute.
 
 Syntactic accuracy checks each snippet wrapped in its scaffold, in a
 temporary file. A diagnostic is the checker's last stderr line with that
-file's path replaced by ``snippet<suffix>`` (``snippet.s`` for GNU as), so
-verdict files are byte-identical across runs. When the checker is GNU ``as``
+file's path replaced by ``snippet<suffix>``, so verdict files are
+byte-identical across runs. The suffix follows the scaffold: ``.asm`` under
+``NASM_SCAFFOLD``, ``.s`` under any other. When the checker is GNU ``as``
 (argv0's basename is ``as``) with ``GAS_SCAFFOLD``, snippets are first
 settled in bulk: every snippet made only of letters, digits,
 ``_ , + - * [ ] ( )``, blanks and newlines goes into one file under a single
@@ -49,7 +50,7 @@ import numpy as np
 from perturbe._util import read_jsonl, write_jsonl
 from perturbe.corpus import NEWLINE_MARKER, Corpus
 from perturbe.errors import CheckerError, ConfigError, DataError
-from perturbe.perturb import OmissionCategory, analyze_corpus, omittable_words
+from perturbe.perturb import KindFamily, PerturbKind, analyze_corpus, omittable_words
 from perturbe.vocab import Vocabulary, count_frequencies
 
 DEFAULT_CHECK_TIMEOUT = 10.0
@@ -94,13 +95,17 @@ class CheckerConfig:
     scaffold: str = NASM_SCAFFOLD
     timeout: float = DEFAULT_CHECK_TIMEOUT
     workers: int = 4
-    file_suffix: str = ".s"
 
     def __post_init__(self) -> None:
         if "{file}" not in self.template:
             raise ConfigError("checker template must contain a {file} placeholder")
         if self.workers < 1:
             raise ConfigError(f"checker workers must be >= 1, got {self.workers}")
+
+    @property
+    def suffix(self) -> str:
+        """The checked file's suffix: .asm under NASM's scaffold, .s under any other."""
+        return ".asm" if self.scaffold == NASM_SCAFFOLD else ".s"
 
 
 @dataclass
@@ -120,7 +125,6 @@ def detect_checker(
             scaffold=NASM_SCAFFOLD,
             timeout=timeout,
             workers=workers,
-            file_suffix=".asm",
         )
     if shutil.which("as"):
         return CheckerConfig(
@@ -146,7 +150,7 @@ def _assemble(source: str, checker: CheckerConfig) -> tuple[int | None, str]:
     """Run the checker on one source file. Returns the exit status (None on
     timeout) and stderr with the file's path replaced by ``snippet<suffix>``."""
     with tempfile.NamedTemporaryFile(
-        "w", suffix=checker.file_suffix, delete=False, encoding="utf-8"
+        "w", suffix=checker.suffix, delete=False, encoding="utf-8"
     ) as handle:
         handle.write(source)
         path = handle.name
@@ -157,7 +161,7 @@ def _assemble(source: str, checker: CheckerConfig) -> tuple[int | None, str]:
             timeout=checker.timeout,
             text=True,
         )
-        return proc.returncode, proc.stderr.replace(path, "snippet" + checker.file_suffix)
+        return proc.returncode, proc.stderr.replace(path, "snippet" + checker.suffix)
     except subprocess.TimeoutExpired:
         return None, ""
     finally:
@@ -193,7 +197,7 @@ def _batch_failures(
         return {}
     if status is None:
         return None
-    name = "snippet" + checker.file_suffix
+    name = "snippet" + checker.suffix
     message = re.compile(
         rf"{re.escape(name)}: Assembler messages:|{re.escape(name)}:(\d+): ((Error|Warning): .*)"
     )
@@ -341,21 +345,27 @@ def jsd(a: Corpus, b: Corpus, stoplist: set[str]) -> float:
 
 def omission_rate_stats(
     corpus: Corpus, vocabulary: Vocabulary, tagger
-) -> dict[OmissionCategory, float]:
-    """Mean fraction of intent tokens each omission category would remove."""
+) -> dict[PerturbKind, float]:
+    """Mean fraction of intent tokens each omission kind would remove."""
     if len(corpus) == 0:
         raise DataError("empty corpus")
-    totals = {category: 0.0 for category in OmissionCategory}
+    totals = {kind: 0.0 for kind in PerturbKind if kind.family is KindFamily.OMISSION}
     for intent, tags in analyze_corpus(corpus, tagger):
-        for category in OmissionCategory:
-            indices = omittable_words(intent.tokens, category, vocabulary, tags)
-            totals[category] += len(indices) / len(intent.tokens)
-    return {category: total / len(corpus) for category, total in totals.items()}
+        for kind in totals:
+            indices = omittable_words(intent.tokens, kind, vocabulary, tags)
+            totals[kind] += len(indices) / len(intent.tokens)
+    return {kind: total / len(corpus) for kind, total in totals.items()}
 
 
 def _fmt(value: float | str | None) -> str:
     """A score to four places; null and "undefined" print as '-'."""
     return "-" if value in (None, "undefined") else f"{value:.4f}"
+
+
+def _fmt_cohort(key: str, value: int | float | None) -> str:
+    """A cohort's value: an integer count ``n`` as an integer, any other
+    value as a score."""
+    return str(value) if key == "n" and isinstance(value, int) else _fmt(value)
 
 
 def report(cells: list[dict], out_dir: str | Path) -> tuple[Path, Path]:
@@ -381,7 +391,7 @@ def report(cells: list[dict], out_dir: str | Path) -> tuple[Path, Path]:
                 f"| SYN {syn} | SEM {sem} | ROB {rob}"
             )
             for cohort, values in sorted(cell.get("sem_cohorts", {}).items()):
-                parts = " | ".join(f"{k} {_fmt(v)}" for k, v in sorted(values.items()))
+                parts = " | ".join(f"{k} {_fmt_cohort(k, v)}" for k, v in sorted(values.items()))
                 lines.append(f"    {cohort}: {parts}")
     summary_path = out_dir / "summary.txt"
     summary_path.write_text("\n".join(lines) + "\n", "utf-8")

@@ -1,6 +1,8 @@
 """Word-level perturbations of code descriptions.
 
-Two families are implemented:
+A perturbation kind is a ``PerturbKind``; each kind names its
+``KindFamily``, and an omission kind's value ends in its category. Two
+families are implemented:
 
 * substitution: replace a seeded sample of eligible words with embedding
   neighbors. Constrained substitution requires the neighbor to share the
@@ -34,34 +36,32 @@ DEFAULT_K_CONSTRAINED = 20
 DEFAULT_K_UNCONSTRAINED = 50
 
 
+class KindFamily(enum.Enum):
+    SUBSTITUTION = "substitution"
+    OMISSION = "omission"
+
+
 class PerturbKind(enum.Enum):
-    SUBST_CONSTRAINED = "subst-constrained"
-    SUBST_UNCONSTRAINED = "subst-unconstrained"
-    OMIT_ACTION = "omit-action"
-    OMIT_STRUCTURE = "omit-structure"
-    OMIT_NAME = "omit-name"
+    SUBST_CONSTRAINED = "subst-constrained", KindFamily.SUBSTITUTION
+    SUBST_UNCONSTRAINED = "subst-unconstrained", KindFamily.SUBSTITUTION
+    OMIT_ACTION = "omit-action", KindFamily.OMISSION
+    OMIT_STRUCTURE = "omit-structure", KindFamily.OMISSION
+    OMIT_NAME = "omit-name", KindFamily.OMISSION
+
+    def __new__(cls, value: str, family: KindFamily):
+        kind = object.__new__(cls)
+        kind._value_ = value
+        kind.family = family
+        return kind
 
     @property
     def is_substitution(self) -> bool:
-        return self in (PerturbKind.SUBST_CONSTRAINED, PerturbKind.SUBST_UNCONSTRAINED)
-
-
-class OmissionCategory(enum.Enum):
-    ACTION = "action"
-    STRUCTURE = "structure"
-    NAME = "name"
+        return self.family is KindFamily.SUBSTITUTION
 
     @property
-    def kind(self) -> PerturbKind:
-        return _CATEGORY_TO_KIND[self]
-
-
-_KIND_TO_CATEGORY = {
-    PerturbKind.OMIT_ACTION: OmissionCategory.ACTION,
-    PerturbKind.OMIT_STRUCTURE: OmissionCategory.STRUCTURE,
-    PerturbKind.OMIT_NAME: OmissionCategory.NAME,
-}
-_CATEGORY_TO_KIND = {category: kind for kind, category in _KIND_TO_CATEGORY.items()}
+    def category(self) -> str:
+        """The words an omission kind removes: action, structure or name."""
+        return self.value.removeprefix("omit-")
 
 
 GATE_PASS = "pass"
@@ -233,37 +233,39 @@ def substitute_words(
 
 def omittable_words(
     tokens: list[str],
-    category: OmissionCategory,
+    kind: PerturbKind,
     vocabulary: Vocabulary,
     tags: list[PosTag],
 ) -> set[int]:
-    """Indices belonging to one omission category.
+    """Indices of the words one omission kind removes.
 
-    ACTION follows the POS tags (verbs); STRUCTURE and NAME follow the
-    vocabulary partitions, with the same case rules as is_protected().
+    OMIT_ACTION follows the POS tags (verbs); OMIT_STRUCTURE and OMIT_NAME
+    follow the vocabulary partitions, with the same case rules as
+    is_protected().
     """
+    if kind.is_substitution:
+        raise ConfigError(f"{kind.value} is not an omission kind")
     if len(tags) != len(tokens):
         raise DataError(f"{len(tags)} tags for {len(tokens)} tokens")
-    if category is OmissionCategory.ACTION:
+    if kind is PerturbKind.OMIT_ACTION:
         return {i for i, tag in enumerate(tags) if tag is PosTag.VERB}
-    if category is OmissionCategory.STRUCTURE:
+    if kind is PerturbKind.OMIT_STRUCTURE:
         return {i for i, t in enumerate(tokens) if t.lower() in vocabulary.structure_words}
     return {i for i, t in enumerate(tokens) if t in vocabulary.name_words}
 
 
 def omit_words(
     intent: TokenizedIntent,
-    category: OmissionCategory,
+    kind: PerturbKind,
     vocabulary: Vocabulary,
     tags: list[PosTag],
 ) -> PerturbationRecord:
-    """Remove every word of the category; raises NoEligibleWords when the
-    category is absent (or omission would empty the intent)."""
-    indices = omittable_words(intent.tokens, category, vocabulary, tags)
+    """Remove every word of the omission kind's category; raises
+    NoEligibleWords when the category is absent (or omission would empty the
+    intent)."""
+    indices = omittable_words(intent.tokens, kind, vocabulary, tags)
     if not indices:
-        raise NoEligibleWords(
-            f"sample {intent.source_id!r}: no {category.value}-related words"
-        )
+        raise NoEligibleWords(f"sample {intent.source_id!r}: no {kind.category}-related words")
     kept = [t for i, t in enumerate(intent.tokens) if i not in indices]
     if not kept:
         raise NoEligibleWords(
@@ -271,7 +273,7 @@ def omit_words(
         )
     return PerturbationRecord(
         sample_id=intent.source_id,
-        kind=category.kind,
+        kind=kind,
         original_intent=intent.text,
         perturbed_intent=detokenize(kept),
         changed_positions=sorted(indices),
@@ -315,17 +317,16 @@ def perturb_corpus(
         raise ConfigError(f"{kind.value} requires a vector store")
     if len(analyses) != len(corpus):
         raise DataError(f"{len(analyses)} analyses for {len(corpus)} samples")
-    category = _KIND_TO_CATEGORY.get(kind)
 
     result = CorpusPerturbation()
     for sample, (intent, tags) in zip(corpus.samples, analyses):
         try:
-            if category is None:
+            if kind.is_substitution:
                 record = substitute_words(
                     intent, kind, cfg, vocabulary, tags, store, tagger, stoplist
                 )
             else:
-                record = omit_words(intent, category, vocabulary, tags)
+                record = omit_words(intent, kind, vocabulary, tags)
         except NoEligibleWords as exc:
             result.skipped.append(SkipEntry(sample_id=sample.id, kind=kind, reason=str(exc)))
             continue

@@ -49,7 +49,6 @@ from perturbe.perturb import (
     DEFAULT_K_CONSTRAINED,
     DEFAULT_K_UNCONSTRAINED,
     GATE_PASS,
-    OmissionCategory,
     PerturbationRecord,
     PerturbKind,
     _transfer_case,
@@ -574,14 +573,15 @@ def reference_vocab_growth(variants: list[Corpus], stoplist: set[str]) -> list[i
 
 def reference_omission_rates(corpus: Corpus, vocabulary: Vocabulary, tagger) -> dict:
     """Tokenize and tag each sample here, then average each category's share."""
-    totals = {category: 0.0 for category in OmissionCategory}
+    kinds = (PerturbKind.OMIT_ACTION, PerturbKind.OMIT_STRUCTURE, PerturbKind.OMIT_NAME)
+    totals = {kind: 0.0 for kind in kinds}
     for sample in corpus:
         tokens = tokenize(sample.intent, source_id=sample.id).tokens
         tags = tagger.tag(tokens, sample_id=sample.id)
-        for category in OmissionCategory:
-            indices = omittable_words(tokens, category, vocabulary, tags)
-            totals[category] += len(indices) / len(tokens)
-    return {category: total / len(corpus) for category, total in totals.items()}
+        for kind in kinds:
+            indices = omittable_words(tokens, kind, vocabulary, tags)
+            totals[kind] += len(indices) / len(tokens)
+    return {kind: total / len(corpus) for kind, total in totals.items()}
 
 
 def reference_substitute_words(

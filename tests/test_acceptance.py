@@ -38,7 +38,6 @@ from perturbe.metrics import (
 )
 from perturbe.perturb import (
     GATE_PASS,
-    OmissionCategory,
     PerturbKind,
     PerturbationRecord,
     SubstitutionConfig,
@@ -94,12 +93,12 @@ class TestCriterion1GoldenExamples:
         intent = tokenize(without_period, source_id="t2")
         tags = tagger.tag(intent.tokens)
         omissions = {
-            OmissionCategory.ACTION: "the shellcode pointer in the ESI register",
-            OmissionCategory.STRUCTURE: "Store the shellcode pointer in the ESI",
-            OmissionCategory.NAME: "Store the shellcode pointer in the register",
+            PerturbKind.OMIT_ACTION: "the shellcode pointer in the ESI register",
+            PerturbKind.OMIT_STRUCTURE: "Store the shellcode pointer in the ESI",
+            PerturbKind.OMIT_NAME: "Store the shellcode pointer in the register",
         }
-        for category, expected in omissions.items():
-            record = omit_words(intent, category, golden_vocab, tags)
+        for kind, expected in omissions.items():
+            record = omit_words(intent, kind, golden_vocab, tags)
             assert record.perturbed_intent == expected
 
         elapsed = time.perf_counter() - started
@@ -288,9 +287,9 @@ class TestCriterion6OmissionRates:
         else:
             corpus, vocab = demo_corpus, demo_vocab
         rates = omission_rate_stats(corpus, vocab, tagger)
-        for category in OmissionCategory:
-            rate = rates[category]
-            assert 0.10 <= rate <= 0.20, f"{category.value}: {rate:.4f} outside [0.10, 0.20]"
+        for kind in (PerturbKind.OMIT_ACTION, PerturbKind.OMIT_STRUCTURE, PerturbKind.OMIT_NAME):
+            rate = rates[kind]
+            assert 0.10 <= rate <= 0.20, f"{kind.value}: {rate:.4f} outside [0.10, 0.20]"
         announce(6, "per-category omission rates within [10%, 20%]")
 
 

@@ -120,6 +120,27 @@ class TestAugmentSplit:
         kinds_used = {s.intent.split()[2] for s in out}
         assert kinds_used == {"action", "name"}  # both categories appear
 
+    # Each perturbation kind's family: the family whose plans draw its records.
+    FAMILY_OF = {
+        "subst-constrained": "substitution",
+        "subst-unconstrained": "substitution",
+        "omit-action": "omission",
+        "omit-structure": "omission",
+        "omit-name": "omission",
+    }
+
+    @pytest.mark.parametrize("kind", list(PerturbKind))
+    def test_a_family_plan_draws_exactly_its_kinds(self, kind):
+        corpus = make_corpus(4)
+        for family in KindFamily:
+            plan = AugmentPlan(ratio_p=1.0, kind=family, seed=2)
+            if family.value == self.FAMILY_OF[kind.value]:
+                out = augment_split(corpus, full_coverage(corpus, kind), plan)
+                assert all(s.intent.startswith("perturbed intent") for s in out)
+            else:
+                with pytest.raises(DataError, match="only 0 are covered"):
+                    augment_split(corpus, full_coverage(corpus, kind), plan)
+
     def test_specific_kind_plan(self):
         corpus = make_corpus(10)
         records = full_coverage(corpus, PerturbKind.OMIT_NAME) + full_coverage(

@@ -119,6 +119,20 @@ class TestDefaults:
         assert detect["timeout"].default == checker.timeout
         assert detect["workers"].default == checker.workers
 
+    @staticmethod
+    def choices(command, option):
+        [subparsers] = [a for a in build_parser()._actions if a.dest == "command"]
+        [action] = [
+            a for a in subparsers.choices[command]._actions if option in a.option_strings
+        ]
+        return list(action.choices)
+
+    def test_kind_choices_are_the_published_names(self):
+        kinds = ["subst-constrained", "subst-unconstrained", "omit-action", "omit-structure",
+                 "omit-name"]
+        assert self.choices("perturb", "--kind") == kinds
+        assert self.choices("augment", "--kind") == ["substitution", "omission", *kinds]
+
 
 class TestIngestSplit:
     def test_ingest_round_trip(self, workdir):
@@ -288,6 +302,27 @@ class TestVocabPerturbGate:
         row = json.loads(line)
         assert row["id"] == "échantillon-ü"
         assert line == json.dumps(row, ensure_ascii=False)
+
+    @pytest.mark.parametrize(
+        ("kind", "word"),
+        [("omit-action", "action"), ("omit-structure", "structure"), ("omit-name", "name")],
+    )
+    def test_omission_skip_reason_names_the_category(self, tmp_path, kind, word):
+        corpus = tmp_path / "corpus.jsonl"
+        row = {"id": "s1", "intent": "the pointer", "snippet": "nop"}
+        corpus.write_text(json.dumps(row) + "\n")
+        vocab, out = tmp_path / "vocab.json", tmp_path / "r.jsonl"
+        save_vocabulary(
+            helpers.shipped_vocabulary(structure_words={"register"}, name_words={"EAX"}), vocab
+        )
+        assert run(
+            "perturb", "--kind", kind, "--in", corpus, "--vocab", vocab, "--out", out,
+            "--seed", 1,
+        ) == 0
+        assert Path(f"{out}.skips.jsonl").read_bytes() == (
+            b'{"id": "s1", "kind": "%s", "reason": "sample \'s1\': no %s-related words"}\n'
+            % (kind.encode(), word.encode())
+        )
 
     def test_perturb_omission(self, workdir):
         out = workdir / "recs_name.jsonl"
@@ -656,6 +691,11 @@ class TestEvaluate:
             "report", "--metrics", out_dir / "metrics.json", "--out-dir", tmp_path / "rep"
         ) == 0
         assert (tmp_path / "rep" / "metrics.csv").exists()
+        summary = (tmp_path / "rep" / "summary.txt").read_text().splitlines()
+        assert summary[3:] == [
+            "    multi-line: accuracy - | n 0",
+            "    single-line: accuracy 0.5000 | n 10",
+        ]
 
     def test_rob_with_label_files(self, workdir, tmp_path):
         corpus = load_corpus(workdir / "corpus.jsonl")
@@ -721,12 +761,28 @@ class TestEvaluate:
         verdicts = (tmp_path / "a" / "syn_verdicts.jsonl").read_bytes()
         assert verdicts == (tmp_path / "b" / "syn_verdicts.jsonl").read_bytes()
         assert json.loads(verdicts.splitlines()[0])["diagnostic"] == (
-            "snippet.s:5: Error: no such instruction"
+            "snippet.asm:5: Error: no such instruction"
         )
         outputs = manifests[0]["outputs"]
         assert set(outputs) == {"metrics.json", "syn_verdicts.jsonl", "exact_match_labels.jsonl"}
         assert outputs == manifests[1]["outputs"]
 
+
+    @pytest.mark.parametrize(("scaffold", "name"), [("nasm", "snippet.asm"), ("gas", "snippet.s")])
+    def test_diagnostic_file_name_follows_the_scaffold(self, tmp_path, scaffold, name):
+        # The name --auto-checker gives NASM's and GNU as's diagnostics.
+        script = tmp_path / "reject"
+        script.write_text("#!/bin/sh\necho \"$1:4: error: x\" >&2\nexit 1\n")
+        script.chmod(script.stat().st_mode | stat.S_IEXEC)
+        refs, preds = tmp_path / "refs.jsonl", tmp_path / "preds.jsonl"
+        refs.write_text(json.dumps({"id": "a", "intent": "Do it.", "snippet": "nop"}) + "\n")
+        preds.write_text(json.dumps({"id": "a", "prediction": "zz"}) + "\n")
+        assert run(
+            "evaluate", "--preds", preds, "--refs", refs, "--checker", f"{script} {{file}}",
+            "--scaffold", scaffold, "--out-dir", tmp_path / "e",
+        ) == 0
+        [row] = map(json.loads, (tmp_path / "e" / "syn_verdicts.jsonl").read_text().splitlines())
+        assert row["diagnostic"] == f"{name}:4: error: x"
 
     def test_verdicts_keep_non_ascii_text(self, tmp_path):
         script = tmp_path / "reject"
@@ -744,7 +800,7 @@ class TestEvaluate:
             "--out-dir", out_dir,
         ) == 0
         [line] = (out_dir / "syn_verdicts.jsonl").read_text("utf-8").splitlines()
-        row = {"id": "échantillon-ü", "ok": False, "diagnostic": "snippet.s:1: Error: bad"}
+        row = {"id": "échantillon-ü", "ok": False, "diagnostic": "snippet.asm:1: Error: bad"}
         assert line == json.dumps(row, ensure_ascii=False)
 
     @staticmethod
@@ -895,7 +951,7 @@ class TestEvaluate:
             b"==================\n"
             b"seq2seq | substitution | train 50% | test 100% | SYN 0.9100 | SEM 1.0000 "
             b"| ROB 0.8500\n"
-            b"    multi-line: accuracy - | n 0.0000\n"
+            b"    multi-line: accuracy - | n 0\n"
             b"    single-line: accuracy 1.0000 | n 3.0000\n"
             b"- | - | train 0% | test 0% | SYN - | SEM - | ROB -\n"
             b"codet5+ | omission | train 0% | test 25% | SYN 0.0000 | SEM - | ROB -\n"
@@ -999,6 +1055,25 @@ class TestStats:
         assert payload["samples"] == 133
         assert payload["jsd"] == 0.0
         assert set(payload["omission_rates"]) == {"action", "structure", "name"}
+
+    def test_stats_omission_rates_golden(self, tmp_path, capsys):
+        corpus = helpers.DATA_DIR / "demo_corpus.jsonl"
+        vocab = tmp_path / "vocab.json"
+        assert run("build-vocab", "--corpus", corpus, "--out", vocab) == 0
+        capsys.readouterr()
+        assert run("stats", "--corpus", corpus, "--vocab", vocab) == 0
+        assert capsys.readouterr().out.encode() == (
+            b'{\n'
+            b'  "multi_line": 16,\n'
+            b'  "omission_rates": {\n'
+            b'    "action": 0.14613162526696358,\n'
+            b'    "name": 0.189960686765198,\n'
+            b'    "structure": 0.19478720944886355\n'
+            b'  },\n'
+            b'  "samples": 133,\n'
+            b'  "unique_tokens": 78\n'
+            b'}\n'
+        )
 
     def test_stats_without_out_writes_no_file(self, workdir, tmp_path, monkeypatch, capsys):
         corpus = tmp_path / "corpus.jsonl"

@@ -29,7 +29,7 @@ from perturbe.metrics import (
     snippet_to_source,
     syntactic_accuracy,
 )
-from perturbe.perturb import OmissionCategory
+from perturbe.perturb import PerturbKind
 
 import helpers
 
@@ -209,9 +209,9 @@ class TestOmissionStats:
         vocab = Vocabulary(structure_words=set(), name_words={"eax"})
         corpus = Corpus([Sample("a", "push eax", "push eax")])
         rates = omission_rate_stats(corpus, vocab, tagger)
-        assert rates[OmissionCategory.ACTION] == 0.5
-        assert rates[OmissionCategory.NAME] == 0.5
-        assert rates[OmissionCategory.STRUCTURE] == 0.0
+        assert rates[PerturbKind.OMIT_ACTION] == 0.5
+        assert rates[PerturbKind.OMIT_NAME] == 0.5
+        assert rates[PerturbKind.OMIT_STRUCTURE] == 0.0
 
     def test_no_category_words_contribute_zero(self, tagger):
         from perturbe.vocab import Vocabulary
@@ -221,7 +221,7 @@ class TestOmissionStats:
             [Sample("a", "push the stack", "x"), Sample("b", "the contents", "y")]
         )
         rates = omission_rate_stats(corpus, vocab, tagger)
-        assert rates[OmissionCategory.STRUCTURE] == pytest.approx((1 / 3 + 0) / 2)
+        assert rates[PerturbKind.OMIT_STRUCTURE] == pytest.approx((1 / 3 + 0) / 2)
 
     def test_matches_reference(self, demo_corpus, demo_vocab, tagger):
         one_token = Corpus([Sample("p", "Push", "push eax"), Sample("e", "EAX", "push eax")])

@@ -7,7 +7,7 @@ from perturbe.corpus import Corpus, Sample
 from perturbe.embedding import load_vectors
 from perturbe.errors import ConfigError, DataError, NoEligibleWords
 from perturbe.perturb import (
-    OmissionCategory,
+    KindFamily,
     PerturbKind,
     SubstitutionConfig,
     analyze_corpus,
@@ -237,33 +237,33 @@ class TestSubstitutionDifferential:
 class TestOmission:
     def test_action_indices_are_verbs(self, golden_vocab, tagger):
         intent, tags = tagged(STORE_INTENT_BARE, tagger)
-        got = omittable_words(intent.tokens, OmissionCategory.ACTION, golden_vocab, tags)
+        got = omittable_words(intent.tokens, PerturbKind.OMIT_ACTION, golden_vocab, tags)
         assert got == {0}
 
     def test_structure_indices_from_vocabulary(self, golden_vocab, tagger):
         intent, tags = tagged(STORE_INTENT_BARE, tagger)
-        got = omittable_words(intent.tokens, OmissionCategory.STRUCTURE, golden_vocab, tags)
+        got = omittable_words(intent.tokens, PerturbKind.OMIT_STRUCTURE, golden_vocab, tags)
         assert got == {intent.tokens.index("register")}
 
     def test_name_indices_from_vocabulary(self, golden_vocab, tagger):
         intent, tags = tagged(STORE_INTENT_BARE, tagger)
-        got = omittable_words(intent.tokens, OmissionCategory.NAME, golden_vocab, tags)
+        got = omittable_words(intent.tokens, PerturbKind.OMIT_NAME, golden_vocab, tags)
         assert got == {intent.tokens.index("ESI")}
 
     def test_action_omission_text(self, golden_vocab, tagger):
         intent, tags = tagged(STORE_INTENT_BARE, tagger)
-        record = omit_words(intent, OmissionCategory.ACTION, golden_vocab, tags)
+        record = omit_words(intent, PerturbKind.OMIT_ACTION, golden_vocab, tags)
         assert record.perturbed_intent == "the shellcode pointer in the ESI register"
         assert record.kind is PerturbKind.OMIT_ACTION
 
     def test_structure_omission_text(self, golden_vocab, tagger):
         intent, tags = tagged(STORE_INTENT_BARE, tagger)
-        record = omit_words(intent, OmissionCategory.STRUCTURE, golden_vocab, tags)
+        record = omit_words(intent, PerturbKind.OMIT_STRUCTURE, golden_vocab, tags)
         assert record.perturbed_intent == "Store the shellcode pointer in the ESI"
 
     def test_name_omission_text(self, golden_vocab, tagger):
         intent, tags = tagged(STORE_INTENT_BARE, tagger)
-        record = omit_words(intent, OmissionCategory.NAME, golden_vocab, tags)
+        record = omit_words(intent, PerturbKind.OMIT_NAME, golden_vocab, tags)
         assert record.perturbed_intent == "Store the shellcode pointer in the register"
 
     def test_structure_omission_bl_register(self, tagger):
@@ -271,23 +271,28 @@ class TestOmission:
 
         vocab = Vocabulary(structure_words={"register"}, name_words={"BL"})
         intent, tags = tagged("copy 0x4 into the BL register", tagger)
-        record = omit_words(intent, OmissionCategory.STRUCTURE, vocab, tags)
+        record = omit_words(intent, PerturbKind.OMIT_STRUCTURE, vocab, tags)
         assert record.perturbed_intent == "copy 0x4 into the BL"
 
     def test_no_verbs_raises(self, golden_vocab, tagger):
         intent, tags = tagged("the shellcode pointer", tagger)
         with pytest.raises(NoEligibleWords):
-            omit_words(intent, OmissionCategory.ACTION, golden_vocab, tags)
+            omit_words(intent, PerturbKind.OMIT_ACTION, golden_vocab, tags)
+
+    def test_substitution_kind_rejected(self, golden_vocab, tagger):
+        intent, tags = tagged(STORE_INTENT_BARE, tagger)
+        with pytest.raises(ConfigError, match="subst-constrained is not an omission kind"):
+            omit_words(intent, SUBST, golden_vocab, tags)
 
     def test_removes_every_category_word(self, demo_vocab, tagger):
         intent, tags = tagged("push the value onto the stack near the stack pointer", tagger)
-        record = omit_words(intent, OmissionCategory.STRUCTURE, demo_vocab, tags)
+        record = omit_words(intent, PerturbKind.OMIT_STRUCTURE, demo_vocab, tags)
         for token in tokenize(record.perturbed_intent).tokens:
             assert token.lower() not in demo_vocab.structure_words
 
     def test_omission_never_mixes_categories(self, golden_vocab, tagger):
         intent, tags = tagged(STORE_INTENT_BARE, tagger)
-        record = omit_words(intent, OmissionCategory.NAME, golden_vocab, tags)
+        record = omit_words(intent, PerturbKind.OMIT_NAME, golden_vocab, tags)
         kept = tokenize(record.perturbed_intent).tokens
         assert "Store" in kept and "register" in kept  # other categories untouched
 
@@ -297,7 +302,7 @@ class TestOmission:
         vocab = Vocabulary(structure_words={"stack", "pointer"}, name_words=set())
         intent, tags = tagged("stack pointer", tagger)
         with pytest.raises(NoEligibleWords):
-            omit_words(intent, OmissionCategory.STRUCTURE, vocab, tags)
+            omit_words(intent, PerturbKind.OMIT_STRUCTURE, vocab, tags)
 
 
 class TestPerturbCorpus:
@@ -458,5 +463,8 @@ class TestAnalyzeCorpus:
         assert split.skipped
 
     def test_category_kind_round_trip(self):
-        kinds = [category.kind for category in OmissionCategory]
+        kinds = [kind for kind in PerturbKind if kind.family is KindFamily.OMISSION]
         assert kinds == [PerturbKind.OMIT_ACTION, PerturbKind.OMIT_STRUCTURE, PerturbKind.OMIT_NAME]
+        assert [kind.category for kind in kinds] == ["action", "structure", "name"]
+        assert [PerturbKind(f"omit-{kind.category}") for kind in kinds] == kinds
+        assert [kind.is_substitution for kind in PerturbKind] == [True, True, False, False, False]
