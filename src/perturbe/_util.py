@@ -1,7 +1,9 @@
-"""Small shared helpers: rounding, seeding, hashing, data-file and JSONL I/O."""
+"""Small shared helpers: rounding, seeding, hashing and data-file I/O. It owns
+how output files are written: every writer opens its file by ``open_output``."""
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
 import math
@@ -9,7 +11,7 @@ import random
 from importlib import resources
 from json.encoder import c_make_encoder, encode_basestring
 from pathlib import Path
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, Sequence, TextIO
 
 from perturbe.errors import DataError
 
@@ -65,11 +67,22 @@ def pretty_json(obj: Any) -> str:
     return json.dumps(obj, indent=2, sort_keys=True)
 
 
+def open_output(path: str | Path) -> TextIO:
+    """``path`` opened to write UTF-8 text, newlines untranslated; its directory is created."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
+def write_csv(path: str | Path, rows: Iterable[Sequence]) -> None:
+    """Rows in the csv module's default dialect: commas, minimal quoting, CRLF."""
+    with open_output(path) as fh:
+        csv.writer(fh).writerows(rows)
+
+
 def write_json(path: str | Path, obj: Any) -> None:
-    """``pretty_json(obj)`` and a newline to ``path``, its directory created."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(pretty_json(obj) + "\n", "utf-8")
+    """``pretty_json(obj)`` and a newline to ``path``."""
+    with open_output(path) as fh:
+        fh.write(pretty_json(obj) + "\n")
 
 
 def read_data_lines(path: str | Path | None, shipped: str, raw: bool = False) -> list[str]:
@@ -134,8 +147,6 @@ else:
 
 def write_jsonl(path: str | Path, records: Iterable[dict]) -> None:
     """One ``json.dumps(record, ensure_ascii=False)`` line per record."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with open_output(path) as fh:
         for rec in records:
             fh.write(_encode_line(rec) + "\n")

@@ -180,10 +180,8 @@ def build_matrix(
 
     out_dir = Path(out_dir)
     for cell, contents in cells:
-        cell_dir = out_dir / "cells" / cell["id"]
-        cell_dir.mkdir(parents=True, exist_ok=True)
         for split_name, content in contents.items():
-            target = cell_dir / f"{split_name}.jsonl"
+            target = out_dir / "cells" / cell["id"] / f"{split_name}.jsonl"
             save_corpus(content, target)
             cell["paths"][split_name] = str(target.relative_to(out_dir))
             cell["sha256"][split_name] = sha256_file(target)

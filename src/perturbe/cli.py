@@ -131,15 +131,16 @@ def _write_run_manifest(args, run: Run) -> None:
     ``run.manifest``. Each output is keyed by its path relative to the
     manifest's directory."""
     manifest_path = Path(args.manifest) if args.manifest else run.manifest
+    if manifest_path.resolve() in {p.resolve() for p in run.outputs}:
+        raise ConfigError(f"the run manifest would overwrite the output {manifest_path}")
     config = run.config
     if config is None:  # the handler function's repr is a memory address
         config = {k: v for k, v in vars(args).items() if k != "func"}
-    base = manifest_path.parent
     manifest = {
         "command": args.command,
         "seed": run.seed,
         "config_digest": sha256_text(canonical_json({k: str(v) for k, v in config.items()})),
-        "outputs": {os.path.relpath(p, base): sha256_file(p) for p in run.outputs},
+        "outputs": {os.path.relpath(p, manifest_path.parent): sha256_file(p) for p in run.outputs},
     }
     write_json(manifest_path, manifest)
 
@@ -186,11 +187,9 @@ def _cmd_split(args) -> Run:
     corpus = corpus_mod.load_corpus(args.infile)
     train, val, test = corpus_mod.split_corpus(corpus, spec)
     out_dir = Path(args.out_dir)
-    outputs = []
-    for name, part in (("train", train), ("val", val), ("test", test)):
-        target = out_dir / f"{name}.jsonl"
+    outputs = [out_dir / f"{name}.jsonl" for name in ("train", "val", "test")]
+    for part, target in zip((train, val, test), outputs):
         corpus_mod.save_corpus(part, target)
-        outputs.append(target)
     print(f"split {len(corpus)} -> train {len(train)}, val {len(val)}, test {len(test)}")
     return Run(out_dir / "run_manifest.json", args.seed, outputs)
 
@@ -236,6 +235,17 @@ def _cmd_perturb(args) -> Run:
 
 def _cmd_gate(args) -> Run:
     thresholds = _parsed("--sweep", _parse_floats, args.sweep) if args.sweep else None
+    records_path = Path(args.records)
+    outputs = {
+        "--out-passed": Path(args.out_passed or records_path.with_suffix(".passed.jsonl")),
+        "--out-failed": Path(args.out_failed or records_path.with_suffix(".failed.jsonl")),
+    }
+    if thresholds is not None:
+        outputs["--sweep-out"] = Path(args.sweep_out or records_path.with_suffix(".sweep.csv"))
+    options: dict[Path, str] = {}
+    for option, path in outputs.items():
+        if options.setdefault(path.resolve(), option) != option:
+            raise ConfigError(f"{options[path.resolve()]} and {option} name one file: {path}")
     records = perturb_mod.read_records(args.records)
     if args.embeddings:
         encoder = PrecomputedEncoder(args.embeddings)
@@ -246,18 +256,12 @@ def _cmd_gate(args) -> Run:
     cfg = semgate_mod.GateConfig(threshold=args.threshold)
     scored = semgate_mod.score_records(records, encoder)
     passed, failed = semgate_mod.gate(scored, cfg)
-    records_path = Path(args.records)
-    out_passed = Path(args.out_passed) if args.out_passed else records_path.with_suffix(".passed.jsonl")
-    out_failed = Path(args.out_failed) if args.out_failed else records_path.with_suffix(".failed.jsonl")
-    perturb_mod.write_records(passed, out_passed)
-    perturb_mod.write_records(failed, out_failed)
-    outputs = [out_passed, out_failed]
+    perturb_mod.write_records(passed, outputs["--out-passed"])
+    perturb_mod.write_records(failed, outputs["--out-failed"])
     if thresholds is not None:
-        sweep_path = Path(args.sweep_out) if args.sweep_out else records_path.with_suffix(".sweep.csv")
-        semgate_mod.write_sweep_csv(scored, thresholds, sweep_path)
-        outputs.append(sweep_path)
+        semgate_mod.write_sweep_csv(scored, thresholds, outputs["--sweep-out"])
     print(f"gate at {args.threshold}: {len(passed)} passed, {len(failed)} failed")
-    return Run(records_path.with_suffix(".gate.manifest.json"), None, outputs)
+    return Run(records_path.with_suffix(".gate.manifest.json"), None, list(outputs.values()))
 
 
 # What `augment --kind` names: a family, or a single perturbation kind.

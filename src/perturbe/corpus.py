@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterator
 
-from perturbe._util import read_jsonl, round_half_away, write_jsonl
+from perturbe._util import read_jsonl, round_half_away, write_csv, write_jsonl
 from perturbe.errors import ConfigError, DataError
 
 # Two-character separator between instructions of a multi-line snippet,
@@ -129,16 +129,11 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
     """Persist a corpus as CSV when the path ends in ``.csv`` (any case), and
     as JSONL otherwise; load_corpus() round-trips (id, intent, snippet)
     exactly."""
-    path = Path(path)
-    if not _is_csv(path):
+    if _is_csv(Path(path)):
+        header = ("id", "intent", "snippet")
+        write_csv(path, [header, *((s.id, s.intent, s.snippet) for s in corpus)])
+    else:
         write_jsonl(path, ({"id": s.id, "intent": s.intent, "snippet": s.snippet} for s in corpus))
-        return
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["id", "intent", "snippet"])
-        for s in corpus:
-            writer.writerow([s.id, s.intent, s.snippet])
 
 
 def split_corpus(corpus: Corpus, spec: SplitSpec) -> tuple[Corpus, Corpus, Corpus]:

@@ -34,7 +34,6 @@ reference path: one checker run per snippet. NASM is never batched.
 
 from __future__ import annotations
 
-import csv
 import os
 import re
 import shlex
@@ -47,7 +46,7 @@ from pathlib import Path
 
 import numpy as np
 
-from perturbe._util import read_jsonl, write_jsonl
+from perturbe._util import open_output, read_jsonl, write_csv, write_jsonl
 from perturbe.corpus import NEWLINE_MARKER, Corpus
 from perturbe.errors import CheckerError, ConfigError, DataError
 from perturbe.perturb import KindFamily, PerturbKind, analyze_corpus, omittable_words
@@ -373,28 +372,25 @@ def report(cells: list[dict], out_dir: str | Path) -> tuple[Path, Path]:
     ``evaluate`` writes them to metrics.json; returns both paths. An absent
     ``model`` is empty, an absent ``kind`` is '-', an absent p is 0.0 and an
     absent score is '-'."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "metrics.csv"
+    rows = [("model", "kind", "train_p", "test_p", "SYN", "SEM", "ROB")]
     lines = ["Evaluation summary", "=================="]
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["model", "kind", "train_p", "test_p", "SYN", "SEM", "ROB"])
-        for cell in cells:
-            model, kind = cell.get("model", ""), cell.get("kind", "-")
-            # float(): an integer p prints as 1.0, never 1.
-            train_p, test_p = float(cell.get("train_p", 0.0)), float(cell.get("test_p", 0.0))
-            syn, sem, rob = (_fmt(cell.get(key)) for key in ("syn", "sem", "rob"))
-            writer.writerow([model, kind, train_p, test_p, syn, sem, rob])
-            lines.append(
-                f"{model or '-'} | {kind} | train {train_p:.0%} | test {test_p:.0%} "
-                f"| SYN {syn} | SEM {sem} | ROB {rob}"
-            )
-            for cohort, values in sorted(cell.get("sem_cohorts", {}).items()):
-                parts = " | ".join(f"{k} {_fmt_cohort(k, v)}" for k, v in sorted(values.items()))
-                lines.append(f"    {cohort}: {parts}")
-    summary_path = out_dir / "summary.txt"
-    summary_path.write_text("\n".join(lines) + "\n", "utf-8")
+    for cell in cells:
+        model, kind = cell.get("model", ""), cell.get("kind", "-")
+        # float(): an integer p prints as 1.0, never 1.
+        train_p, test_p = float(cell.get("train_p", 0.0)), float(cell.get("test_p", 0.0))
+        syn, sem, rob = (_fmt(cell.get(key)) for key in ("syn", "sem", "rob"))
+        rows.append((model, kind, train_p, test_p, syn, sem, rob))
+        lines.append(
+            f"{model or '-'} | {kind} | train {train_p:.0%} | test {test_p:.0%} "
+            f"| SYN {syn} | SEM {sem} | ROB {rob}"
+        )
+        for cohort, values in sorted(cell.get("sem_cohorts", {}).items()):
+            parts = " | ".join(f"{k} {_fmt_cohort(k, v)}" for k, v in sorted(values.items()))
+            lines.append(f"    {cohort}: {parts}")
+    csv_path, summary_path = Path(out_dir) / "metrics.csv", Path(out_dir) / "summary.txt"
+    write_csv(csv_path, rows)
+    with open_output(summary_path) as fh:
+        fh.write("\n".join(lines) + "\n")
     return csv_path, summary_path
 
 

@@ -23,7 +23,6 @@ to 0.0 and ``-0.0`` to ``0.0``.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -31,6 +30,7 @@ from typing import Sequence
 
 import numpy as np
 
+from perturbe._util import write_csv
 from perturbe.embedding import cosines
 from perturbe.errors import ConfigError, DataError
 from perturbe.perturb import GATE_FAIL, GATE_PASS, PerturbationRecord
@@ -140,12 +140,6 @@ def write_sweep_csv(
     by_kind: dict[str, list[PerturbationRecord]] = {}
     for record in records:
         by_kind.setdefault(record.kind.value, []).append(record)
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["threshold", "kind", "pass_rate"])
-        for t in thresholds:
-            for kind in sorted(by_kind):
-                rates = threshold_sweep(by_kind[kind], [t])
-                writer.writerow([t, kind, f"{rates[t]:.6f}"])
+    rates = {kind: threshold_sweep(by_kind[kind], thresholds) for kind in sorted(by_kind)}
+    rows = [(t, kind, f"{rate[t]:.6f}") for t in thresholds for kind, rate in rates.items()]
+    write_csv(path, [("threshold", "kind", "pass_rate"), *rows])

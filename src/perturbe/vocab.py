@@ -20,7 +20,7 @@ from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable
 
-from perturbe._util import read_data_lines, read_json_object
+from perturbe._util import open_output, read_data_lines, read_json_object
 from perturbe.errors import ConfigError, DataError
 from perturbe.postag import PosTag, is_name_like
 from perturbe.preprocess import tokenize
@@ -178,8 +178,8 @@ def save_vocabulary(vocabulary: Vocabulary, path: str | Path) -> None:
             "verb_capable": sorted(verb_capable),
         },
     }
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-    Path(path).write_text(json.dumps(payload, indent=2, ensure_ascii=False) + "\n", "utf-8")
+    with open_output(path) as fh:
+        fh.write(json.dumps(payload, indent=2, ensure_ascii=False) + "\n")
 
 
 def _word_set(payload: dict, key: str, where: str) -> set[str]:

@@ -432,6 +432,99 @@ class TestVocabPerturbGate:
         assert run("gate", "--records", workdir / "recs_name.jsonl") == 1
 
 
+def name_vocabulary(path):
+    save_vocabulary(
+        helpers.shipped_vocabulary(structure_words={"register"}, name_words={"EAX"}), path
+    )
+    return path
+
+
+def omit_name_records(workdir, path):
+    """omit-name records of the demo corpus at ``path``."""
+    vocab = name_vocabulary(path.with_name("names.json"))
+    assert run(
+        "perturb", "--kind", "omit-name", "--in", workdir / "corpus.jsonl", "--vocab", vocab,
+        "--out", path, "--seed", 1,
+    ) == 0
+    return path
+
+
+def assert_writes_nothing(root, argv, code):
+    """``argv`` exits with ``code`` and leaves every file under ``root`` as it was."""
+    before = tree(root)
+    assert run(*argv) == code
+    assert tree(root) == before
+
+
+class TestOutputCollisions:
+    """Two files of one run at one path are refused before anything is written."""
+
+    @pytest.mark.parametrize(
+        ("options", "clash"),
+        [
+            pytest.param(("--out-passed", "x.jsonl", "--out-failed", "x.jsonl"),
+                         "--out-passed and --out-failed", id="passed-failed"),
+            # The default --out-passed, spelled through a directory that does not exist.
+            pytest.param(("--sweep", "0.8", "--sweep-out", "sub/../recs.passed.jsonl"),
+                         "--out-passed and --sweep-out", id="default-passed-sweep"),
+            pytest.param(("--out-failed", "x.jsonl", "--sweep", "0.8", "--sweep-out", "x.jsonl"),
+                         "--out-failed and --sweep-out", id="failed-sweep"),
+        ],
+    )
+    def test_gate_outputs_at_one_path_exit_1(self, workdir, tmp_path, capsys, options, clash):
+        records = omit_name_records(workdir, tmp_path / "recs.jsonl")
+        options = [tmp_path / o if o.endswith(".jsonl") else o for o in options]
+        argv = ("gate", "--records", records, "--vectors", workdir / "vectors.txt", *options)
+        assert_writes_nothing(tmp_path, argv, 1)
+        assert capsys.readouterr().err.startswith(f"error: {clash} name one file: ")
+
+    def test_run_manifest_at_an_output_exit_1(self, workdir, tmp_path, capsys):
+        corpus, reference = workdir / "corpus.jsonl", tmp_path / "ref.json"
+        out = tmp_path / "v.json"
+        assert run("build-vocab", "--corpus", corpus, "--out", reference) == 0
+        assert run("build-vocab", "--corpus", corpus, "--out", out, "--manifest", out) == 1
+        assert capsys.readouterr().err == (
+            f"error: the run manifest would overwrite the output {out}\n"
+        )
+        assert out.read_bytes() == reference.read_bytes()
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "ref.json", "ref.manifest.json", "v.json"
+        ]
+
+
+class TestFailedCommandsWriteNothing:
+    """A data or configuration error found after the inputs are read leaves no
+    new file, run manifest included."""
+
+    def test_split(self, workdir, tmp_path, capsys):
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(Corpus(load_corpus(workdir / "corpus.jsonl").samples[:2]), corpus)
+        # Two samples: one to val, one to test, none to train.
+        argv = ("split", "--in", corpus, "--out-dir", tmp_path / "out",
+                "--ratios", "0.5,0.25,0.25", "--seed", 1)
+        assert_writes_nothing(tmp_path, argv, 1)
+        assert "split of 2 samples leaves no training data" in capsys.readouterr().err
+
+    def test_perturb(self, workdir, tmp_path, capsys):
+        corpus = workdir / "corpus.jsonl"
+        sample = load_corpus(corpus).samples[2]
+        vocab, tags = name_vocabulary(tmp_path / "vocab.json"), tmp_path / "tags.jsonl"
+        tags.write_text(json.dumps({"id": sample.id, "tags": ["NOUN"]}) + "\n")
+        argv = ("perturb", "--kind", "omit-name", "--in", corpus, "--vocab", vocab,
+                "--tags", tags, "--out", tmp_path / "out" / "r.jsonl", "--seed", 1)
+        assert_writes_nothing(tmp_path, argv, 2)
+        assert f"tag override for {sample.id!r} has 1 tags for " in capsys.readouterr().err
+
+    def test_gate(self, workdir, tmp_path, capsys):
+        valid = omit_name_records(workdir, tmp_path / "valid.jsonl").read_text().splitlines()
+        records = tmp_path / "recs.jsonl"
+        records.write_text(f"{valid[0]}\n{valid[1]}\n{{\n")
+        argv = ("gate", "--records", records, "--vectors", workdir / "vectors.txt",
+                "--sweep", "0.8")
+        assert_writes_nothing(tmp_path, argv, 2)
+        assert f"data error: {records}:3: invalid JSON" in capsys.readouterr().err
+
+
 class TestAugmentCommand:
     def test_augment_half(self, workdir):
         passed = workdir / "recs_subst.passed.jsonl"
