@@ -1,5 +1,6 @@
 """Small shared helpers: rounding, seeding, hashing and data-file I/O. It owns
-how output files are written: every writer opens its file by ``open_output``."""
+how output files are written (every writer opens its file by ``open_output``)
+and how JSONL inputs are decoded (every reader is built on ``read_jsonl``)."""
 
 from __future__ import annotations
 
@@ -99,6 +100,13 @@ def read_data_lines(path: str | Path | None, shipped: str, raw: bool = False) ->
     return [line for line in lines if line and not line.startswith("#")]
 
 
+# json.loads runs decode and raw_decode in Python on every call; the scanner
+# under them, built once (json's pure-Python one where C has none), gives the
+# same value for a line it consumes whole. Any other line (a BOM, extra data,
+# invalid JSON) goes to json.loads, so its error is json's.
+_scan_once = json.JSONDecoder().scan_once
+
+
 def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tuple[int, dict]]:
     """Yield (1-based line number, record) pairs; blank lines are skipped. A
     record without one of the ``required`` fields is a DataError."""
@@ -106,10 +114,16 @@ def read_jsonl(path: str | Path, required: tuple[str, ...] = ()) -> Iterator[tup
         for lineno, line in enumerate(fh, start=1):
             if not line.strip():
                 continue
+            text = line.strip(" \t\n\r")
             try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+                obj, end = _scan_once(text, 0)
+            except (StopIteration, json.JSONDecodeError):
+                end = -1
+            if end != len(text):
+                try:
+                    obj = json.loads(line)
+                except json.JSONDecodeError as exc:
+                    raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
             if not isinstance(obj, dict):
                 raise DataError(f"{path}:{lineno}: expected a JSON object")
             for key in required:

@@ -242,7 +242,8 @@ def _cmd_gate(args) -> Run:
     }
     if thresholds is not None:
         outputs["--sweep-out"] = Path(args.sweep_out or records_path.with_suffix(".sweep.csv"))
-    options: dict[Path, str] = {}
+    inputs = {"--records": args.records, "--vectors": args.vectors, "--embeddings": args.embeddings}
+    options = {Path(path).resolve(): option for option, path in inputs.items() if path}
     for option, path in outputs.items():
         if options.setdefault(path.resolve(), option) != option:
             raise ConfigError(f"{options[path.resolve()]} and {option} name one file: {path}")

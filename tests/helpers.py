@@ -24,8 +24,9 @@ np.linalg.norm cosine of one pair, reference_augment_split()
 with reference_build_matrix() the matrix builder that checks, indexes and
 rebuilds every sample for each of its cell splits, reference_jsd() and
 reference_vocab_growth() the per-corpus token loops, reference_omission_rates()
-the tokenize-and-tag loop, and reference_substitute_words() the substitution
-driven by a use_constraints flag and a caller-supplied RNG.
+the tokenize-and-tag loop, reference_substitute_words() the substitution
+driven by a use_constraints flag and a caller-supplied RNG, and
+reference_read_jsonl() the JSONL reader with one json.loads per line.
 """
 
 from __future__ import annotations
@@ -307,6 +308,25 @@ def reference_load_vectors(path: str | Path) -> VectorStore:
     if not vectors:
         raise DataError(f"{path}: no vectors loaded")
     return store_of(vectors)
+
+
+def reference_read_jsonl(path: str | Path, required: tuple[str, ...] = ()):
+    """Yield (1-based line number, record) pairs; blank lines are skipped. A
+    record without one of the ``required`` fields is a DataError."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            if not line.strip():
+                continue
+            try:
+                obj = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise DataError(f"{path}:{lineno}: invalid JSON: {exc.msg}") from exc
+            if not isinstance(obj, dict):
+                raise DataError(f"{path}:{lineno}: expected a JSON object")
+            for key in required:
+                if key not in obj:
+                    raise DataError(f"{path}:{lineno}: expected {' and '.join(required)} fields")
+            yield lineno, obj
 
 
 def reference_build_vocabulary(

@@ -478,6 +478,23 @@ class TestOutputCollisions:
         assert_writes_nothing(tmp_path, argv, 1)
         assert capsys.readouterr().err.startswith(f"error: {clash} name one file: ")
 
+    @pytest.mark.parametrize(
+        ("output", "source"),
+        [("--out-passed", "--records"), ("--out-failed", "--vectors"), ("--sweep-out", "--embeddings")],
+    )
+    def test_gate_output_at_an_input_exit_1(self, workdir, tmp_path, capsys, output, source):
+        records = omit_name_records(workdir, tmp_path / "recs.jsonl")
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_bytes((workdir / "vectors.txt").read_bytes())
+        embeddings = tmp_path / "emb.jsonl"
+        embeddings.write_text('{"id": "s1", "vec": [1.0]}\n', "utf-8")
+        inputs = {"--records": records, "--vectors": vectors, "--embeddings": embeddings}
+        argv = ("gate", *(arg for pair in inputs.items() for arg in pair), "--sweep", "0.8")
+        assert_writes_nothing(tmp_path, (*argv, output, inputs[source]), 1)
+        assert capsys.readouterr().err == (
+            f"error: {source} and {output} name one file: {inputs[source]}\n"
+        )
+
     def test_run_manifest_at_an_output_exit_1(self, workdir, tmp_path, capsys):
         corpus, reference = workdir / "corpus.jsonl", tmp_path / "ref.json"
         out = tmp_path / "v.json"
