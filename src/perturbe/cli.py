@@ -1,10 +1,20 @@
 """Command-line surface for the perturbation pipeline.
 
 Every run requires an explicit seed, so any two runs with the same config
-and seed produce byte-identical output trees. Each subcommand's handler
-returns a ``Run`` (the run manifest's default path, the seed and the files it
-wrote), and ``main`` writes the run manifest (config digest, seed, output
-digests) from it; ``stats`` without ``--out`` writes no file and returns None.
+and seed produce byte-identical output trees.
+
+``COMMANDS`` is the one table of subcommands: each one's handler, help text
+and options, every option with its argparse arguments and one role (input
+file, output file, output directory or parameter), and the function that
+derives, from the parsed arguments, every file the command writes. ``main``
+builds a parser holding only the command that ``argv`` names; the parser of
+all ten is built only for top-level ``--help``, ``--version``, or a missing
+or unknown command. Before the handler runs, ``main`` refuses (exit 1, naming
+both options) any file the command would write, its run manifest included,
+that resolves to one of its inputs or to another file it would write. The
+handler returns a ``Run`` (the seed and the files it wrote), and ``main``
+writes the run manifest (config digest, seed, output digests) from it;
+``stats`` without ``--out`` writes no file and returns None.
 
 ``matrix`` runs the subcommands' stage functions (``mine_vocabulary``,
 ``perturb_split``, ``score_records`` and ``gate``), so chaining ``split``,
@@ -31,6 +41,7 @@ import re
 import sys
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import perturbe
 from perturbe import augment as augment_mod
@@ -116,23 +127,20 @@ def read_config(path: str | Path) -> dict[str, str]:
 
 @dataclass(frozen=True)
 class Run:
-    """What a subcommand ran: where its run manifest goes when ``--manifest``
-    is unset, its seed, the files it wrote, and the config to digest (None:
-    the parsed arguments)."""
+    """What a subcommand ran: its seed, the files it wrote by label, with its
+    run manifest's path under ``"--manifest"``, and the config to digest
+    (None: the parsed arguments)."""
 
-    manifest: Path
     seed: int | None
-    outputs: list[Path]
+    files: dict[str, Path]
     config: dict | None = None
 
 
 def _write_run_manifest(args, run: Run) -> None:
-    """Write the run manifest of ``args.command`` to ``--manifest``, or to
-    ``run.manifest``. Each output is keyed by its path relative to the
-    manifest's directory."""
-    manifest_path = Path(args.manifest) if args.manifest else run.manifest
-    if manifest_path.resolve() in {p.resolve() for p in run.outputs}:
-        raise ConfigError(f"the run manifest would overwrite the output {manifest_path}")
+    """Write the run manifest of ``args.command`` to ``run.files["--manifest"]``.
+    Each output is keyed by its path relative to the manifest's directory."""
+    manifest_path = run.files["--manifest"]
+    outputs = [path for label, path in run.files.items() if label != "--manifest"]
     config = run.config
     if config is None:  # the handler function's repr is a memory address
         config = {k: v for k, v in vars(args).items() if k != "func"}
@@ -140,7 +148,7 @@ def _write_run_manifest(args, run: Run) -> None:
         "command": args.command,
         "seed": run.seed,
         "config_digest": sha256_text(canonical_json({k: str(v) for k, v in config.items()})),
-        "outputs": {os.path.relpath(p, manifest_path.parent): sha256_file(p) for p in run.outputs},
+        "outputs": {os.path.relpath(p, manifest_path.parent): sha256_file(p) for p in outputs},
     }
     write_json(manifest_path, manifest)
 
@@ -174,27 +182,109 @@ def _load_tagger(
     return FileTagger(tags, fallback=lexicon) if tags else lexicon
 
 
-def _cmd_ingest(args) -> Run:
-    corpus = corpus_mod.load_corpus(args.infile)
+# Where each command writes, from its arguments alone: every output file by
+# a label that names the option it comes from, and the run manifest's default
+# path under "--manifest". main checks these paths before the handler runs,
+# and the handler writes to them.
+
+
+def _writes_out(args) -> dict[str, Path]:
+    """ingest and augment: --out, and the run manifest beside it."""
     out = Path(args.out)
-    corpus_mod.save_corpus(corpus, out)
-    print(f"ingested {len(corpus)} samples -> {out}")
-    return Run(out.with_suffix(out.suffix + ".manifest.json"), None, [out])
+    return {"--out": out, "--manifest": out.with_suffix(out.suffix + ".manifest.json")}
 
 
-def _cmd_split(args) -> Run:
+def _writes_perturb(args) -> dict[str, Path]:
+    out = Path(args.out)
+    return {
+        "--out": out,
+        "--out (.skips.jsonl)": out.with_suffix(out.suffix + ".skips.jsonl"),
+        "--manifest": out.with_suffix(out.suffix + ".manifest.json"),
+    }
+
+
+def _writes_out_stem(args) -> dict[str, Path]:
+    """build-vocab and stats: --out when set, and the run manifest beside it."""
+    if not args.out:
+        return {}
+    out = Path(args.out)
+    return {"--out": out, "--manifest": out.with_suffix(".manifest.json")}
+
+
+def _writes_gate(args) -> dict[str, Path]:
+    records = Path(args.records)
+    files = {
+        "--out-passed": Path(args.out_passed or records.with_suffix(".passed.jsonl")),
+        "--out-failed": Path(args.out_failed or records.with_suffix(".failed.jsonl")),
+    }
+    if args.sweep:
+        files["--sweep-out"] = Path(args.sweep_out or records.with_suffix(".sweep.csv"))
+    files["--manifest"] = records.with_suffix(".gate.manifest.json")
+    return files
+
+
+def _in_out_dir(out_dir: str | Path, names, option: str = "--out-dir") -> dict[str, Path]:
+    """The files ``names`` in ``out_dir``, labelled by the ``option`` that
+    names the directory, and the run manifest there."""
+    out_dir = Path(out_dir)
+    files = {f"{option} ({name})": out_dir / name for name in names}
+    files["--manifest"] = out_dir / "run_manifest.json"
+    return files
+
+
+_SPLITS = ("train", "val", "test")
+
+
+def _writes_split(args) -> dict[str, Path]:
+    return _in_out_dir(args.out_dir, [f"{name}.jsonl" for name in _SPLITS])
+
+
+# The files `matrix` writes besides its cells, whose names come from the
+# config's kinds and ratios (manifest.json digests them).
+_MATRIX_FILES = ("manifest.json", "vocab.json", *(f"records_{name}.jsonl" for name in _SPLITS))
+
+
+def _writes_matrix(args) -> dict[str, Path | None]:
+    """Without --out-dir the directory is the config's out_dir key; a config
+    without one has no files (None), and the handler refuses it."""
+    if args.out_dir:
+        return _in_out_dir(args.out_dir, _MATRIX_FILES)
+    out_dir = read_config(args.config).get("out_dir")
+    return _in_out_dir(out_dir, _MATRIX_FILES, "out_dir") if out_dir else {"--manifest": None}
+
+
+def _writes_evaluate(args) -> dict[str, Path]:
+    names = ["metrics.json"]
+    if args.checker or args.auto_checker:
+        names.append("syn_verdicts.jsonl")
+    if not args.labels:
+        names.append("exact_match_labels.jsonl")
+    return _in_out_dir(args.out_dir, names)
+
+
+def _writes_report(args) -> dict[str, Path]:
+    return _in_out_dir(args.out_dir, ("metrics.csv", "summary.txt"))
+
+
+def _cmd_ingest(args, files) -> Run:
+    corpus = corpus_mod.load_corpus(args.infile)
+    corpus_mod.save_corpus(corpus, files["--out"])
+    print(f"ingested {len(corpus)} samples -> {files['--out']}")
+    return Run(None, files)
+
+
+def _cmd_split(args, files) -> Run:
     spec = corpus_mod.SplitSpec(*_parsed("--ratios", _split_ratios, args.ratios), seed=args.seed)
     corpus = corpus_mod.load_corpus(args.infile)
-    train, val, test = corpus_mod.split_corpus(corpus, spec)
-    out_dir = Path(args.out_dir)
-    outputs = [out_dir / f"{name}.jsonl" for name in ("train", "val", "test")]
-    for part, target in zip((train, val, test), outputs):
-        corpus_mod.save_corpus(part, target)
-    print(f"split {len(corpus)} -> train {len(train)}, val {len(val)}, test {len(test)}")
-    return Run(out_dir / "run_manifest.json", args.seed, outputs)
+    parts = corpus_mod.split_corpus(corpus, spec)
+    for name, part in zip(_SPLITS, parts):
+        corpus_mod.save_corpus(part, files[f"--out-dir ({name}.jsonl)"])
+    train, val, test = (len(part) for part in parts)
+    print(f"split {len(corpus)} -> train {train}, val {val}, test {test}")
+    return Run(args.seed, files)
 
 
-def _cmd_build_vocab(args) -> Run:
+def _cmd_build_vocab(args, files) -> Run:
     vocabulary = _mine_vocabulary(
         corpus_mod.load_corpus(args.corpus),
         args.stopwords,
@@ -203,16 +293,15 @@ def _cmd_build_vocab(args) -> Run:
         args.threshold,
         args.tag_lexicon,
     )
-    out = Path(args.out)
-    vocab_mod.save_vocabulary(vocabulary, out)
+    vocab_mod.save_vocabulary(vocabulary, files["--out"])
     print(
         f"vocabulary: {len(vocabulary.structure_words)} structure words, "
-        f"{len(vocabulary.name_words)} name words -> {out}"
+        f"{len(vocabulary.name_words)} name words -> {files['--out']}"
     )
-    return Run(out.with_suffix(".manifest.json"), None, [out])
+    return Run(None, files)
 
 
-def _cmd_perturb(args) -> Run:
+def _cmd_perturb(args, files) -> Run:
     kind = perturb_mod.PerturbKind(args.kind)
     corpus = corpus_mod.load_corpus(args.infile)
     vocabulary = vocab_mod.load_vocabulary(args.vocab)
@@ -222,31 +311,18 @@ def _cmd_perturb(args) -> Run:
     result = perturb_mod.perturb_split(
         corpus, [kind], cfg, vocabulary, store, tagger, vocabulary.stopwords
     )
-    out = Path(args.out)
+    out = files["--out"]
     perturb_mod.write_records(result.records, out)
-    skips_path = out.with_suffix(out.suffix + ".skips.jsonl")
     write_jsonl(
-        skips_path,
+        files["--out (.skips.jsonl)"],
         ({"id": s.sample_id, "kind": s.kind.value, "reason": s.reason} for s in result.skipped),
     )
     print(f"perturbed {len(result.records)} samples ({len(result.skipped)} skipped) -> {out}")
-    return Run(out.with_suffix(out.suffix + ".manifest.json"), args.seed, [out, skips_path])
+    return Run(args.seed, files)
 
 
-def _cmd_gate(args) -> Run:
+def _cmd_gate(args, files) -> Run:
     thresholds = _parsed("--sweep", _parse_floats, args.sweep) if args.sweep else None
-    records_path = Path(args.records)
-    outputs = {
-        "--out-passed": Path(args.out_passed or records_path.with_suffix(".passed.jsonl")),
-        "--out-failed": Path(args.out_failed or records_path.with_suffix(".failed.jsonl")),
-    }
-    if thresholds is not None:
-        outputs["--sweep-out"] = Path(args.sweep_out or records_path.with_suffix(".sweep.csv"))
-    inputs = {"--records": args.records, "--vectors": args.vectors, "--embeddings": args.embeddings}
-    options = {Path(path).resolve(): option for option, path in inputs.items() if path}
-    for option, path in outputs.items():
-        if options.setdefault(path.resolve(), option) != option:
-            raise ConfigError(f"{options[path.resolve()]} and {option} name one file: {path}")
     records = perturb_mod.read_records(args.records)
     if args.embeddings:
         encoder = PrecomputedEncoder(args.embeddings)
@@ -257,27 +333,26 @@ def _cmd_gate(args) -> Run:
     cfg = semgate_mod.GateConfig(threshold=args.threshold)
     scored = semgate_mod.score_records(records, encoder)
     passed, failed = semgate_mod.gate(scored, cfg)
-    perturb_mod.write_records(passed, outputs["--out-passed"])
-    perturb_mod.write_records(failed, outputs["--out-failed"])
+    perturb_mod.write_records(passed, files["--out-passed"])
+    perturb_mod.write_records(failed, files["--out-failed"])
     if thresholds is not None:
-        semgate_mod.write_sweep_csv(scored, thresholds, outputs["--sweep-out"])
+        semgate_mod.write_sweep_csv(scored, thresholds, files["--sweep-out"])
     print(f"gate at {args.threshold}: {len(passed)} passed, {len(failed)} failed")
-    return Run(records_path.with_suffix(".gate.manifest.json"), None, list(outputs.values()))
+    return Run(None, files)
 
 
 # What `augment --kind` names: a family, or a single perturbation kind.
 _PLAN_KINDS = {k.value: k for k in (*perturb_mod.KindFamily, *perturb_mod.PerturbKind)}
 
 
-def _cmd_augment(args) -> Run:
+def _cmd_augment(args, files) -> Run:
     split = corpus_mod.load_corpus(args.split)
     records = perturb_mod.read_records(args.records)
     plan = augment_mod.AugmentPlan(ratio_p=args.p, kind=_PLAN_KINDS[args.kind], seed=args.seed)
     augmented = augment_mod.augment_split(split, records, plan)
-    out = Path(args.out)
-    corpus_mod.save_corpus(augmented, out)
-    print(f"augmented {len(augmented)} samples at p={args.p} -> {out}")
-    return Run(out.with_suffix(out.suffix + ".manifest.json"), args.seed, [out])
+    corpus_mod.save_corpus(augmented, files["--out"])
+    print(f"augmented {len(augmented)} samples at p={args.p} -> {files['--out']}")
+    return Run(args.seed, files)
 
 
 # The perturbation kinds `matrix` runs for each family, in record order.
@@ -356,7 +431,7 @@ def _matrix_settings(config: dict[str, str], where: str) -> dict:
     return settings
 
 
-def _cmd_matrix(args) -> Run:
+def _cmd_matrix(args, files) -> Run:
     config = read_config(args.config)
     settings = _matrix_settings(config, args.config)
     seed = settings["seed"]
@@ -410,16 +485,13 @@ def _cmd_matrix(args) -> Run:
     vocab_mod.save_vocabulary(vocabulary, out_dir / "vocab.json")
     for split_name, passed in records_by_split.items():
         perturb_mod.write_records(passed, out_dir / f"records_{split_name}.jsonl")
-    outputs = [out_dir / "manifest.json", out_dir / "vocab.json"]
-    outputs.extend(out_dir / f"records_{name}.jsonl" for name in splits)
     print(f"matrix: {len(cells)} cells -> {out_dir} (digest {digest[:12]}...)")
-    return Run(out_dir / "run_manifest.json", seed, outputs, config)
+    return Run(seed, files, config)
 
 
-def _cmd_evaluate(args) -> Run:
+def _cmd_evaluate(args, files) -> Run:
     preds = metrics_mod.load_predictions(args.preds)
     references = corpus_mod.load_corpus(args.refs)
-    out_dir = Path(args.out_dir)
     result: dict = {"model": args.model, "n": len(preds)}
 
     # Every label input is read and checked before the checker starts, and
@@ -451,25 +523,19 @@ def _cmd_evaluate(args) -> Run:
         result["syn"] = syn_report.accuracy
         result["syn_cohorts"] = metrics_mod.cohort_breakdown(syn_report.verdicts, references)
 
-    outputs: list[Path] = []
     if syn_report is not None:
-        verdicts_path = out_dir / "syn_verdicts.jsonl"
-        outputs.append(verdicts_path)
         write_jsonl(
-            verdicts_path,
+            files["--out-dir (syn_verdicts.jsonl)"],
             (
                 {"id": sid, "ok": ok, "diagnostic": syn_report.diagnostics.get(sid, "")}
                 for sid, ok in sorted(syn_report.verdicts.items())
             ),
         )
     if not args.labels:
-        labels_path = out_dir / "exact_match_labels.jsonl"
-        outputs.append(labels_path)
-        metrics_mod.save_labels(labels, labels_path)
-    metrics_path = out_dir / "metrics.json"
-    write_json(metrics_path, result)
+        metrics_mod.save_labels(labels, files["--out-dir (exact_match_labels.jsonl)"])
+    write_json(files["--out-dir (metrics.json)"], result)
     print(pretty_json(result))
-    return Run(out_dir / "run_manifest.json", None, [metrics_path, *outputs])
+    return Run(None, files)
 
 
 def _is_number(value, *also) -> bool:
@@ -498,7 +564,7 @@ _REPORT_KEYS = {
 }
 
 
-def _cmd_report(args) -> Run:
+def _cmd_report(args, files) -> Run:
     cells = []
     for path in args.metrics:
         payload = read_json_object(path)
@@ -508,10 +574,10 @@ def _cmd_report(args) -> Run:
         cells.append(payload)
     csv_path, summary_path = metrics_mod.report(cells, args.out_dir)
     print(f"report -> {csv_path}, {summary_path}")
-    return Run(Path(args.out_dir) / "run_manifest.json", None, [csv_path, summary_path])
+    return Run(None, files)
 
 
-def _cmd_stats(args) -> Run | None:
+def _cmd_stats(args, files) -> Run | None:
     corpus = corpus_mod.load_corpus(args.corpus)
     stoplist = load_stopwords(args.stopwords)
     table = vocab_mod.count_frequencies((s.intent for s in corpus), stoplist)
@@ -532,113 +598,180 @@ def _cmd_stats(args) -> Run | None:
         variants = [corpus] + [corpus_mod.load_corpus(p) for p in args.variants]
         result["vocab_growth"] = augment_mod.vocab_growth(variants, stoplist)
     print(pretty_json(result))
-    if not args.out:
+    if not files:
         return None
-    out = Path(args.out)
-    write_json(out, result)
-    return Run(out.with_suffix(".manifest.json"), None, [out])
+    write_json(files["--out"], result)
+    return Run(None, files)
 
 
-def build_parser() -> _Parser:
+# An option's role: what main's path check does with its value. An input
+# file may not be an output; an output file, and the files a command derives
+# from an output file or directory, may not be an input or another output.
+INPUT, OUTPUT, OUTPUT_DIR, PARAMETER = "input file", "output file", "output directory", "parameter"
+
+
+class Option(NamedTuple):
+    flag: str
+    role: str
+    kwargs: dict  # add_argument's keyword arguments
+
+
+def _opt(flag: str, role: str, **kwargs) -> Option:
+    return Option(flag, role, kwargs)
+
+
+class Command(NamedTuple):
+    func: Callable  # the handler: (args, files) -> Run, or None when nothing is written
+    help: str
+    options: tuple[Option, ...]
+    writes: Callable  # args -> the files the handler writes, by label
+
+
+# Every command takes it first: where the run manifest goes.
+_MANIFEST = _opt("--manifest", OUTPUT)
+
+COMMANDS = {
+    "ingest": Command(_cmd_ingest, "validate and normalize a dataset", (
+        _opt("--in", INPUT, dest="infile", required=True),
+        _opt("--out", OUTPUT, required=True),
+    ), _writes_out),
+    "split": Command(_cmd_split, "seeded train/val/test split", (
+        _opt("--in", INPUT, dest="infile", required=True),
+        _opt("--out-dir", OUTPUT_DIR, required=True),
+        _opt("--ratios", PARAMETER, default=",".join(map(str, _DEFAULT_SPLIT))),
+        _opt("--seed", PARAMETER, type=int, required=True),
+    ), _writes_split),
+    "build-vocab": Command(_cmd_build_vocab, "mine the protected vocabulary", (
+        _opt("--corpus", INPUT, required=True),
+        _opt("--comparison", INPUT, help="plain-text comparison corpus (default: shipped)"),
+        _opt("--threshold", PARAMETER, type=float, default=vocab_mod.DEFAULT_RATIO_THRESHOLD),
+        _opt("--stopwords", INPUT),
+        _opt("--registers", INPUT),
+        _opt("--tag-lexicon", INPUT, dest="tag_lexicon"),
+        _opt("--out", OUTPUT, required=True),
+    ), _writes_out_stem),
+    "perturb": Command(_cmd_perturb, "generate perturbation records", (
+        _opt("--kind", PARAMETER, required=True,
+             choices=[k.value for k in perturb_mod.PerturbKind]),
+        _opt("--in", INPUT, dest="infile", required=True),
+        _opt("--vocab", INPUT, required=True),
+        _opt("--vectors", INPUT, help="word-vector file (required for substitution kinds)"),
+        _opt("--out", OUTPUT, required=True),
+        _opt("--seed", PARAMETER, type=int, required=True),
+        _opt("--ratio", PARAMETER, type=float, default=perturb_mod.SubstitutionConfig.ratio),
+        _opt("--k", PARAMETER, type=int),
+        _opt("--tau", PARAMETER, type=float, default=perturb_mod.SubstitutionConfig.tau),
+        _opt("--tags", INPUT, help="external tag override file (JSONL id/tags)"),
+    ), _writes_perturb),
+    "gate": Command(_cmd_gate, "score and filter records by similarity", (
+        _opt("--records", INPUT, required=True),
+        _opt("--vectors", INPUT),
+        _opt("--embeddings", INPUT, help="precomputed sentence-embedding JSONL"),
+        _opt("--threshold", PARAMETER, type=float, default=semgate_mod.DEFAULT_THRESHOLD),
+        _opt("--sweep", PARAMETER, help="comma-separated thresholds for the sweep CSV"),
+        _opt("--out-passed", OUTPUT),
+        _opt("--out-failed", OUTPUT),
+        _opt("--sweep-out", OUTPUT),
+    ), _writes_gate),
+    "augment": Command(_cmd_augment, "size-preserving training-set augmentation", (
+        _opt("--split", INPUT, required=True),
+        _opt("--records", INPUT, required=True, help="gate-passing records"),
+        _opt("--p", PARAMETER, type=float, required=True),
+        _opt("--kind", PARAMETER, required=True, choices=_PLAN_KINDS, help="kind or family"),
+        _opt("--seed", PARAMETER, type=int, required=True),
+        _opt("--out", OUTPUT, required=True),
+    ), _writes_out),
+    "matrix": Command(_cmd_matrix, "materialize the full experiment matrix", (
+        _opt("--config", INPUT, required=True),
+        _opt("--out-dir", OUTPUT_DIR),
+        _opt("--workers", PARAMETER, type=int, default=1,
+             help="ignored; accepted so older command lines still run"),
+    ), _writes_matrix),
+    "evaluate": Command(_cmd_evaluate, "compute SYN/SEM/ROB for predictions", (
+        _opt("--preds", INPUT, required=True),
+        _opt("--refs", INPUT, required=True),
+        _opt("--model", PARAMETER, default=""),
+        _opt("--labels", INPUT, help="semantic labels (JSONL id/correct)"),
+        _opt("--labels-before", INPUT, dest="labels_before", help="baseline labels for ROB"),
+        _opt("--checker", PARAMETER,
+             help='checker template, e.g. "nasm -f elf32 {file} -o /dev/null"'),
+        _opt("--auto-checker", PARAMETER, action="store_true",
+             help="detect an installed assembler"),
+        _opt("--scaffold", PARAMETER, choices=("nasm", "gas"), default="nasm"),
+        _opt("--timeout", PARAMETER, type=float, default=metrics_mod.DEFAULT_CHECK_TIMEOUT),
+        _opt("--workers", PARAMETER, type=int, default=metrics_mod.CheckerConfig.workers),
+        _opt("--out-dir", OUTPUT_DIR, required=True),
+    ), _writes_evaluate),
+    "report": Command(_cmd_report, "aggregate metrics files into CSV + summary", (
+        _opt("--metrics", INPUT, nargs="+", required=True),
+        _opt("--out-dir", OUTPUT_DIR, required=True),
+    ), _writes_report),
+    "stats": Command(_cmd_stats, "corpus statistics (tokens, omission rates, JSD)", (
+        _opt("--corpus", INPUT, required=True),
+        _opt("--vocab", INPUT),
+        _opt("--against", INPUT, help="second corpus for JSD"),
+        _opt("--variants", INPUT, nargs="*", help="corpora for vocabulary-growth counts"),
+        _opt("--stopwords", INPUT),
+        _opt("--out", OUTPUT),
+    ), _writes_out_stem),
+}
+
+
+def build_parser(command: str | None = None) -> _Parser:
+    """The parser of every command, or, given a name in ``COMMANDS``, one
+    that parses that command's arguments as the full parser does."""
     parser = _Parser(prog="perturbe", description=__doc__)
     parser.add_argument("--version", action="version", version=f"perturbe {perturbe.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def command(name: str, func, help: str) -> _Parser:
+    for name in [command] if command else COMMANDS:
+        func, help, options, _ = COMMANDS[name]
         p = sub.add_parser(name, help=help)
-        p.add_argument("--manifest")  # where the run manifest goes
+        for flag, _, kwargs in (_MANIFEST, *options):
+            p.add_argument(flag, **kwargs)
         p.set_defaults(func=func)
-        return p
-
-    p = command("ingest", _cmd_ingest, "validate and normalize a dataset")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out", required=True)
-
-    p = command("split", _cmd_split, "seeded train/val/test split")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--out-dir", required=True)
-    p.add_argument("--ratios", default=",".join(map(str, _DEFAULT_SPLIT)))
-    p.add_argument("--seed", type=int, required=True)
-
-    p = command("build-vocab", _cmd_build_vocab, "mine the protected vocabulary")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--comparison", help="plain-text comparison corpus (default: shipped)")
-    p.add_argument("--threshold", type=float, default=vocab_mod.DEFAULT_RATIO_THRESHOLD)
-    p.add_argument("--stopwords")
-    p.add_argument("--registers")
-    p.add_argument("--tag-lexicon", dest="tag_lexicon")
-    p.add_argument("--out", required=True)
-
-    p = command("perturb", _cmd_perturb, "generate perturbation records")
-    p.add_argument("--kind", required=True, choices=[k.value for k in perturb_mod.PerturbKind])
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--vocab", required=True)
-    p.add_argument("--vectors", help="word-vector file (required for substitution kinds)")
-    p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--ratio", type=float, default=perturb_mod.SubstitutionConfig.ratio)
-    p.add_argument("--k", type=int)
-    p.add_argument("--tau", type=float, default=perturb_mod.SubstitutionConfig.tau)
-    p.add_argument("--tags", help="external tag override file (JSONL id/tags)")
-
-    p = command("gate", _cmd_gate, "score and filter records by similarity")
-    p.add_argument("--records", required=True)
-    p.add_argument("--vectors")
-    p.add_argument("--embeddings", help="precomputed sentence-embedding JSONL")
-    p.add_argument("--threshold", type=float, default=semgate_mod.DEFAULT_THRESHOLD)
-    p.add_argument("--sweep", help="comma-separated thresholds for the sweep CSV")
-    p.add_argument("--out-passed")
-    p.add_argument("--out-failed")
-    p.add_argument("--sweep-out")
-
-    p = command("augment", _cmd_augment, "size-preserving training-set augmentation")
-    p.add_argument("--split", required=True)
-    p.add_argument("--records", required=True, help="gate-passing records")
-    p.add_argument("--p", type=float, required=True)
-    p.add_argument("--kind", required=True, choices=_PLAN_KINDS, help="kind or family")
-    p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--out", required=True)
-
-    p = command("matrix", _cmd_matrix, "materialize the full experiment matrix")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out-dir")
-    p.add_argument(
-        "--workers", type=int, default=1, help="ignored; accepted so older command lines still run"
-    )
-
-    p = command("evaluate", _cmd_evaluate, "compute SYN/SEM/ROB for predictions")
-    p.add_argument("--preds", required=True)
-    p.add_argument("--refs", required=True)
-    p.add_argument("--model", default="")
-    p.add_argument("--labels", help="semantic labels (JSONL id/correct)")
-    p.add_argument("--labels-before", dest="labels_before", help="baseline labels for ROB")
-    p.add_argument("--checker", help='checker template, e.g. "nasm -f elf32 {file} -o /dev/null"')
-    p.add_argument("--auto-checker", action="store_true", help="detect an installed assembler")
-    p.add_argument("--scaffold", choices=("nasm", "gas"), default="nasm")
-    p.add_argument("--timeout", type=float, default=metrics_mod.DEFAULT_CHECK_TIMEOUT)
-    p.add_argument("--workers", type=int, default=metrics_mod.CheckerConfig.workers)
-    p.add_argument("--out-dir", required=True)
-
-    p = command("report", _cmd_report, "aggregate metrics files into CSV + summary")
-    p.add_argument("--metrics", nargs="+", required=True)
-    p.add_argument("--out-dir", required=True)
-
-    p = command("stats", _cmd_stats, "corpus statistics (tokens, omission rates, JSD)")
-    p.add_argument("--corpus", required=True)
-    p.add_argument("--vocab")
-    p.add_argument("--against", help="second corpus for JSD")
-    p.add_argument("--variants", nargs="*", help="corpora for vocabulary-growth counts")
-    p.add_argument("--stopwords")
-    p.add_argument("--out")
-
     return parser
 
 
+def _dest(option: Option) -> str:
+    """The attribute argparse stores a long option under."""
+    return option.kwargs.get("dest", option.flag[2:].replace("-", "_"))
+
+
+def _planned_files(command: Command, args) -> dict[str, Path | None]:
+    """The files ``command`` would write for ``args``, by label; the run
+    manifest goes to --manifest when it is given."""
+    files = command.writes(args)
+    if args.manifest and "--manifest" in files:
+        files["--manifest"] = Path(args.manifest)
+    return files
+
+
+def _refuse_overwrites(command: Command, args, files: dict[str, Path | None]) -> None:
+    """Raise ConfigError, naming both options, when a file the command would
+    write resolves to one of its inputs or to another file it would write.
+    A None path (not known before the run) is not compared."""
+    owners: dict[Path, str] = {}
+    for option in command.options:
+        if option.role == INPUT:
+            value = getattr(args, _dest(option)) or []
+            for path in value if isinstance(value, list) else [value]:  # nargs gives a list
+                owners.setdefault(Path(path).resolve(), option.flag)
+    for label, path in files.items():
+        if path is not None and owners.setdefault(path.resolve(), label) != label:
+            raise ConfigError(f"{owners[path.resolve()]} and {label} name one file: {path}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    # A command's own parser: the full one only for top-level help, --version,
+    # or a missing or unknown command.
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
-        run = args.func(args)
+        command = COMMANDS[args.command]
+        files = _planned_files(command, args)
+        _refuse_overwrites(command, args, files)
+        run = command.func(args, files)
         if run is not None:
             _write_run_manifest(args, run)
         return 0

@@ -11,8 +11,21 @@ import pytest
 import perturbe
 from perturbe._util import read_data_lines, sha256_file
 from perturbe.augment import KindFamily
-from perturbe.cli import _MATRIX_KEYS, _matrix_settings, build_parser, main, read_config
+from perturbe.cli import (
+    _MANIFEST,
+    _MATRIX_KEYS,
+    COMMANDS,
+    INPUT,
+    OUTPUT,
+    OUTPUT_DIR,
+    _matrix_settings,
+    _planned_files,
+    build_parser,
+    main,
+    read_config,
+)
 from perturbe.corpus import Corpus, Sample, SplitSpec, load_corpus, save_corpus
+from perturbe.errors import ConfigError
 from perturbe.metrics import CheckerConfig, detect_checker
 from perturbe.perturb import SubstitutionConfig
 from perturbe.preprocess import tokenize
@@ -496,17 +509,230 @@ class TestOutputCollisions:
         )
 
     def test_run_manifest_at_an_output_exit_1(self, workdir, tmp_path, capsys):
-        corpus, reference = workdir / "corpus.jsonl", tmp_path / "ref.json"
         out = tmp_path / "v.json"
-        assert run("build-vocab", "--corpus", corpus, "--out", reference) == 0
-        assert run("build-vocab", "--corpus", corpus, "--out", out, "--manifest", out) == 1
-        assert capsys.readouterr().err == (
-            f"error: the run manifest would overwrite the output {out}\n"
-        )
-        assert out.read_bytes() == reference.read_bytes()
-        assert sorted(p.name for p in tmp_path.iterdir()) == [
-            "ref.json", "ref.manifest.json", "v.json"
-        ]
+        argv = ("build-vocab", "--corpus", workdir / "corpus.jsonl", "--out", out,
+                "--manifest", out)
+        assert_writes_nothing(tmp_path, argv, 1)
+        assert capsys.readouterr().err == f"error: --out and --manifest name one file: {out}\n"
+        assert not out.exists()
+
+
+# One argv per way a command can run that sets every input option it then
+# reads, in paths relative to the test's directory: inputs under in/, outputs
+# under out/ (gate's --out-failed and its run manifest default to in/).
+OVERWRITE_ARGVS = {
+    "ingest": ["ingest", "--in", "in/corpus.jsonl", "--out", "out/o.jsonl"],
+    "split": ["split", "--in", "in/corpus.jsonl", "--out-dir", "out", "--seed", "1"],
+    "build-vocab": [
+        "build-vocab", "--corpus", "in/corpus.jsonl", "--comparison", "in/comparison.txt",
+        "--stopwords", "in/stopwords.txt", "--registers", "in/registers.txt",
+        "--tag-lexicon", "in/lexicon.txt", "--out", "out/v.json",
+    ],
+    "perturb": [
+        "perturb", "--kind", "subst-constrained", "--in", "in/corpus.jsonl",
+        "--vocab", "in/vocab.json", "--vectors", "in/vectors.txt", "--tags", "in/tags.jsonl",
+        "--out", "out/r.jsonl", "--seed", "1",
+    ],
+    "gate": [
+        "gate", "--records", "in/records.jsonl", "--vectors", "in/vectors.txt",
+        "--embeddings", "in/emb.jsonl", "--sweep", "0.8", "--out-passed", "out/p.jsonl",
+        "--sweep-out", "out/s.csv",
+    ],
+    "augment": [
+        "augment", "--split", "in/corpus.jsonl", "--records", "in/passed.jsonl", "--p", "0.25",
+        "--kind", "omission", "--seed", "1", "--out", "out/a.jsonl",
+    ],
+    "matrix": ["matrix", "--config", "in/exp.cfg", "--out-dir", "out"],
+    "evaluate-checked": [
+        "evaluate", "--preds", "in/preds.jsonl", "--refs", "in/corpus.jsonl",
+        "--labels", "in/labels.jsonl", "--labels-before", "in/before.jsonl",
+        "--checker", "true {file}", "--out-dir", "out",
+    ],
+    "evaluate-exact-match": [
+        "evaluate", "--preds", "in/preds.jsonl", "--refs", "in/corpus.jsonl", "--out-dir", "out",
+    ],
+    "report": ["report", "--metrics", "in/m1.json", "in/m2.json", "--out-dir", "out"],
+    "stats": [
+        "stats", "--corpus", "in/corpus.jsonl", "--vocab", "in/vocab.json",
+        "--against", "in/against.jsonl", "--variants", "in/variant.jsonl", "in/variant2.jsonl",
+        "--stopwords", "in/stopwords.txt", "--out", "out/stats.json",
+    ],
+}
+
+
+def planned(argv):
+    """The command of ``argv`` and the files it would write, by label."""
+    args = build_parser().parse_args(argv)
+    return COMMANDS[args.command], _planned_files(COMMANDS[args.command], args)
+
+
+def input_values(argv):
+    """Each input option of ``argv`` and the index of its first value."""
+    command, _ = planned(argv)
+    inputs = {o.flag for o in command.options if o.role == INPUT}
+    return {arg: i + 1 for i, arg in enumerate(argv) if arg in inputs}
+
+
+def overwrite_cases():
+    """(argv, input option, output label, path) for every output, derived
+    output and run manifest, given or by default, against every input. An
+    output option takes the input's path; for a derived output the input moves
+    to the derived path, unless that path derives from the input itself."""
+    for name, base in OVERWRITE_ARGVS.items():
+        _, files = planned(base)
+        for flag, index in input_values(base).items():
+            path = base[index]
+            yield pytest.param([*base, "--manifest", path], flag, "--manifest", path,
+                               id=f"{name}:{flag}:--manifest given")
+            for label, derived in files.items():
+                argv = list(base)
+                if label in argv:
+                    argv[argv.index(label) + 1] = path
+                else:
+                    argv[index] = str(derived)
+                    if planned(argv)[1][label] != derived:
+                        continue
+                yield pytest.param(argv, flag, label, argv[index], id=f"{name}:{flag}:{label}")
+
+
+def write_inputs(root, argv):
+    """Give every input path of ``argv`` some bytes of its own."""
+    for flag, index in input_values(argv).items():
+        for value in argv[index:]:
+            if value.startswith("-"):
+                break
+            path = root / value
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(f"{flag} {value}\n", "utf-8")
+
+
+class TestOverwritesRefused:
+    """No command writes over one of its inputs: main refuses before the
+    handler reads or writes anything."""
+
+    @pytest.mark.parametrize(("argv", "source", "output", "path"), overwrite_cases())
+    def test_output_at_an_input_exit_1(
+        self, tmp_path, monkeypatch, capsys, argv, source, output, path
+    ):
+        monkeypatch.chdir(tmp_path)
+        write_inputs(tmp_path, argv)
+        assert_writes_nothing(tmp_path, argv, 1)
+        assert capsys.readouterr().err == f"error: {source} and {output} name one file: {path}\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("stats", "--corpus", "c.jsonl", "--out", "c.jsonl"),
+            ("augment", "--split", "c.jsonl", "--records", "r.passed.jsonl", "--p", "0.25",
+             "--kind", "omission", "--seed", "1", "--out", "c.jsonl"),
+            ("ingest", "--in", "c.jsonl", "--out", "o.jsonl", "--manifest", "c.jsonl"),
+        ],
+        ids=["stats", "augment", "ingest-manifest"],
+    )
+    def test_runnable_command_keeps_its_input(self, workdir, tmp_path, monkeypatch, argv):
+        # Valid inputs: unrefused, each would exit 0 and replace c.jsonl.
+        monkeypatch.chdir(tmp_path)
+        save_corpus(load_corpus(workdir / "corpus.jsonl"), tmp_path / "c.jsonl")
+        omit_name_records(workdir, tmp_path / "r.jsonl")
+        assert run("gate", "--records", "r.jsonl", "--vectors", workdir / "vectors.txt") == 0
+        assert_writes_nothing(tmp_path, argv, 1)
+
+    @pytest.mark.parametrize("name", OVERWRITE_ARGVS)
+    def test_every_file_comes_from_an_output_option(self, name):
+        command, files = planned(OVERWRITE_ARGVS[name])
+        outputs = {o.flag for o in command.options if o.role in (OUTPUT, OUTPUT_DIR)}
+        assert {label.split(" ")[0] for label in files} == outputs | {"--manifest"}
+
+    @pytest.mark.parametrize("name", OVERWRITE_ARGVS)
+    def test_given_manifest_at_an_output_exit_1(self, tmp_path, monkeypatch, capsys, name):
+        monkeypatch.chdir(tmp_path)
+        argv = OVERWRITE_ARGVS[name]
+        write_inputs(tmp_path, argv)
+        _, files = planned(argv)
+        for label, path in files.items():
+            if label != "--manifest":
+                assert_writes_nothing(tmp_path, [*argv, "--manifest", str(path)], 1)
+                assert capsys.readouterr().err == (
+                    f"error: {label} and --manifest name one file: {path}\n"
+                )
+
+
+def full_argv(name):
+    """``name`` with a value for every one of its options, --manifest included."""
+    command = COMMANDS[name]
+    argv = [name]
+    for option in (_MANIFEST, *command.options):
+        kwargs = option.kwargs
+        if kwargs.get("action") == "store_true":
+            values = []
+        elif "choices" in kwargs:
+            values = [str(list(kwargs["choices"])[-1])]
+        elif kwargs.get("type") in (int, float):
+            values = ["3"]
+        else:
+            values = [f"{option.flag[2:]}.{n}" for n in range(2 if "nargs" in kwargs else 1)]
+        argv += [option.flag, *values]
+    return argv
+
+
+def command_parser(parser, name):
+    [subparsers] = [a for a in parser._actions if a.dest == "command"]
+    return subparsers.choices[name]
+
+
+def config_error(parser, argv):
+    with pytest.raises(ConfigError) as excinfo:
+        parser.parse_args(argv)
+    return str(excinfo.value)
+
+
+class TestOneCommandParser:
+    """The parser ``main`` builds for one command parses, documents and
+    refuses exactly as the parser of every command does."""
+
+    @pytest.mark.parametrize("name", COMMANDS)
+    def test_same_as_the_full_parser(self, name):
+        full, own = build_parser(), build_parser(name)
+        argv = full_argv(name)
+        assert vars(own.parse_args(argv)) == vars(full.parse_args(argv))
+        assert command_parser(own, name).format_help() == command_parser(full, name).format_help()
+        for bad in ([name], [*argv, "--bogus"]):
+            assert config_error(own, bad) == config_error(full, bad)
+        assert config_error(full, [name]).startswith("the following arguments are required")
+        assert config_error(full, [*argv, "--bogus"]) == "unrecognized arguments: --bogus"
+
+    def test_only_the_named_command_is_built(self):
+        [subparsers] = [a for a in build_parser("gate")._actions if a.dest == "command"]
+        assert list(subparsers.choices) == ["gate"]
+
+    @pytest.mark.parametrize(
+        ("argv", "err"),
+        [
+            ([], "error: the following arguments are required: command\n"),
+            (["frobnicate"], "error: argument command: invalid choice: 'frobnicate' (choose from "
+             "'ingest', 'split', 'build-vocab', 'perturb', 'gate', 'augment', 'matrix', "
+             "'evaluate', 'report', 'stats')\n"),
+            # --manifest belongs to a command, so the top level reads m.json as one.
+            (["--manifest", "m.json", "ingest"], "error: argument command: invalid choice: "
+             "'m.json' (choose from 'ingest', 'split', 'build-vocab', 'perturb', 'gate', "
+             "'augment', 'matrix', 'evaluate', 'report', 'stats')\n"),
+        ],
+        ids=["no-command", "unknown-command", "option-before-command"],
+    )
+    def test_top_level_errors(self, capsys, argv, err):
+        assert main(argv) == 1
+        assert capsys.readouterr().err == err
+
+    @pytest.mark.parametrize("flag", ["--version", "--help"])
+    def test_top_level_exits_0(self, capsys, flag):
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag])
+        assert excinfo.value.code == 0
+        out = capsys.readouterr().out
+        if flag == "--version":
+            assert out == f"perturbe {perturbe.__version__}\n"
+        else:
+            assert "{" + ",".join(COMMANDS) + "}" in out
 
 
 class TestFailedCommandsWriteNothing:
@@ -690,6 +916,26 @@ class TestMatrix:
         config = tmp_path / "broken.cfg"
         config.write_text("corpus = whatever\n")
         assert run("matrix", "--config", config) == 1
+
+    def test_manifest_at_a_file_of_the_configured_out_dir_exit_1(self, workdir, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = tmp_path / "exp.cfg"
+        config.write_text(self.write_config(workdir, out).read_text())
+        argv = ("matrix", "--config", config, "--manifest", out / "vocab.json")
+        assert_writes_nothing(tmp_path, argv, 1)
+        assert capsys.readouterr().err == (
+            f"error: out_dir (vocab.json) and --manifest name one file: {out / 'vocab.json'}\n"
+        )
+
+    def test_config_in_the_configured_out_dir_exit_1(self, workdir, tmp_path, capsys):
+        out = tmp_path / "out"
+        config = out / "manifest.json"
+        out.mkdir()
+        config.write_text(self.write_config(workdir, out).read_text())
+        assert_writes_nothing(tmp_path, ("matrix", "--config", config), 1)
+        assert capsys.readouterr().err == (
+            f"error: --config and out_dir (manifest.json) name one file: {config}\n"
+        )
 
     def test_matrix_unknown_keys_exit_1(self, workdir, tmp_path, capsys):
         config = tmp_path / "typo.cfg"
