@@ -5,20 +5,24 @@ bytes whose sha256 digests are committed in ``data/golden_digests.json``.
   manifest digest (which covers every cell file's sha256) and ``vocab.json``.
 * The command chain of ``test_cli.TestCsvCorpus.commands``, plus ``ingest``
   to CSV, ``gate --sweep`` and ``report``: every file it writes, so each CSV
-  writer and ``summary.txt`` are covered.
+  writer and ``summary.txt`` are covered, under ``chain``, and the run
+  manifest of every command but ``gate`` and ``matrix`` under
+  ``run_manifests``. The chain runs in a fresh working directory on relative
+  paths, because a run manifest digests its arguments' paths.
 
-Run manifests are left out, because they digest absolute paths, and so is
-every file that serializes a gate similarity (gate's passed and failed
-records, the matrix's ``records_*.jsonl``): the last bits of a similarity
-depend on the BLAS kernel. A change that moves an output on purpose rewrites
-the golden file with ``PYTHONPATH=src python tests/test_golden.py`` and names
-each moved entry.
+Every file that serializes a gate similarity is left out (gate's passed and
+failed records, the matrix's ``records_*.jsonl``), and so are the run
+manifests of ``gate`` and ``matrix``, which digest such files: the last bits
+of a similarity depend on the BLAS kernel. A change that moves an output on
+purpose rewrites the golden file with ``PYTHONPATH=src python
+tests/test_golden.py`` and names each moved entry.
 """
 
 from __future__ import annotations
 
 import fnmatch
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -30,8 +34,13 @@ import test_cli
 
 GOLDEN = Path(__file__).parent / "data" / "golden_digests.json"
 SEEDS = range(1, 11)
-UNPINNED = ("*run_manifest.json", "*.manifest.json", "*.passed.jsonl", "*.failed.jsonl",
-            "*records_*.jsonl")
+UNPINNED = ("*.passed.jsonl", "*.failed.jsonl", "*records_*.jsonl", "*.gate.manifest.json",
+            "matrix/run_manifest.json")
+RUN_MANIFESTS = ("*run_manifest.json", "*.manifest.json")
+
+
+def _matches(name: str, patterns) -> bool:
+    return any(fnmatch.fnmatch(name, pattern) for pattern in patterns)
 
 
 def _inputs(root: Path) -> tuple[Path, Path]:
@@ -60,7 +69,9 @@ def matrix_digests(root: Path) -> dict[str, dict[str, str]]:
     return digests
 
 
-def chain_digests(root: Path) -> dict[str, str]:
+def chain_digests(root: Path) -> dict[str, dict[str, str]]:
+    """The pinned files of the chain, by key of the golden file; ``root`` is
+    relative to the working directory."""
     corpus, vectors = _inputs(root)
     out = root / "chain"
     sweep = out / "sweep"
@@ -74,11 +85,12 @@ def chain_digests(root: Path) -> dict[str, str]:
     ]
     for argv in argvs:
         assert test_cli.run(*argv) == 0, argv[0]
-    return {
-        name: sha256_file(out / name)
-        for name in test_cli.tree(out)
-        if not any(fnmatch.fnmatch(name, pattern) for pattern in UNPINNED)
-    }
+    digests: dict[str, dict[str, str]] = {"chain": {}, "run_manifests": {}}
+    for name in test_cli.tree(out):
+        if not _matches(name, UNPINNED):
+            key = "run_manifests" if _matches(name, RUN_MANIFESTS) else "chain"
+            digests[key][name] = sha256_file(out / name)
+    return digests
 
 
 def golden() -> dict:
@@ -89,16 +101,21 @@ def test_matrix_outputs_match_golden(tmp_path):
     assert matrix_digests(tmp_path) == golden()["matrix"]
 
 
-def test_chain_outputs_match_golden(tmp_path):
-    digests = chain_digests(tmp_path)
+def test_chain_outputs_match_golden(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    digests = chain_digests(Path("."))
     # Every CSV writer and the report summary are among the pinned files.
-    assert {"x.csv", "sweep/sweep.csv", "report/metrics.csv", "report/summary.txt"} <= set(digests)
-    assert digests == golden()["chain"]
+    assert {"x.csv", "sweep/sweep.csv", "report/metrics.csv", "report/summary.txt"} <= set(
+        digests["chain"]
+    )
+    assert len(digests["run_manifests"]) == 8
+    assert digests == {key: golden()[key] for key in digests}
 
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        root = Path(tmp)
-        payload = {"matrix": matrix_digests(root), "chain": chain_digests(root)}
+        os.chdir(tmp)
+        root = Path(".")
+        payload = {"matrix": matrix_digests(root), **chain_digests(root)}
     GOLDEN.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", "utf-8")
     print(f"wrote {GOLDEN}")
