@@ -10,11 +10,14 @@ derives, from the parsed arguments, every file the command writes. ``main``
 builds a parser holding only the command that ``argv`` names; the parser of
 all ten is built only for top-level ``--help``, ``--version``, or a missing
 or unknown command. Before the handler runs, ``main`` refuses (exit 1, naming
-both options) any file the command would write, its run manifest included,
-that resolves to one of its inputs or to another file it would write. The
-handler returns a ``Run`` (the seed and the files it wrote), and ``main``
-writes the run manifest (config digest, seed, output digests) from it;
-``stats`` without ``--out`` writes no file and returns None.
+both options or config keys) any file the command would write, its run
+manifest included, that resolves to one of its inputs or to another file it
+would write, and any ``matrix`` input in the cells directory it writes. The
+handler writes every planned file but the run manifest and returns nothing.
+``main`` then writes the run manifest, when the plan names one: the digest of
+the parsed options, their ``--seed`` (null for a command without one) and
+the digest of every planned file. ``matrix`` alone returns its seed and
+config, because both come from its config file.
 
 ``matrix`` runs the subcommands' stage functions (``mine_vocabulary``,
 ``perturb_split``, ``score_records`` and ``gate``), so chaining ``split``,
@@ -39,7 +42,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -125,28 +127,14 @@ def read_config(path: str | Path) -> dict[str, str]:
     return config
 
 
-@dataclass(frozen=True)
-class Run:
-    """What a subcommand ran: its seed, the files it wrote by label, with its
-    run manifest's path under ``"--manifest"``, and the config to digest
-    (None: the parsed arguments)."""
-
-    seed: int | None
-    files: dict[str, Path]
-    config: dict | None = None
-
-
-def _write_run_manifest(args, run: Run) -> None:
-    """Write the run manifest of ``args.command`` to ``run.files["--manifest"]``.
-    Each output is keyed by its path relative to the manifest's directory."""
-    manifest_path = run.files["--manifest"]
-    outputs = [path for label, path in run.files.items() if label != "--manifest"]
-    config = run.config
-    if config is None:  # the handler function's repr is a memory address
-        config = {k: v for k, v in vars(args).items() if k != "func"}
+def _write_run_manifest(command: str, files: dict[str, Path], seed: int | None, config) -> None:
+    """Write the run manifest of ``command`` to ``files["--manifest"]``. Each
+    other file is keyed by its path relative to the manifest's directory."""
+    manifest_path = files["--manifest"]
+    outputs = [path for label, path in files.items() if label != "--manifest"]
     manifest = {
-        "command": args.command,
-        "seed": run.seed,
+        "command": command,
+        "seed": seed,
         "config_digest": sha256_text(canonical_json({k: str(v) for k, v in config.items()})),
         "outputs": {os.path.relpath(p, manifest_path.parent): sha256_file(p) for p in outputs},
     }
@@ -244,13 +232,12 @@ def _writes_split(args) -> dict[str, Path]:
 _MATRIX_FILES = ("manifest.json", "vocab.json", *(f"records_{name}.jsonl" for name in _SPLITS))
 
 
-def _writes_matrix(args) -> dict[str, Path | None]:
-    """Without --out-dir the directory is the config's out_dir key; a config
-    without one has no files (None), and the handler refuses it."""
+def _writes_matrix(args) -> dict[str, Path]:
+    """Without --out-dir the directory is the config's out_dir key."""
     if args.out_dir:
         return _in_out_dir(args.out_dir, _MATRIX_FILES)
-    out_dir = read_config(args.config).get("out_dir")
-    return _in_out_dir(out_dir, _MATRIX_FILES, "out_dir") if out_dir else {"--manifest": None}
+    out_dir = _matrix_settings(read_config(args.config), args.config)["out_dir"]
+    return _in_out_dir(out_dir, _MATRIX_FILES, "out_dir")
 
 
 def _writes_evaluate(args) -> dict[str, Path]:
@@ -266,14 +253,13 @@ def _writes_report(args) -> dict[str, Path]:
     return _in_out_dir(args.out_dir, ("metrics.csv", "summary.txt"))
 
 
-def _cmd_ingest(args, files) -> Run:
+def _cmd_ingest(args, files) -> None:
     corpus = corpus_mod.load_corpus(args.infile)
     corpus_mod.save_corpus(corpus, files["--out"])
     print(f"ingested {len(corpus)} samples -> {files['--out']}")
-    return Run(None, files)
 
 
-def _cmd_split(args, files) -> Run:
+def _cmd_split(args, files) -> None:
     spec = corpus_mod.SplitSpec(*_parsed("--ratios", _split_ratios, args.ratios), seed=args.seed)
     corpus = corpus_mod.load_corpus(args.infile)
     parts = corpus_mod.split_corpus(corpus, spec)
@@ -281,10 +267,9 @@ def _cmd_split(args, files) -> Run:
         corpus_mod.save_corpus(part, files[f"--out-dir ({name}.jsonl)"])
     train, val, test = (len(part) for part in parts)
     print(f"split {len(corpus)} -> train {train}, val {val}, test {test}")
-    return Run(args.seed, files)
 
 
-def _cmd_build_vocab(args, files) -> Run:
+def _cmd_build_vocab(args, files) -> None:
     vocabulary = _mine_vocabulary(
         corpus_mod.load_corpus(args.corpus),
         args.stopwords,
@@ -298,10 +283,9 @@ def _cmd_build_vocab(args, files) -> Run:
         f"vocabulary: {len(vocabulary.structure_words)} structure words, "
         f"{len(vocabulary.name_words)} name words -> {files['--out']}"
     )
-    return Run(None, files)
 
 
-def _cmd_perturb(args, files) -> Run:
+def _cmd_perturb(args, files) -> None:
     kind = perturb_mod.PerturbKind(args.kind)
     corpus = corpus_mod.load_corpus(args.infile)
     vocabulary = vocab_mod.load_vocabulary(args.vocab)
@@ -318,10 +302,9 @@ def _cmd_perturb(args, files) -> Run:
         ({"id": s.sample_id, "kind": s.kind.value, "reason": s.reason} for s in result.skipped),
     )
     print(f"perturbed {len(result.records)} samples ({len(result.skipped)} skipped) -> {out}")
-    return Run(args.seed, files)
 
 
-def _cmd_gate(args, files) -> Run:
+def _cmd_gate(args, files) -> None:
     thresholds = _parsed("--sweep", _parse_floats, args.sweep) if args.sweep else None
     records = perturb_mod.read_records(args.records)
     if args.embeddings:
@@ -338,21 +321,19 @@ def _cmd_gate(args, files) -> Run:
     if thresholds is not None:
         semgate_mod.write_sweep_csv(scored, thresholds, files["--sweep-out"])
     print(f"gate at {args.threshold}: {len(passed)} passed, {len(failed)} failed")
-    return Run(None, files)
 
 
 # What `augment --kind` names: a family, or a single perturbation kind.
 _PLAN_KINDS = {k.value: k for k in (*perturb_mod.KindFamily, *perturb_mod.PerturbKind)}
 
 
-def _cmd_augment(args, files) -> Run:
+def _cmd_augment(args, files) -> None:
     split = corpus_mod.load_corpus(args.split)
     records = perturb_mod.read_records(args.records)
     plan = augment_mod.AugmentPlan(ratio_p=args.p, kind=_PLAN_KINDS[args.kind], seed=args.seed)
     augmented = augment_mod.augment_split(split, records, plan)
     corpus_mod.save_corpus(augmented, files["--out"])
     print(f"augmented {len(augmented)} samples at p={args.p} -> {files['--out']}")
-    return Run(args.seed, files)
 
 
 # The perturbation kinds `matrix` runs for each family, in record order.
@@ -389,29 +370,36 @@ def _true_or_false(text: str) -> bool:
     return text.lower() == "true"
 
 
+# An option's or a matrix config key's role: what main's path check does with
+# its value. An input file may not be an output; an output file, and the
+# files a command derives from an output file or directory, may not be an
+# input or another output.
+INPUT, OUTPUT, OUTPUT_DIR, PARAMETER = "input file", "output file", "output directory", "parameter"
+
 _REQUIRED = object()
 
-# Every key `matrix` reads from its config file: how its value is parsed and
-# the value it takes when the key is absent. Any other key is an error. A
-# None path reads the shipped file; a None subst.k takes the kind's default.
+# Every key `matrix` reads from its config file: how its value is parsed, the
+# value it takes when the key is absent, and its role. Any other key is an
+# error, and so is a required key that is absent or empty. A None or empty
+# path reads the shipped file; a None subst.k takes the kind's default.
 _MATRIX_KEYS = {
-    "corpus": (str, _REQUIRED),
-    "out_dir": (str, _REQUIRED),
-    "seed": (int, _REQUIRED),
-    "vectors": (str, _REQUIRED),
-    "split.ratios": (_split_ratios, _DEFAULT_SPLIT),
-    "stopwords": (str, None),
-    "registers": (str, None),
-    "comparison": (str, None),
-    "vocab.threshold": (vocab_mod.check_threshold, vocab_mod.DEFAULT_RATIO_THRESHOLD),
-    "tag_lexicon": (str, None),
-    "kinds": (_families, list(perturb_mod.KindFamily)),
-    "ratios": (_augment_ratios, [0.0, 0.25, 0.5, 1.0]),
-    "subst.ratio": (float, perturb_mod.SubstitutionConfig.ratio),
-    "subst.k": (int, perturb_mod.SubstitutionConfig.k),
-    "subst.tau": (float, perturb_mod.SubstitutionConfig.tau),
-    "gate.threshold": (float, semgate_mod.GateConfig.threshold),
-    "apply_to_validation": (_true_or_false, True),
+    "corpus": (str, _REQUIRED, INPUT),
+    "out_dir": (str, _REQUIRED, OUTPUT_DIR),
+    "seed": (int, _REQUIRED, PARAMETER),
+    "vectors": (str, _REQUIRED, INPUT),
+    "split.ratios": (_split_ratios, _DEFAULT_SPLIT, PARAMETER),
+    "stopwords": (str, None, INPUT),
+    "registers": (str, None, INPUT),
+    "comparison": (str, None, INPUT),
+    "vocab.threshold": (vocab_mod.check_threshold, vocab_mod.DEFAULT_RATIO_THRESHOLD, PARAMETER),
+    "tag_lexicon": (str, None, INPUT),
+    "kinds": (_families, list(perturb_mod.KindFamily), PARAMETER),
+    "ratios": (_augment_ratios, [0.0, 0.25, 0.5, 1.0], PARAMETER),
+    "subst.ratio": (float, perturb_mod.SubstitutionConfig.ratio, PARAMETER),
+    "subst.k": (int, perturb_mod.SubstitutionConfig.k, PARAMETER),
+    "subst.tau": (float, perturb_mod.SubstitutionConfig.tau, PARAMETER),
+    "gate.threshold": (float, semgate_mod.GateConfig.threshold, PARAMETER),
+    "apply_to_validation": (_true_or_false, True, PARAMETER),
 }
 
 
@@ -421,17 +409,15 @@ def _matrix_settings(config: dict[str, str], where: str) -> dict:
     if unknown:
         raise ConfigError(f"{where}: unknown matrix config key(s): {', '.join(unknown)}")
     settings = {}
-    for key, (parse, default) in _MATRIX_KEYS.items():
-        if key in config:
-            settings[key] = _parsed(f"{where}: {key}", parse, config[key])
-        elif default is _REQUIRED:
+    for key, (parse, default, _) in _MATRIX_KEYS.items():
+        value = config.get(key)
+        if default is _REQUIRED and not value:
             raise ConfigError(f"matrix config missing {key!r}")
-        else:
-            settings[key] = default
+        settings[key] = default if value is None else _parsed(f"{where}: {key}", parse, value)
     return settings
 
 
-def _cmd_matrix(args, files) -> Run:
+def _cmd_matrix(args, files) -> tuple[int, dict[str, str]]:
     config = read_config(args.config)
     settings = _matrix_settings(config, args.config)
     seed = settings["seed"]
@@ -486,10 +472,10 @@ def _cmd_matrix(args, files) -> Run:
     for split_name, passed in records_by_split.items():
         perturb_mod.write_records(passed, out_dir / f"records_{split_name}.jsonl")
     print(f"matrix: {len(cells)} cells -> {out_dir} (digest {digest[:12]}...)")
-    return Run(seed, files, config)
+    return seed, config
 
 
-def _cmd_evaluate(args, files) -> Run:
+def _cmd_evaluate(args, files) -> None:
     preds = metrics_mod.load_predictions(args.preds)
     references = corpus_mod.load_corpus(args.refs)
     result: dict = {"model": args.model, "n": len(preds)}
@@ -535,7 +521,6 @@ def _cmd_evaluate(args, files) -> Run:
         metrics_mod.save_labels(labels, files["--out-dir (exact_match_labels.jsonl)"])
     write_json(files["--out-dir (metrics.json)"], result)
     print(pretty_json(result))
-    return Run(None, files)
 
 
 def _is_number(value, *also) -> bool:
@@ -564,7 +549,7 @@ _REPORT_KEYS = {
 }
 
 
-def _cmd_report(args, files) -> Run:
+def _cmd_report(args, files) -> None:
     cells = []
     for path in args.metrics:
         payload = read_json_object(path)
@@ -572,12 +557,12 @@ def _cmd_report(args, files) -> Run:
             if key in payload and not valid(payload[key]):
                 raise DataError(f"{path}: {key!r} must be {what}")
         cells.append(payload)
-    csv_path, summary_path = metrics_mod.report(cells, args.out_dir)
+    csv_path, summary_path = files["--out-dir (metrics.csv)"], files["--out-dir (summary.txt)"]
+    metrics_mod.report(cells, csv_path, summary_path)
     print(f"report -> {csv_path}, {summary_path}")
-    return Run(None, files)
 
 
-def _cmd_stats(args, files) -> Run | None:
+def _cmd_stats(args, files) -> None:
     corpus = corpus_mod.load_corpus(args.corpus)
     stoplist = load_stopwords(args.stopwords)
     table = vocab_mod.count_frequencies((s.intent for s in corpus), stoplist)
@@ -598,16 +583,8 @@ def _cmd_stats(args, files) -> Run | None:
         variants = [corpus] + [corpus_mod.load_corpus(p) for p in args.variants]
         result["vocab_growth"] = augment_mod.vocab_growth(variants, stoplist)
     print(pretty_json(result))
-    if not files:
-        return None
-    write_json(files["--out"], result)
-    return Run(None, files)
-
-
-# An option's role: what main's path check does with its value. An input
-# file may not be an output; an output file, and the files a command derives
-# from an output file or directory, may not be an input or another output.
-INPUT, OUTPUT, OUTPUT_DIR, PARAMETER = "input file", "output file", "output directory", "parameter"
+    if files:
+        write_json(files["--out"], result)
 
 
 class Option(NamedTuple):
@@ -621,7 +598,7 @@ def _opt(flag: str, role: str, **kwargs) -> Option:
 
 
 class Command(NamedTuple):
-    func: Callable  # the handler: (args, files) -> Run, or None when nothing is written
+    func: Callable  # the handler: (args, files) -> None; matrix returns (seed, config)
     help: str
     options: tuple[Option, ...]
     writes: Callable  # args -> the files the handler writes, by label
@@ -724,11 +701,10 @@ def build_parser(command: str | None = None) -> _Parser:
     parser.add_argument("--version", action="version", version=f"perturbe {perturbe.__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in [command] if command else COMMANDS:
-        func, help, options, _ = COMMANDS[name]
+        _, help, options, _ = COMMANDS[name]
         p = sub.add_parser(name, help=help)
         for flag, _, kwargs in (_MANIFEST, *options):
             p.add_argument(flag, **kwargs)
-        p.set_defaults(func=func)
     return parser
 
 
@@ -737,7 +713,7 @@ def _dest(option: Option) -> str:
     return option.kwargs.get("dest", option.flag[2:].replace("-", "_"))
 
 
-def _planned_files(command: Command, args) -> dict[str, Path | None]:
+def _planned_files(command: Command, args) -> dict[str, Path]:
     """The files ``command`` would write for ``args``, by label; the run
     manifest goes to --manifest when it is given."""
     files = command.writes(args)
@@ -746,10 +722,23 @@ def _planned_files(command: Command, args) -> dict[str, Path | None]:
     return files
 
 
-def _refuse_overwrites(command: Command, args, files: dict[str, Path | None]) -> None:
-    """Raise ConfigError, naming both options, when a file the command would
-    write resolves to one of its inputs or to another file it would write.
-    A None path (not known before the run) is not compared."""
+def _matrix_inputs(args) -> list[tuple[str, str]]:
+    """The input files a matrix config names, by key. Raise ConfigError when
+    one lies in the run's cells directory, which matrix writes."""
+    settings = _matrix_settings(read_config(args.config), args.config)
+    cells = Path(args.out_dir or settings["out_dir"]) / "cells"
+    inputs = [(key, settings[key]) for key, (*_, role) in _MATRIX_KEYS.items()
+              if role == INPUT and settings[key]]
+    for key, path in inputs:
+        if Path(path).resolve().is_relative_to(cells.resolve()):
+            raise ConfigError(f"{key} names a file in {cells}, which matrix writes: {path}")
+    return inputs
+
+
+def _refuse_overwrites(command: Command, args, files: dict[str, Path]) -> None:
+    """Raise ConfigError, naming both options or config keys, when a file the
+    command would write resolves to one of its inputs or to another file it
+    would write."""
     owners: dict[Path, str] = {}
     for option in command.options:
         if option.role == INPUT:
@@ -757,8 +746,11 @@ def _refuse_overwrites(command: Command, args, files: dict[str, Path | None]) ->
             for path in value if isinstance(value, list) else [value]:  # nargs gives a list
                 owners.setdefault(Path(path).resolve(), option.flag)
     for label, path in files.items():
-        if path is not None and owners.setdefault(path.resolve(), label) != label:
+        if owners.setdefault(path.resolve(), label) != label:
             raise ConfigError(f"{owners[path.resolve()]} and {label} name one file: {path}")
+    for key, path in _matrix_inputs(args) if args.command == "matrix" else []:
+        if (label := owners.setdefault(Path(path).resolve(), key)) in files:
+            raise ConfigError(f"{key} and {label} name one file: {path}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -771,9 +763,10 @@ def main(argv: list[str] | None = None) -> int:
         command = COMMANDS[args.command]
         files = _planned_files(command, args)
         _refuse_overwrites(command, args, files)
-        run = command.func(args, files)
-        if run is not None:
-            _write_run_manifest(args, run)
+        # Only matrix returns its seed and config: they are its config file's.
+        seed, config = command.func(args, files) or (getattr(args, "seed", None), vars(args))
+        if "--manifest" in files:
+            _write_run_manifest(args.command, files, seed, config)
         return 0
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

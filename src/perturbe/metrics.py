@@ -367,9 +367,9 @@ def _fmt_cohort(key: str, value: int | float | None) -> str:
     return str(value) if key == "n" and isinstance(value, int) else _fmt(value)
 
 
-def report(cells: list[dict], out_dir: str | Path) -> tuple[Path, Path]:
-    """Write metrics.csv plus a readable summary of metrics objects as
-    ``evaluate`` writes them to metrics.json; returns both paths. An absent
+def report(cells: list[dict], csv_path: Path, summary_path: Path) -> None:
+    """Write to ``csv_path`` and, readably, to ``summary_path`` the metrics
+    objects as ``evaluate`` writes them to metrics.json. An absent
     ``model`` is empty, an absent ``kind`` is '-', an absent p is 0.0 and an
     absent score is '-'."""
     rows = [("model", "kind", "train_p", "test_p", "SYN", "SEM", "ROB")]
@@ -387,11 +387,9 @@ def report(cells: list[dict], out_dir: str | Path) -> tuple[Path, Path]:
         for cohort, values in sorted(cell.get("sem_cohorts", {}).items()):
             parts = " | ".join(f"{k} {_fmt_cohort(k, v)}" for k, v in sorted(values.items()))
             lines.append(f"    {cohort}: {parts}")
-    csv_path, summary_path = Path(out_dir) / "metrics.csv", Path(out_dir) / "summary.txt"
     write_csv(csv_path, rows)
     with open_output(summary_path) as fh:
         fh.write("\n".join(lines) + "\n")
-    return csv_path, summary_path
 
 
 def cohort_breakdown(

@@ -794,6 +794,10 @@ class TestAugmentCommand:
         assert "argument --kind: invalid choice: 'bogus'" in capsys.readouterr().err
 
 
+# Every matrix config key that names an input file.
+MATRIX_PATH_KEYS = ("corpus", "vectors", "stopwords", "registers", "comparison", "tag_lexicon")
+
+
 class TestMatrix:
     def write_config(self, workdir, out_dir, seed=5):
         config = workdir / f"exp_{seed}.cfg"
@@ -916,6 +920,57 @@ class TestMatrix:
         config = tmp_path / "broken.cfg"
         config.write_text("corpus = whatever\n")
         assert run("matrix", "--config", config) == 1
+
+    @pytest.mark.parametrize("manifest", [(), ("--manifest", "m.json")], ids=["", "--manifest"])
+    @pytest.mark.parametrize("key", ["corpus", "out_dir", "seed", "vectors"])
+    def test_matrix_empty_required_key_exit_1(
+        self, workdir, tmp_path, monkeypatch, capsys, key, manifest
+    ):
+        # An empty out_dir once wrote the matrix into the working directory.
+        monkeypatch.chdir(tmp_path)
+        config = tmp_path / "exp.cfg"
+        valid = self.write_config(workdir, tmp_path / "out").read_text().splitlines()
+        config.write_text("".join(
+            f"{key} =\n" if line.startswith(f"{key} =") else f"{line}\n" for line in valid
+        ))
+        assert_writes_nothing(tmp_path, ("matrix", "--config", config, *manifest), 1)
+        assert capsys.readouterr().err == f"error: matrix config missing {key!r}\n"
+
+    def test_matrix_path_keys_are_its_input_keys(self):
+        inputs = [key for key, (*_, role) in _MATRIX_KEYS.items() if role == INPUT]
+        assert inputs == list(MATRIX_PATH_KEYS)
+
+    @pytest.mark.parametrize("name, error", [
+        ("vocab.json", "{key} and out_dir (vocab.json) name one file: {path}"),
+        ("cells/none_train000_test000/train.jsonl",
+         "{key} names a file in {cells}, which matrix writes: {path}"),
+    ], ids=["planned", "cells"])
+    @pytest.mark.parametrize("key", MATRIX_PATH_KEYS)
+    def test_matrix_input_among_its_outputs_exit_1(
+        self, workdir, tmp_path, capsys, key, name, error
+    ):
+        out = tmp_path / "out"
+        path = out / name
+        path.parent.mkdir(parents=True)
+        path.write_bytes((workdir / "corpus.jsonl").read_bytes())
+        config = tmp_path / "exp.cfg"
+        valid = self.write_config(workdir, out).read_text().splitlines()
+        kept = [line for line in valid if not line.startswith(f"{key} =")]
+        config.write_text("".join(f"{line}\n" for line in kept) + f"{key} = {path}\n")
+        assert_writes_nothing(tmp_path, ("matrix", "--config", config), 1)
+        expected = error.format(key=key, path=path, cells=out / "cells")
+        assert capsys.readouterr().err == f"error: {expected}\n"
+
+    def test_matrix_corpus_in_its_last_cells_exit_1(self, workdir, tmp_path, capsys):
+        # The second run once rewrote its own corpus, a cell file of the first.
+        out, config = tmp_path / "out", tmp_path / "exp.cfg"
+        first = self.write_config(workdir, out).read_text()
+        config.write_text(first)
+        assert run("matrix", "--config", config) == 0
+        corpus = out / "cells" / "none_train000_test000" / "train.jsonl"
+        config.write_text(first.replace(str(workdir / "corpus.jsonl"), str(corpus)))
+        assert_writes_nothing(tmp_path, ("matrix", "--config", config, "--out-dir", out), 1)
+        assert capsys.readouterr().err.endswith(f"which matrix writes: {corpus}\n")
 
     def test_manifest_at_a_file_of_the_configured_out_dir_exit_1(self, workdir, tmp_path, capsys):
         out = tmp_path / "out"

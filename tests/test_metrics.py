@@ -553,7 +553,8 @@ class TestReport:
             {"model": "seq2seq", "kind": "omission", "train_p": 0.0, "test_p": 1.0,
              "syn": 0.81, "sem": 0.33, "rob": None},
         ]
-        csv_path, summary_path = report(cells, tmp_path)
+        csv_path, summary_path = tmp_path / "metrics.csv", tmp_path / "summary.txt"
+        report(cells, csv_path, summary_path)
         lines = csv_path.read_text().strip().splitlines()
         assert lines[0] == "model,kind,train_p,test_p,SYN,SEM,ROB"
         assert lines[1] == "seq2seq,substitution,0.5,1.0,0.9100,0.5700,0.8500"
@@ -561,7 +562,8 @@ class TestReport:
         assert "substitution" in summary_path.read_text()
 
     def test_empty_report(self, tmp_path):
-        csv_path, _ = report([], tmp_path)
+        csv_path = tmp_path / "metrics.csv"
+        report([], csv_path, tmp_path / "summary.txt")
         assert csv_path.read_text().strip() == "model,kind,train_p,test_p,SYN,SEM,ROB"
 
     def test_cohort_breakdown(self, tagger):
